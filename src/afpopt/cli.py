@@ -195,23 +195,32 @@ _DEFAULTS = {
 }
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse the flags, with ``--config`` values checked exactly like flags."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    try:
+        loaded = json.loads(Path(args.config).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"bad config file {args.config}: {exc}")
+    if not isinstance(loaded, dict):
+        parser.error(f"bad config file {args.config}: expected a JSON object")
+    # each value becomes its flag, placed before the command line's own
+    # flags: it passes the same type and choice checks, and a flag still wins
+    tokens = [f"--{key.replace('_', '-')}={value}" for key, value in loaded.items()]
+    args, unknown = parser.parse_known_args([argv[0], *tokens, *argv[1:]])
+    if unknown:
+        keys = ", ".join(token.split("=", 1)[0].lstrip("-") for token in unknown)
+        parser.error(f"bad config file {args.config}: unknown key(s) for {args.command}: {keys}")
+    return args
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
-    config = getattr(args, "config", None)
-    if config:
-        try:
-            loaded = json.loads(Path(config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"afpopt: error: bad config file {config}: {exc}", file=sys.stderr)
-            raise SystemExit(2) from exc
-        for key, value in loaded.items():
-            merged[key.replace("-", "_")] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
+    return {**_DEFAULTS, **given}
 
 
 def _output_path(opts: dict, command: str) -> Path:
@@ -255,19 +264,27 @@ def _cmd_large_system(opts: dict) -> list[SweepRecord]:
     ]
 
 
-def _cmd_simulate(opts: dict) -> list[SweepRecord]:
+def _simulate_cell(opts: dict, k: int, kind: str, metric: str, rho: float = 10.0) -> SweepRecord:
+    # building the spec can fail for a single cell (a budget over the
+    # streaming cap); that costs the cell its value, not the whole table
     shape = SystemShape(opts["nt"], opts["nr"])
     model = FadingModel(opts["alpha"])
-    rho = 10.0 ** (opts["rho_db"] / 10.0)
-    specs = [
-        ExperimentSpec(
+    try:
+        spec = ExperimentSpec(
             shape, model, opts["bits"], k,
-            trials=opts["trials"], seed=opts["seed"],
-            codebook_kind=opts["codebook"], metric=opts["metric"],
+            trials=opts["trials"], seed=opts["seed"], codebook_kind=kind, metric=metric,
         )
-        for k in range(opts["k_min"], opts["k_max"] + 1)
-    ]
-    return simulate.sweep(specs, rho)
+    except ValueError as exc:
+        return simulate.failed_record(shape, model, opts["bits"], k, metric, kind, opts["seed"], exc)
+    return simulate.run_spec(spec, rho)
+
+
+def _cmd_simulate(opts: dict) -> list[SweepRecord]:
+    ks = range(opts["k_min"], opts["k_max"] + 1)
+    if not ks:
+        raise ValueError(f"empty K range [{opts['k_min']}, {opts['k_max']}]")
+    rho = 10.0 ** (opts["rho_db"] / 10.0)
+    return [_simulate_cell(opts, k, opts["codebook"], opts["metric"], rho) for k in ks]
 
 
 def _cmd_optimal_k(opts: dict) -> list[SweepRecord]:
@@ -311,18 +328,11 @@ def _cmd_afp_range(opts: dict) -> list[SweepRecord]:
 
 
 def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
-    shape = SystemShape(opts["nt"], opts["nr"])
-    model = FadingModel(opts["alpha"])
     records: list[SweepRecord] = []
     best: dict[str, tuple[float, int]] = {}
     for kind in ("rvq", "maximin"):
         for k in range(1, opts["k_max"] + 1):
-            spec = ExperimentSpec(
-                shape, model, opts["bits"], k,
-                trials=opts["trials"], seed=opts["seed"],
-                codebook_kind=kind, metric="normalized_power",
-            )
-            rec = simulate.run_spec(spec)
+            rec = _simulate_cell(opts, k, kind, "normalized_power")
             records.append(rec)
             if rec.value is not None and (kind not in best or rec.value > best[kind][0]):
                 best[kind] = (rec.value, k)
@@ -451,7 +461,7 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     opts = _merge_config(args)
     path = _output_path(opts, args.command)
     try:

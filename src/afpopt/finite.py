@@ -11,9 +11,12 @@ Expectations against this density reduce to the wedge moments
     M(m, n) = int_0^inf l1^m e^-l1 int_0^l1 l2^n e^-l2 dl2 dl1,
 
 computed exactly by recursion from closed-form base rows.  Channels with
-two transmit antennas admit fully closed-form average received power; the
-transposed case (two receive antennas, nt > 2) needs one nested quadrature
-against the conditional distribution of the quantizer output.
+two transmit antennas admit fully closed-form average received power.  In
+the transposed case (two receive antennas, nt > 2) the RVQ selection
+shortfall is homogeneous of degree 1 in (l1, l2), so with s = l2 / l1 the
+l1 integral is a closed-form Gamma integral and the average power is a
+one-dimensional quadrature over s (with a nested head quadrature) against
+the conditional distribution of the quantizer output.
 """
 
 from __future__ import annotations
@@ -195,11 +198,10 @@ def rank2_power_pdf(x: float, l1: float, l2: float, nt: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the nested quadrature behind the nt x 2 closed form."""
+    """Controls for the two nested adaptive quadratures behind the nt x 2 form."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    eigen_bound: float = 60.0  # leaves < 1e-12 of joint-density mass outside
     max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
@@ -213,62 +215,6 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 # treat as perfect feedback instead of exponentiating toward overflow
 _BITS_SATURATION = 400.0
 
-
-def _selection_shortfall(l1: float, l2: float, nt: int, n_entries: float, quad: QuadratureSpec) -> float:
-    # int_0^l1 F(x)^n dx: how far the best of n_entries draws sits below l1
-    p = nt - 1
-    gap = l1 - l2
-    scale = gap * l1 ** (nt - 2)
-    # tail branch (l2 <= x <= l1): substituting t = l1 - x gives the exact
-    # incomplete-beta form (c^(1/p)/p) B(1/p, n+1) I_x0(1/p, n+1)
-    x0 = (gap / l1) ** (nt - 2)
-    tail = (
-        scale ** (1.0 / p)
-        / p
-        * math.exp(special.betaln(1.0 / p, n_entries + 1.0))
-        * special.betainc(1.0 / p, n_entries + 1.0, x0)
-    )
-    if l2 <= 0.0:
-        return tail
-    a = l1 / gap
-    b = l2 / gap
-
-    def log_body(x: float) -> float:
-        u = a * (1.0 - x / l1) ** p - b * (1.0 - x / l2) ** p  # 1 - F(x)
-        if u >= 1.0:
-            return -math.inf
-        if u <= 0.0:
-            return 0.0
-        return n_entries * math.log1p(-u)
-
-    # the head integrand rises monotonically to its peak at x = l2; confine
-    # the quadrature to where it exceeds a negligibility floor (for large
-    # quantizers that region is empty or a thin layer below l2)
-    floor = math.log(0.01 * quad.abs_tol) - math.log(max(l2, 1e-300))
-    if log_body(l2) < floor:
-        return tail
-    lo = 0.0
-    if log_body(0.0) < floor:
-        hi = l2
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if log_body(mid) < floor:
-                lo = mid
-            else:
-                hi = mid
-        lo = max(0.0, lo - (hi - lo))
-
-    head, _ = integrate.quad(
-        lambda x: math.exp(log_body(x)),
-        lo,
-        l2,
-        epsabs=quad.abs_tol,
-        epsrel=quad.rel_tol,
-        limit=quad.max_subdivisions,
-    )
-    return head + tail
-
-
 _ntx2_cache: dict[tuple, float] = {}
 
 
@@ -277,9 +223,19 @@ def rvq_power_ntx2(
 ) -> float:
     """Mean selected power for an nt x 2 channel (nt > 2), RVQ quantized.
 
-    E[l1] minus the expected selection shortfall, averaged over the joint
-    eigenvalue density by nested adaptive quadrature.  Strictly increasing
-    in the bit budget, equal to 2 at zero bits.
+    E[l1] minus the expected selection shortfall int_0^l1 F(x)^N dx, the
+    gap between l1 and the best of N = 2^bits isotropic entries, where F is
+    :func:`rank2_power_cdf`.  The shortfall is homogeneous of degree 1 in
+    (l1, l2), so it equals l1 phi(s) with s = l2 / l1.  Substituting
+    l2 = s l1 in the joint eigenvalue density turns the l1 integral into
+    int l1^(2n) e^(-l1 (1+s)) dl1 = (2n)! / (1+s)^(2n+1), which leaves
+
+        E[shortfall] = (2n)! / ((n-1)!(n-2)!)
+                       int_0^1 s^(n-2) (1-s)^2 (1+s)^-(2n+1) phi(s) ds,  n = nt.
+
+    phi(s) is an exact incomplete-beta tail over [s, 1] plus a head over
+    [0, s], so one adaptive quadrature over s runs another over the head.
+    Strictly increasing in the bit budget, equal to 2 at zero bits.
     """
     if nt <= 2:
         raise ValueError("quadrature form requires nt > 2")
@@ -291,22 +247,44 @@ def rvq_power_ntx2(
     if key in _ntx2_cache:
         return _ntx2_cache[key]
     n_entries = 2.0**total_bits
+    p = nt - 1
+    a, b = 1.0 / p, n_entries + 1.0
+    beta = math.exp(special.betaln(a, b))
+    log_norm = math.lgamma(2 * nt + 1) - math.lgamma(nt) - math.lgamma(nt - 1)
+    tols = dict(epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_subdivisions)
 
-    def integrand(l2: float, l1: float) -> float:
-        return _selection_shortfall(l1, l2, nt, n_entries, quad) * ordered_eigen_pdf(l1, l2, nt)
+    def unit_shortfall(s: float) -> float:
+        # phi(s) = int_0^1 F(x)^N dx at (l1, l2) = (1, s).  Tail branch
+        # (s <= x <= 1): substituting t = 1 - x gives the exact form
+        # (c^(1/p)/p) B(1/p, N+1) I_(c^(nt-2))(1/p, N+1) with c = 1 - s
+        gap = 1.0 - s
+        tail = gap**a / p * beta * special.betainc(a, b, gap ** (nt - 2))
 
-    shortfall, _ = integrate.dblquad(
-        integrand,
-        0.0,
-        quad.eigen_bound,
-        0.0,
-        lambda l1: l1,
-        epsabs=quad.abs_tol,
-        epsrel=quad.rel_tol,
-    )
+        def head(y: float) -> float:
+            u = ((1.0 - y) ** p - s * (1.0 - y / s) ** p) / gap  # 1 - F(y)
+            if u >= 1.0:
+                return 0.0
+            if u <= 0.0:
+                return 1.0
+            return math.exp(n_entries * math.log1p(-u))
+
+        return integrate.quad(head, 0.0, s, **tols)[0] + tail
+
+    def weighted(s: float) -> float:
+        # (2n)!/((n-1)!(n-2)!) s^(n-2) (1-s)^2 (1+s)^-(2n+1), in logs
+        log_w = (log_norm + (nt - 2) * math.log(s) + 2.0 * math.log1p(-s)
+                 - (2 * nt + 1) * math.log1p(s))
+        return math.exp(log_w) * unit_shortfall(s)
+
+    shortfall, _ = integrate.quad(weighted, 0.0, 1.0, **tols)
     value = mean_max_eigenvalue(nt) - shortfall
     _ntx2_cache[key] = value
     return value
+
+
+def has_closed_form(shape: SystemShape) -> bool:
+    """Whether the average power has a closed-form path: 2 x nr (nr >= 2) or nt x 2 (nt > 2)."""
+    return (shape.nt == 2 and shape.nr >= 2) or (shape.nr == 2 and shape.nt > 2)
 
 
 @dataclass(frozen=True)
@@ -324,9 +302,8 @@ class AfpConfig:
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE
 
     def __post_init__(self) -> None:
-        nt, nr = self.shape.nt, self.shape.nr
-        if not ((nt == 2 and nr >= 2) or (nr == 2 and nt > 2)):
-            raise ValueError(f"no closed-form path for a {nt}x{nr} channel")
+        if not has_closed_form(self.shape):
+            raise ValueError(f"no closed-form path for a {self.shape.nt}x{self.shape.nr} channel")
         if self.bits_per_block <= 0:
             raise ValueError("bits_per_block must be positive")
         if self.k_max < 1:

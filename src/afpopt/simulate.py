@@ -246,16 +246,36 @@ class SweepRecord:
 
 def _analytic_value(spec: ExperimentSpec) -> float | None:
     shape = spec.shape
-    closed_form = (shape.nt == 2 and shape.nr >= 2) or (shape.nr == 2 and shape.nt > 2)
-    if not closed_form or spec.codebook_kind != "rvq" or spec.bits_per_block <= 0:
+    if not finite.has_closed_form(shape) or spec.codebook_kind != "rvq" or spec.bits_per_block <= 0:
         return None
     if spec.metric not in ("avg_power", "normalized_power"):
         return None
     cfg = finite.AfpConfig(shape, spec.bits_per_block, spec.model, k_max=spec.num_blocks)
-    value = finite.avg_power(cfg, spec.num_blocks)
+    # the closed form at the rounded budget the simulation quantizes with,
+    # not at the fractional B * K
+    g = finite.quantized_first_block_power(cfg, spec.budget_bits)
+    value = finite.interval_average_power(
+        finite.isotropic_power(cfg), g, spec.model.alpha, spec.num_blocks
+    )
     if spec.metric == "normalized_power":
         value /= perfect_feedback_mean(shape)
     return value
+
+
+def _source(codebook_kind: str) -> str:
+    return "simulation" if codebook_kind == "rvq" else "simulation-maximin"
+
+
+def failed_record(
+    shape: SystemShape, model: FadingModel, bits_per_block: float, num_blocks: int,
+    metric: str, codebook_kind: str, seed: int, exc: Exception,
+) -> SweepRecord:
+    """The row of a grid point that could not be evaluated: no value, the error kept."""
+    return SweepRecord(
+        shape.nt, shape.nr, model.alpha, bits_per_block, num_blocks, metric,
+        None, None, None, _source(codebook_kind), seed,
+        error=f"{type(exc).__name__}: {exc}",
+    )
 
 
 def run_spec(spec: ExperimentSpec, rho: float = 10.0) -> SweepRecord:
@@ -272,34 +292,16 @@ def run_spec(spec: ExperimentSpec, rho: float = 10.0) -> SweepRecord:
             raw = simulate_avg_power(spec)
             est = Estimate(raw.mean / norm, raw.stderr / norm, raw.trials)
         analytic = _analytic_value(spec)
-        return SweepRecord(
-            spec.shape.nt,
-            spec.shape.nr,
-            spec.model.alpha,
-            spec.bits_per_block,
-            spec.num_blocks,
-            spec.metric,
-            est.mean,
-            est.stderr,
-            analytic,
-            "simulation" if spec.codebook_kind == "rvq" else "simulation-maximin",
-            spec.seed,
-        )
     except Exception as exc:
-        return SweepRecord(
-            spec.shape.nt,
-            spec.shape.nr,
-            spec.model.alpha,
-            spec.bits_per_block,
-            spec.num_blocks,
-            spec.metric,
-            None,
-            None,
-            None,
-            "simulation" if spec.codebook_kind == "rvq" else "simulation-maximin",
-            spec.seed,
-            error=f"{type(exc).__name__}: {exc}",
+        return failed_record(
+            spec.shape, spec.model, spec.bits_per_block, spec.num_blocks,
+            spec.metric, spec.codebook_kind, spec.seed, exc,
         )
+    return SweepRecord(
+        spec.shape.nt, spec.shape.nr, spec.model.alpha, spec.bits_per_block,
+        spec.num_blocks, spec.metric, est.mean, est.stderr, analytic,
+        _source(spec.codebook_kind), spec.seed,
+    )
 
 
 def sweep(specs: list[ExperimentSpec], rho: float = 10.0) -> list[SweepRecord]:

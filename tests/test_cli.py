@@ -132,6 +132,23 @@ class TestTables:
         assert "cannot write" in err
 
 
+class TestCellFailures:
+    def test_over_cap_cell_keeps_its_row(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = invoke(
+            ["simulate", "--nt", "2", "--nr", "2", "--bits", "16", "--k-min", "1",
+             "--k-max", "2", "--trials", "2"],
+            capfd,
+        )
+        assert code == 1
+        rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        k1, k2 = (row.split(",") for row in rows)
+        assert k1[4] == "1" and k1[6] != ""
+        assert k2[4] == "2" and k2[6] == "" and k2[7] == ""
+        assert "K=2 failed" in err and "streaming cap" in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -145,6 +162,22 @@ class TestConfigFile:
         )
         assert code == 0
         assert out.strip() == "K*=1"
+
+    @pytest.mark.parametrize(
+        "config,named", [({"trials": "abc"}, "--trials"), ({"alpah": 0.99}, "alpah")]
+    )
+    def test_config_values_validated_like_flags(self, config, named, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as e:
+            run(["simulate", "--config", str(cfg), "--k-max", "1"])
+        assert e.value.code == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "simulate.csv").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)

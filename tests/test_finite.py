@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from afpopt.channel import FadingModel, RandomStream, SystemShape, complex_normal
 from afpopt.finite import (
@@ -12,6 +12,7 @@ from afpopt.finite import (
     afp_beats_mfp,
     avg_power,
     block_power_2xnr,
+    has_closed_form,
     mean_eigen_gap,
     mean_max_eigenvalue,
     optimal_interval,
@@ -235,7 +236,75 @@ class TestOrderedEigenPdf:
             ordered_eigen_pdf(1.0, 2.0, 3)
 
 
+def _oracle_shortfall(l1, l2, nt, n_entries, abs_tol):
+    # int_0^l1 F(x)^n dx at one eigenvalue pair: exact incomplete-beta tail
+    # over [l2, l1] plus an adaptive quadrature of the head over [0, l2],
+    # restricted by bisection to where the head exceeds a negligibility floor
+    p = nt - 1
+    gap = l1 - l2
+    x0 = (gap / l1) ** (nt - 2)
+    tail = (
+        (gap * l1 ** (nt - 2)) ** (1.0 / p)
+        / p
+        * math.exp(special.betaln(1.0 / p, n_entries + 1.0))
+        * special.betainc(1.0 / p, n_entries + 1.0, x0)
+    )
+    if l2 <= 0.0:
+        return tail
+    a, b = l1 / gap, l2 / gap
+
+    def log_body(x):
+        u = a * (1.0 - x / l1) ** p - b * (1.0 - x / l2) ** p  # 1 - F(x)
+        if u >= 1.0:
+            return -math.inf
+        if u <= 0.0:
+            return 0.0
+        return n_entries * math.log1p(-u)
+
+    floor = math.log(0.01 * abs_tol) - math.log(max(l2, 1e-300))
+    if log_body(l2) < floor:
+        return tail
+    lo = 0.0
+    if log_body(0.0) < floor:
+        hi = l2
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if log_body(mid) < floor:
+                lo = mid
+            else:
+                hi = mid
+        lo = max(0.0, lo - (hi - lo))
+    head, _ = integrate.quad(
+        lambda x: math.exp(log_body(x)), lo, l2, epsabs=abs_tol, epsrel=1e-7, limit=200
+    )
+    return head + tail
+
+
+def dblquad_rvq_power_ntx2(nt, total_bits, abs_tol=1e-9):
+    """Independent oracle: E[l1] minus the shortfall averaged by dblquad over
+    the ordered-eigenvalue wedge, truncated at l1 = 60."""
+    n_entries = 2.0**total_bits
+    shortfall, _ = integrate.dblquad(
+        lambda l2, l1: _oracle_shortfall(l1, l2, nt, n_entries, abs_tol)
+        * ordered_eigen_pdf(l1, l2, nt),
+        0.0,
+        60.0,
+        0.0,
+        lambda l1: l1,
+        epsabs=abs_tol,
+        epsrel=1e-7,
+    )
+    return mean_max_eigenvalue(nt) - shortfall
+
+
 class TestPowerNtx2:
+    @pytest.mark.parametrize(
+        "nt,bits",
+        [(3, 0.2), (3, 10.0), (4, 1.0), (4, 24.0), (5, 4.0), (6, 10.0), (6, 24.0), (8, 1.0)],
+    )
+    def test_matches_dblquad_oracle(self, nt, bits):
+        assert rvq_power_ntx2(nt, bits) == pytest.approx(dblquad_rvq_power_ntx2(nt, bits), rel=1e-9)
+
     def test_zero_bits_is_isotropic(self):
         for nt in (3, 4, 5):
             assert rvq_power_ntx2(nt, 0.0) == pytest.approx(2.0, abs=1e-6)
@@ -281,6 +350,9 @@ class TestIntervalSearch:
             AfpConfig(SystemShape(3, 3), 1.0, FadingModel(0.8))
         AfpConfig(SystemShape(2, 5), 1.0, FadingModel(0.8))
         AfpConfig(SystemShape(7, 2), 1.0, FadingModel(0.8))
+        closed = {(nt, nr) for nt in range(1, 6) for nr in range(1, 6)
+                  if has_closed_form(SystemShape(nt, nr))}
+        assert closed == {(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (4, 2), (5, 2)}
 
     def test_headline_optimal_intervals(self):
         for nr in (2, 3, 4):

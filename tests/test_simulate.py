@@ -283,3 +283,14 @@ class TestRunSpec:
         assert rec.source == "simulation-maximin"
         assert rec.analytic is None  # closed form covers RVQ ensembles only
         assert 0.0 < rec.value < 1.0
+
+    def test_analytic_attached_at_simulated_budget(self):
+        # B * K = 1.5 is quantized with round_half_up(1.5) = 2 bits, so the
+        # attached closed form must be the one at 2 bits, not at 1.5
+        spec = ExperimentSpec(SystemShape(2, 4), FadingModel(0.8), 0.5, 3, trials=50, seed=3)
+        assert spec.budget_bits == 2
+        rec = run_spec(spec)
+        at_budget = finite.interval_average_power(4.0, finite.rvq_power_2xnr(4, 2), 0.8, 3)
+        at_fraction = finite.interval_average_power(4.0, finite.rvq_power_2xnr(4, 1.5), 0.8, 3)
+        assert rec.analytic == pytest.approx(at_budget, rel=1e-12)
+        assert abs(at_budget - at_fraction) > 1e-2
