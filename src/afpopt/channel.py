@@ -123,30 +123,28 @@ def trajectory(
     return out
 
 
-def _eigvals_hermitian_2x2(g: np.ndarray) -> np.ndarray:
-    # closed form for [[a, b], [conj(b), c]]; exact trace, descending order
-    a = g[0, 0].real
-    c = g[1, 1].real
-    half_sum = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), abs(g[0, 1]))
-    return np.array([half_sum + rad, half_sum - rad])
-
-
 def gram_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Nonzero-capable eigenvalues of H^H H in descending order.
 
-    Only the min(nt, nr) eigenvalues that can be nonzero are returned; the
-    smaller of the two Gram matrices (H H^H when nr < nt) is diagonalized.
-    The 2x2 case uses the explicit Hermitian closed form.
+    ``h`` is one channel ``(nr, nt)`` or a stack ``(..., nr, nt)``; the
+    result has shape ``(..., min(nt, nr))``.  The smaller of the two Gram
+    matrices (H H^H when nr < nt) is diagonalized.  The 2x2 case uses the
+    Hermitian closed form for [[a, b], [conj(b), c]], which keeps the trace
+    exact.
     """
-    nr, nt = h.shape
-    g = h @ h.conj().T if nr < nt else h.conj().T @ h
-    if g.shape[0] == 1:
-        return np.array([g[0, 0].real])
-    if g.shape[0] == 2:
-        vals = _eigvals_hermitian_2x2(g)
+    nr, nt = h.shape[-2:]
+    hh = np.swapaxes(h.conj(), -1, -2)
+    g = h @ hh if nr < nt else hh @ h
+    if g.shape[-1] == 1:
+        return g[..., 0, :].real
+    if g.shape[-1] == 2:
+        a = g[..., 0, 0].real
+        c = g[..., 1, 1].real
+        half_sum = 0.5 * (a + c)
+        rad = np.hypot(0.5 * (a - c), np.abs(g[..., 0, 1]))
+        vals = np.stack([half_sum + rad, half_sum - rad], axis=-1)
     else:
-        vals = np.linalg.eigvalsh(g)[::-1]
+        vals = np.linalg.eigvalsh(g)[..., ::-1]
     return np.maximum(vals, 0.0)
 
 

@@ -24,9 +24,9 @@ import sys
 from pathlib import Path
 
 from afpopt import finite, largesys, simulate
-from afpopt.channel import FadingModel, RandomStream, SystemShape
-from afpopt.codebook import maximin_codebook, save_codebook
-from afpopt.simulate import CODEBOOK_STREAM, ExperimentSpec, SweepRecord
+from afpopt.channel import FadingModel, SystemShape
+from afpopt.codebook import save_codebook
+from afpopt.simulate import ExperimentSpec, SweepRecord
 
 CSV_HEADER = "nt,nr,alpha,bits_per_block,K,metric,value,stderr,analytic,source,seed"
 _FIELDS = CSV_HEADER.split(",")
@@ -162,7 +162,7 @@ def build_parser() -> _Parser:
     channel_args(p)
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--candidates", type=_positive_int, default=None)
-    p.add_argument("--save-codebook", default=None, help="also save the last maximin codebook (JSON)")
+    p.add_argument("--save-codebook", default=None, help="also save the maximin codebook of the K = k-max cell (JSON)")
     common(p)
 
     p = sub.add_parser("reproduce-figure", help="run a named figure preset")
@@ -264,18 +264,24 @@ def _cmd_large_system(opts: dict) -> list[SweepRecord]:
     ]
 
 
+def _cell_spec(opts: dict, k: int, kind: str, metric: str) -> ExperimentSpec:
+    return ExperimentSpec(
+        SystemShape(opts["nt"], opts["nr"]), FadingModel(opts["alpha"]), opts["bits"], k,
+        trials=opts["trials"], seed=opts["seed"], codebook_kind=kind, metric=metric,
+        candidates=opts["candidates"],
+    )
+
+
 def _simulate_cell(opts: dict, k: int, kind: str, metric: str, rho: float = 10.0) -> SweepRecord:
     # building the spec can fail for a single cell (a budget over the
     # streaming cap); that costs the cell its value, not the whole table
-    shape = SystemShape(opts["nt"], opts["nr"])
-    model = FadingModel(opts["alpha"])
     try:
-        spec = ExperimentSpec(
-            shape, model, opts["bits"], k,
-            trials=opts["trials"], seed=opts["seed"], codebook_kind=kind, metric=metric,
-        )
+        spec = _cell_spec(opts, k, kind, metric)
     except ValueError as exc:
-        return simulate.failed_record(shape, model, opts["bits"], k, metric, kind, opts["seed"], exc)
+        return simulate.failed_record(
+            SystemShape(opts["nt"], opts["nr"]), FadingModel(opts["alpha"]),
+            opts["bits"], k, metric, kind, opts["seed"], exc,
+        )
     return simulate.run_spec(spec, rho)
 
 
@@ -339,13 +345,17 @@ def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
     for kind in ("rvq", "maximin"):
         if kind in best:
             print(f"{kind} K*={best[kind][1]}")
-    if opts.get("save_codebook"):
-        bits = simulate.round_half_up(opts["bits"] * opts["k_max"])
-        cb = maximin_codebook(
-            opts["nt"], bits, opts["candidates"], RandomStream(opts["seed"], CODEBOOK_STREAM)
-        )
-        save_codebook(cb, opts["save_codebook"])
     return records
+
+
+def _save_maximin_codebook(opts: dict) -> None:
+    """Write the codebook the K = k_max maximin cell simulated (its cache entry)."""
+    spec = _cell_spec(opts, opts["k_max"], "maximin", "normalized_power")
+    codebook = simulate.fixed_codebook(spec)
+    try:
+        save_codebook(codebook, opts["save_codebook"])
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {opts['save_codebook']}: {exc}") from exc
 
 
 def _figure_specs(fig: str, trials: int, seed: int) -> tuple[list[SweepRecord], list[ExperimentSpec], float]:
@@ -482,6 +492,12 @@ def run(argv: list[str] | None = None) -> int:
         print(f"afpopt {args.command}: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(records)} records to {path}", file=sys.stderr)
+    if args.command == "compare-codebooks" and opts["save_codebook"]:
+        try:
+            _save_maximin_codebook(opts)
+        except (ValueError, RuntimeError) as exc:
+            print(f"afpopt {args.command}: codebook not saved: {exc}", file=sys.stderr)
+            return 1
     return 1 if failed else 0
 
 

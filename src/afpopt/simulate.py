@@ -2,8 +2,23 @@
 
 A trial draws the first-block channel, quantizes the beamformer once with
 the pooled bit budget, then lets the channel evolve while the stale vector
-stays in use.  Trial t consumes only the substream (seed, t), so estimates
-are reproducible and independent of execution order or worker count.
+stays in use.  The engine draws each trial through its sufficient
+statistic, which is exact, not an approximation:
+
+* The power of the best of N = 2^bits isotropic RVQ entries has the CDF
+  F_H(x)^N, where F_H depends on H only through its Gram eigenvalues (the
+  RVQ order statistic of Au-Yeung & Love, IEEE TWC 2007).  It is drawn from
+  one uniform u as x = F_H^-1(u^(1/N)).  A maximin codebook is fixed, so
+  its x = max_i ||H c_i||^2 is computed directly.
+* Block k's power is ||a_k||^2 with a_k = H_k v in C^nr, and
+  a_k = alpha a_(k-1) + sqrt(1 - alpha^2) n_k with n_k ~ CN(0, I) drawn
+  independently of v.  Its law depends on a_1 only through ||a_1||^2 = x.
+
+A trial therefore costs one eigensolve, one uniform and K*nr normals,
+whatever its bit budget.  Trials run in fixed chunks of ``TRIAL_CHUNK``;
+chunk c consumes only the substream (seed, c), drawing its channels, then
+its uniforms (RVQ only), then one block of innovations per stale block.
+Estimates are therefore reproducible and reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -11,24 +26,26 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
 from afpopt import finite
-from afpopt.channel import FadingModel, RandomStream, SystemShape
-from afpopt.codebook import (
-    STREAM_CAP_BITS,
-    Codebook,
-    Selection,
-    maximin_codebook,
-    select_beamformer,
-    select_beamformer_streaming,
-)
+from afpopt.channel import FadingModel, RandomStream, SystemShape, complex_normal, gram_eigenvalues
+from afpopt.codebook import STREAM_CAP_BITS, Codebook, maximin_codebook
 
-#: substream reserved for per-configuration codebook construction; trial
+#: substream reserved for per-configuration codebook construction; chunk
 #: indices stay safely below this
 CODEBOOK_STREAM = 1 << 62
+
+#: trials per random substream; the draws depend on it, so it is fixed
+TRIAL_CHUNK = 2048
+
+# complex products per maximin scoring step, which bounds its temporaries
+_SCORE_BLOCK = 1 << 18
+
+# halvings that pin a root in [0, l] down to double precision
+_BISECTIONS = 53
 
 METRICS = ("avg_power", "avg_rate", "rate_difference", "normalized_power")
 
@@ -40,7 +57,11 @@ def round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One Monte Carlo configuration."""
+    """One Monte Carlo configuration.
+
+    ``candidates`` is the number of random codebooks the maximin search
+    draws; RVQ configurations ignore it.
+    """
 
     shape: SystemShape
     model: FadingModel
@@ -50,6 +71,7 @@ class ExperimentSpec:
     seed: int = 0
     codebook_kind: str = "rvq"
     metric: str = "avg_power"
+    candidates: int = 10_000
 
     def __post_init__(self) -> None:
         if self.bits_per_block < 0:
@@ -62,6 +84,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown codebook kind {self.codebook_kind!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        if self.candidates < 1:
+            raise ValueError("candidates must be >= 1")
         if self.budget_bits > STREAM_CAP_BITS:
             raise ValueError(
                 f"bit budget {self.budget_bits} exceeds the streaming cap ({STREAM_CAP_BITS})"
@@ -88,85 +112,138 @@ def _estimate(values: np.ndarray) -> Estimate:
     return Estimate(float(values.mean()), sd / math.sqrt(n), n)
 
 
-class _TrialStreams:
-    """Reused Philox generator repositioned to (seed, trial) per trial.
-
-    Bit-identical to RandomStream(seed, trial).generator() but without the
-    per-trial construction cost.
-    """
-
-    def __init__(self, seed: int) -> None:
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
-        self._gen = np.random.Generator(self._bitgen)
-        self._template = self._bitgen.state
-
-    def trial(self, index: int) -> np.random.Generator:
-        st = self._template
-        st["state"]["key"][1] = index
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
-        return self._gen
+def _trial_chunks(seed: int, trials: int) -> Iterator[tuple[slice, np.random.Generator]]:
+    """Rows of each fixed-size trial chunk with the generator of its substream."""
+    for index, start in enumerate(range(0, trials, TRIAL_CHUNK)):
+        yield slice(start, min(start + TRIAL_CHUNK, trials)), RandomStream(seed, index).generator()
 
 
 _maximin_cache: dict[tuple[int, int, int, int], Codebook] = {}
 
 
-def _fixed_codebook(spec: ExperimentSpec, candidates: int = 10_000) -> Codebook | None:
+def fixed_codebook(spec: ExperimentSpec) -> Codebook | None:
+    """The configuration's maximin codebook (built once, then cached); None for RVQ."""
     if spec.codebook_kind != "maximin":
         return None
-    key = (spec.shape.nt, spec.budget_bits, candidates, spec.seed)
+    key = (spec.shape.nt, spec.budget_bits, spec.candidates, spec.seed)
     if key not in _maximin_cache:
         _maximin_cache[key] = maximin_codebook(
             spec.shape.nt,
             spec.budget_bits,
-            candidates,
+            spec.candidates,
             RandomStream(spec.seed, CODEBOOK_STREAM),
         )
     return _maximin_cache[key]
 
 
-def block_power_trials(
-    spec: ExperimentSpec,
-    first_trial: int = 0,
-    num_trials: int | None = None,
-    on_select: Callable[[int, Selection], None] | None = None,
+def isotropic_power_tail(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """P(v^H G v > x) for an isotropic unit v in C^n, per row.
+
+    ``nodes`` holds each row's Gram spectrum padded with zeros to n values,
+    ascending, shape (m, n).  The tail is the divided difference of
+    (. - x)_+^(n-1) over the nodes, i.e. sum_i (l_i - x)_+^(n-1) /
+    prod_(j != i) (l_i - l_j).  It is evaluated by the Cox-de Boor
+    recursion: every level is a convex combination of the one below, so
+    nearly coincident eigenvalues cost no precision.
+    """
+    y = nodes - x[:, None]
+    tail = (y > 0).astype(float)
+    for width in range(1, nodes.shape[1]):
+        lo, hi = y[:, :-width], y[:, width:]
+        straddle = (lo <= 0) & (hi > 0)
+        mix = (hi * tail[:, 1:] - lo * tail[:, :-1]) / np.where(straddle, hi - lo, 1.0)
+        tail = np.where(straddle, mix, lo > 0)
+    return tail[:, 0]
+
+
+def rvq_best_power(eigs: np.ndarray, nt: int, bits: int, u: np.ndarray) -> np.ndarray:
+    """Power of the best of 2**bits isotropic entries, one draw per row by inversion.
+
+    ``eigs`` holds each row's min(nt, nr) Gram eigenvalues in descending
+    order and ``u`` one uniform in (0, 1] per row.  The best power has the
+    CDF F^N, so the draw solves P(q > x) = 1 - u^(1/N), with the right side
+    computed as -expm1(log(u) / N).  Above the second-largest node the tail
+    is the single term (l1 - x)^(nt-1) / prod_j (l1 - l_j) and inverts in
+    closed form (for nt = 2 that covers every draw); below it a bisection
+    on :func:`isotropic_power_tail` finds x.
+    """
+    l1 = eigs[:, 0]
+    if nt == 1:
+        return l1  # a unit phase cannot change the power
+    t = -np.expm1(np.log(u) / 2.0**bits)
+    nodes = np.zeros((l1.size, nt))
+    nodes[:, nt - eigs.shape[1] :] = eigs[:, ::-1]
+    second = nodes[:, -2]
+    spread = np.prod(l1[:, None] - nodes[:, :-1], axis=1)
+    x = l1 - (t * spread) ** (1.0 / (nt - 1))
+    low = ~(x > second)
+    if low.any():
+        x[low] = _bisect_tail(nodes[low], t[low], second[low])
+    return x
+
+
+def _bisect_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # smallest x in [0, hi] with tail(x) <= t; the tail is 1 at 0 and below t at hi
+    lo = np.zeros_like(hi)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        above = isotropic_power_tail(mid, nodes) > t
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return hi
+
+
+def _codebook_best_power(h: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    # max_i ||H c_i||^2 per channel of the stack, scoring a bounded slice of
+    # the codebook at a time
+    m, nr, _ = h.shape
+    step = max(1, _SCORE_BLOCK // (m * nr))
+    best = np.zeros(m)
+    for start in range(0, entries.shape[0], step):
+        hc = h @ entries[start : start + step].T
+        best = np.maximum(best, (hc.real**2 + hc.imag**2).sum(axis=1).max(axis=1))
+    return best
+
+
+def _stale_block_powers(
+    x: np.ndarray, alpha: float, num_blocks: int, nr: int, gen: np.random.Generator
 ) -> np.ndarray:
+    # ||a_k||^2 with a_1 = (sqrt(x), 0, ..., 0); a_k is kept as real and
+    # imaginary parts, so a CN(0, 1) innovation has variance 1/2 per part
+    out = np.empty((x.size, num_blocks))
+    out[:, 0] = x
+    if alpha >= 1.0:
+        out[:, 1:] = x[:, None]
+        return out
+    a = np.zeros((x.size, nr, 2))
+    a[:, 0, 0] = np.sqrt(x)
+    decay = math.sqrt(0.5 * (1.0 - alpha * alpha))
+    for k in range(1, num_blocks):
+        a = alpha * a + decay * gen.standard_normal(a.shape)
+        out[:, k] = (a * a).sum(axis=(1, 2))
+    return out
+
+
+def block_power_trials(spec: ExperimentSpec) -> np.ndarray:
     """Per-trial, per-block received powers; shape (trials, num_blocks).
 
-    The beamformer is selected exactly once per trial, at block 1, from a
-    fresh RVQ codebook (or the per-configuration maximin codebook) of
-    budget_bits bits; blocks 2..K reuse it while the channel evolves.
+    The beamformer is selected once per trial, at block 1, from a fresh RVQ
+    codebook (or the per-configuration maximin codebook) of budget_bits
+    bits; blocks 2..K reuse it while the channel evolves.  Each chunk of
+    trials is drawn through the trial's sufficient statistic (see the
+    module docstring).
     """
     nt, nr = spec.shape.nt, spec.shape.nr
-    count = spec.trials if num_trials is None else num_trials
-    fixed = _fixed_codebook(spec)
-    streams = _TrialStreams(spec.seed)
-    alpha = spec.model.alpha
-    decay = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    out = np.empty((count, spec.num_blocks))
-    for t in range(count):
-        gen = streams.trial(first_trial + t)
-        z = gen.standard_normal((nr, nt, 2))
-        h = (z[..., 0] + 1j * z[..., 1]) * inv_sqrt2
+    fixed = fixed_codebook(spec)
+    out = np.empty((spec.trials, spec.num_blocks))
+    for rows, gen in _trial_chunks(spec.seed, spec.trials):
+        count = rows.stop - rows.start
+        h = complex_normal(gen, (count, nr, nt))
         if fixed is None:
-            sel = select_beamformer_streaming(h, nt, spec.budget_bits, gen)
+            x = rvq_best_power(gram_eigenvalues(h), nt, spec.budget_bits, 1.0 - gen.random(count))
         else:
-            sel = select_beamformer(h, fixed)
-        if on_select is not None:
-            on_select(first_trial + t, sel)
-        row = out[t]
-        row[0] = sel.power
-        for k in range(1, spec.num_blocks):
-            if alpha < 1.0:
-                z = gen.standard_normal((nr, nt, 2))
-                h = alpha * h + decay * ((z[..., 0] + 1j * z[..., 1]) * inv_sqrt2)
-            hv = h @ sel.vector
-            row[k] = np.vdot(hv, hv).real
+            x = _codebook_best_power(h, fixed.entries)
+        out[rows] = _stale_block_powers(x, spec.model.alpha, spec.num_blocks, nr, gen)
     return out
 
 
@@ -197,22 +274,10 @@ def simulate_rate_difference(spec: ExperimentSpec, rho: float) -> Estimate:
 
 def perfect_feedback_power(shape: SystemShape, trials: int, seed: int) -> Estimate:
     """Monte Carlo mean of the top Gram eigenvalue (unquantized beamforming)."""
-    streams = _TrialStreams(seed)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     vals = np.empty(trials)
-    small = min(shape.nt, shape.nr)
-    for t in range(trials):
-        gen = streams.trial(t)
-        z = gen.standard_normal((shape.nr, shape.nt, 2))
-        h = (z[..., 0] + 1j * z[..., 1]) * inv_sqrt2
-        g = h @ h.conj().T if shape.nr < shape.nt else h.conj().T @ h
-        if small == 1:
-            vals[t] = g[0, 0].real
-        elif small == 2:
-            half = 0.5 * (g[0, 0].real + g[1, 1].real)
-            vals[t] = half + np.hypot(0.5 * (g[0, 0].real - g[1, 1].real), abs(g[0, 1]))
-        else:
-            vals[t] = np.linalg.eigvalsh(g)[-1]
+    for rows, gen in _trial_chunks(seed, trials):
+        h = complex_normal(gen, (rows.stop - rows.start, shape.nr, shape.nt))
+        vals[rows] = gram_eigenvalues(h)[:, 0]
     return _estimate(vals)
 
 

@@ -8,6 +8,7 @@ from afpopt.channel import (
     RandomStream,
     SystemShape,
     alpha_from_jakes,
+    complex_normal,
     evolve,
     gram_eigenvalues,
     received_power,
@@ -128,6 +129,14 @@ class TestSpectral:
             assert np.all(ev >= 0)
             frob = np.linalg.norm(h) ** 2
             assert abs(ev.sum() - frob) < 1e-10 * frob
+
+    @pytest.mark.parametrize("nt,nr", [(1, 3), (3, 1), (2, 2), (5, 2), (2, 4), (3, 3), (4, 6)])
+    def test_batched_equals_single_matrix(self, nt, nr):
+        stack = complex_normal(RandomStream(37), (4, 3, nr, nt))
+        batched = gram_eigenvalues(stack)
+        assert batched.shape == (4, 3, min(nt, nr))
+        for idx in np.ndindex(4, 3):
+            assert np.array_equal(batched[idx], gram_eigenvalues(stack[idx]))
 
     def test_top_eigenvalue_mean_2x2(self):
         gen = RandomStream(32).generator()

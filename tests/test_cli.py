@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from afpopt.cli import CSV_HEADER, FIGURE_IDS, run
@@ -232,3 +233,45 @@ class TestCompareCodebooks:
         cb = load_codebook(tmp_path / "cb.json")
         assert cb.kind == "maximin"
         assert cb.bits == 3
+
+    def test_candidates_reach_the_simulated_codebook(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        base = ["compare-codebooks", "--nt", "2", "--nr", "2", "--bits", "1", "--alpha", "0.9",
+                "--k-max", "2", "--trials", "50", "--seed", "3"]
+        tables = {}
+        for candidates in ("1", "300"):
+            code, _, _ = invoke(
+                base + ["--candidates", candidates, "--output", f"t{candidates}.csv",
+                        "--save-codebook", f"cb{candidates}.json"],
+                capfd,
+            )
+            assert code == 0
+            tables[candidates] = (tmp_path / f"t{candidates}.csv").read_text().splitlines()
+        rvq = [i for i, row in enumerate(tables["1"]) if row.endswith(",simulation,3")]
+        maximin = [i for i, row in enumerate(tables["1"]) if "simulation-maximin" in row]
+        assert len(rvq) == len(maximin) == 2
+        assert all(tables["1"][i] == tables["300"][i] for i in rvq)
+        assert all(tables["1"][i] != tables["300"][i] for i in maximin)
+
+        from afpopt.codebook import load_codebook, maximin_codebook
+        from afpopt.channel import RandomStream
+        from afpopt.simulate import CODEBOOK_STREAM
+
+        # the saved codebook is the one drawn with the requested candidate count
+        saved = load_codebook(tmp_path / "cb300.json")
+        built = maximin_codebook(2, 2, 300, RandomStream(3, CODEBOOK_STREAM))
+        assert np.array_equal(saved.entries, built.entries)
+
+    def test_save_over_maximin_cap_keeps_the_table(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(
+            ["compare-codebooks", "--nt", "2", "--nr", "2", "--bits", "4", "--k-max", "3",
+             "--trials", "2", "--candidates", "2", "--save-codebook", "cb.json"],
+            capfd,
+        )
+        assert code == 1
+        rows = (tmp_path / "compare_codebooks.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6
+        assert not (tmp_path / "cb.json").exists()
+        saves = [line for line in err.splitlines() if "codebook not saved" in line]
+        assert len(saves) == 1 and "maximin cap" in saves[0]

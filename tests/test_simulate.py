@@ -1,18 +1,23 @@
 import math
 
+import literal_engine as literal
 import numpy as np
 import pytest
+from scipy import stats
 
 from afpopt import finite
 from afpopt.channel import FadingModel, RandomStream, SystemShape, evolve, sample_channel
 from afpopt.codebook import select_beamformer_streaming
 from afpopt.simulate import (
+    TRIAL_CHUNK,
     ExperimentSpec,
     block_power_trials,
+    isotropic_power_tail,
     perfect_feedback_mean,
     perfect_feedback_power,
     round_half_up,
     run_spec,
+    rvq_best_power,
     simulate_avg_power,
     simulate_avg_rate,
     simulate_rate_difference,
@@ -54,9 +59,11 @@ class TestSpec:
 
 
 class TestTrialEngine:
+    """The literal engine's canonical per-trial streams (the oracle's own contract)."""
+
     def test_matches_canonical_stream_construction(self):
         spec = spec_2x2(trials=4)
-        got = block_power_trials(spec)
+        got = literal.block_power_trials(spec)
         for t in range(4):
             gen = RandomStream(spec.seed, t).generator()
             h = sample_channel(spec.shape, gen)
@@ -77,7 +84,7 @@ class TestTrialEngine:
             assert trial not in seen  # exactly one selection per trial
             seen[trial] = sel.vector
 
-        powers = block_power_trials(spec, on_select=hook)
+        powers = literal.block_power_trials(spec, on_select=hook)
         assert sorted(seen) == list(range(50))
         # block powers follow the recorded block-1 vector through the trajectory
         for t in (0, 17, 49):
@@ -91,15 +98,122 @@ class TestTrialEngine:
 
     def test_order_independent_sharding(self):
         spec = spec_2x2(trials=300)
-        full = block_power_trials(spec)
-        head = block_power_trials(spec, first_trial=0, num_trials=120)
-        tail = block_power_trials(spec, first_trial=120, num_trials=180)
+        full = literal.block_power_trials(spec)
+        head = literal.block_power_trials(spec, first_trial=0, num_trials=120)
+        tail = literal.block_power_trials(spec, first_trial=120, num_trials=180)
         assert np.array_equal(full, np.vstack([head, tail]))
 
     def test_deterministic(self):
         a = simulate_avg_power(spec_2x2())
         b = simulate_avg_power(spec_2x2())
         assert a == b
+
+    def test_chunk_rows_do_not_depend_on_trial_count(self):
+        # chunk c draws only from the substream (seed, c)
+        full = block_power_trials(spec_2x2(trials=TRIAL_CHUNK + 7))
+        head = block_power_trials(spec_2x2(trials=TRIAL_CHUNK))
+        assert full.shape == (TRIAL_CHUNK + 7, 3)
+        assert np.array_equal(full[:TRIAL_CHUNK], head)
+        assert not np.array_equal(full[TRIAL_CHUNK:], head[:7])
+
+
+def _block_pvalues(spec: ExperimentSpec) -> list[float]:
+    # same seed, hence the same maximin codebook; the oracle's per-trial
+    # substreams start far above the engine's chunk substreams
+    new = block_power_trials(spec)
+    old = literal.block_power_trials(spec, first_trial=1 << 32)
+    return [stats.ks_2samp(new[:, k], old[:, k]).pvalue for k in range(spec.num_blocks)]
+
+
+class TestAgainstLiteralEngine:
+    """Two-sample KS tests of per-block powers: sufficient statistic vs literal draws."""
+
+    @pytest.mark.parametrize(
+        "nt,nr,bits,alpha",
+        [
+            (2, 3, 1.0, 0.8),  # 2 x Nr
+            (3, 2, 1.0, 0.9),  # Nt x 2
+            (3, 3, 2.0, 0.9),
+            (4, 4, 1.0, 0.5),
+            (1, 3, 1.0, 0.8),  # nt = 1: selection cannot help
+            (3, 1, 2.0, 0.8),  # nr = 1 (MISO)
+            (4, 3, 1.0, 0.9),  # rank deficient, nt > nr > 2
+            (5, 3, 2.0, 0.7),
+            (2, 2, 1.0, 0.0),  # alpha = 0
+            (3, 3, 1.0, 1.0),  # alpha = 1
+            (3, 2, 0.2, 0.8),  # zero budget: round(0.2 * 2) = 0 bits
+        ],
+    )
+    def test_rvq_blocks_match(self, nt, nr, bits, alpha):
+        spec = ExperimentSpec(SystemShape(nt, nr), FadingModel(alpha), bits, 2, trials=1500, seed=61)
+        assert all(p > 1e-3 for p in _block_pvalues(spec))
+
+    @pytest.mark.parametrize("nt,nr,alpha", [(2, 3, 0.9), (3, 2, 0.0), (4, 4, 1.0)])
+    def test_maximin_blocks_match(self, nt, nr, alpha):
+        spec = ExperimentSpec(
+            SystemShape(nt, nr), FadingModel(alpha), 1.0, 3,
+            trials=1500, seed=63, codebook_kind="maximin", candidates=50,
+        )
+        assert all(p > 1e-3 for p in _block_pvalues(spec))
+
+
+def _dirichlet_best_power(eigs, nt, bits, draws, gen):
+    # direct: N isotropic entries per draw, power sum_i l_i w_i with w ~ Dirichlet(1, ..., 1)
+    w = gen.exponential(size=(draws, 1 << bits, nt))
+    w /= w.sum(axis=2, keepdims=True)
+    return (w[..., : len(eigs)] @ np.asarray(eigs)).max(axis=1)
+
+
+class TestBestPowerDraw:
+    def test_tail_matches_divided_difference_sum(self):
+        eigs = np.array([5.0, 2.5, 1.0])
+        for nt in (3, 4, 6):
+            nodes = np.concatenate([np.zeros(nt - 3), eigs[::-1]])
+            xs = np.linspace(0.0, 5.0, 41)
+            got = isotropic_power_tail(xs, np.tile(nodes, (xs.size, 1)))
+            expected = sum(
+                np.clip(l - xs, 0.0, None) ** (nt - 1)
+                / (l ** (nt - 3) * np.prod([l - m for m in eigs if m != l]))
+                for l in eigs
+            )
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "eigs,nt,bits",
+        [
+            ((2.0, 2.0 - 1e-9), 3, 0),
+            ((2.0, 2.0 - 1e-9), 4, 2),
+            ((3.0, 3.0 - 1e-9, 1.0), 4, 1),
+            ((2.0, 2.0 - 1e-9, 2.0 - 2e-9), 3, 2),
+            ((1.5, 1.5 - 1e-9, 0.5, 0.5 - 1e-9), 5, 0),
+        ],
+    )
+    def test_nearly_coincident_eigenvalues(self, eigs, nt, bits):
+        gen = RandomStream(71).generator()
+        u = 1.0 - gen.random(20_000)
+        got = rvq_best_power(np.tile(eigs, (u.size, 1)), nt, bits, u)
+        assert np.all((got >= 0.0) & (got <= eigs[0]))
+        direct = _dirichlet_best_power(eigs, nt, bits, 20_000, gen)
+        assert stats.ks_2samp(got, direct).pvalue > 1e-3
+
+    def test_tail_continuous_at_coincidence(self):
+        xs = np.linspace(0.0, 3.0, 31)
+        for split, merged in (
+            ((3.0, 3.0 - 1e-9, 1.0), (3.0, 3.0, 1.0)),
+            ((3.0, 1.0 + 1e-9, 1.0), (3.0, 1.0, 1.0)),
+            ((2.0, 2.0 - 1e-9, 2.0 - 2e-9), (2.0, 2.0, 2.0)),
+        ):
+            for nt in (3, 5):
+                pad = np.zeros(nt - 3)
+                a = isotropic_power_tail(xs, np.tile(np.concatenate([pad, split[::-1]]), (31, 1)))
+                b = isotropic_power_tail(xs, np.tile(np.concatenate([pad, merged[::-1]]), (31, 1)))
+                assert np.all((a >= 0.0) & (a <= 1.0))
+                assert np.max(np.abs(a - b)) < 1e-7
+
+    def test_large_budget_closes_on_top_eigenvalue(self):
+        eigs = np.array([[4.0, 1.0, 0.5]])
+        gaps = [4.0 - rvq_best_power(eigs, 3, bits, np.array([0.5]))[0] for bits in (10, 20, 30)]
+        assert 0.0 < gaps[2] < gaps[1] < gaps[0] < 0.1
 
 
 class TestAgainstClosedForms:
