@@ -4,11 +4,14 @@ An RVQ codebook holds 2**bits i.i.d. isotropic unit vectors; the receiver
 picks the entry maximizing the received power v^H H^H H v.  The maximin
 variant keeps, out of many candidate RVQ codebooks, the one whose minimum
 pairwise chordal distance is largest -- a cheap stand-in for an optimal
-line packing.
+line packing.  Its search scores each candidate's pairwise overlaps a block
+of Gram rows at a time and stops as soon as the candidate can no longer
+beat the best one so far; the pick is exactly that of a full scan.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +28,10 @@ MAXIMIN_CAP_BITS = 10
 # chunk used by every selection path; shared so streaming and materialized
 # selection perform bit-identical arithmetic
 _CHUNK = 1 << 16
+
+# Gram rows in the maximin search's first scoring block; each later block
+# doubles, so a full scan of 2**bits rows takes about bits - 1 blocks
+_FIRST_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,53 @@ def min_pairwise_distance(entries: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - gram[iu].max())))
 
 
+@functools.lru_cache(maxsize=None)  # one entry per codebook size, so at most 11
+def _row_blocks(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Gram row blocks [r0, r1) of an n-entry codebook, doubling in size.
+
+    Each block comes with the mask of its pairs j > i over the columns
+    r0 + 1 .. n - 1 that its rows are scored against.
+    """
+    blocks = []
+    r0, rows = 0, _FIRST_ROWS
+    while r0 < n - 1:
+        r1 = min(r0 + rows, n - 1)
+        blocks.append((r0, r1, ~np.tri(r1 - r0, n - r0 - 1, -1, dtype=bool)))
+        r0, rows = r1, 2 * rows
+    return tuple(blocks)
+
+
+def _batch_winner(vs: np.ndarray, best_dist: float) -> tuple[int, float] | None:
+    """The batch's best candidate if it beats ``best_dist`` strictly, else None.
+
+    ``vs`` is a (c, n, nt) stack of candidate codebooks with unit-norm
+    entries and n >= 2.  Returns the index and minimum pairwise distance of
+    the first candidate with the largest distance.  The overlaps
+    |c_i^H c_j|^2 are scored a block of Gram rows at a time, and a candidate
+    is dropped as soon as its running distance sqrt(1 - max overlap) is no
+    longer above ``best_dist``.  That distance can only fall as rows are
+    added, so a dropped candidate could not have won, and the result is
+    that of a full scan, ties included.
+    """
+    live = np.arange(vs.shape[0])
+    overlap = np.zeros(live.size)
+    vh = vs.conj().transpose(0, 2, 1)
+    for r0, r1, pairs in _row_blocks(vs.shape[1]):
+        # abs()**2 rounds as min_pairwise_distance does; with nt = 1 every
+        # overlap is 1 up to rounding, and that rounding decides the pick
+        g = np.abs(vs[:, r0:r1] @ vh[:, :, r0 + 1 :]) ** 2
+        g *= pairs
+        np.maximum(overlap, g.max(axis=(1, 2)), out=overlap)
+        dist = np.sqrt(np.maximum(0.0, 1.0 - overlap))
+        keep = dist > best_dist
+        if not keep.all():
+            if not keep.any():
+                return None
+            live, overlap, dist, vs, vh = live[keep], overlap[keep], dist[keep], vs[keep], vh[keep]
+    j = int(np.argmax(dist))
+    return int(live[j]), float(dist[j])
+
+
 def maximin_codebook(
     nt: int,
     bits: int,
@@ -164,36 +218,38 @@ def maximin_codebook(
     """Best of ``candidates`` random codebooks by minimum pairwise distance.
 
     Approximates a Grassmannian line packing; quality improves with the
-    candidate count but the result is by construction suboptimal.
+    candidate count but the result is by construction suboptimal.  Ties go
+    to the earliest candidate.  Candidates are drawn in batches, and each
+    batch is scored with early rejection against the best distance so far
+    (:func:`_batch_winner`); the draws and the pick are those of scoring
+    every pair of every candidate.
     """
+    if bits < 0:
+        raise ValueError("bits must be nonnegative")
     if bits > MAXIMIN_CAP_BITS:
         raise ValueError(f"bits={bits} exceeds the maximin cap ({MAXIMIN_CAP_BITS})")
     if candidates < 1:
         raise ValueError("candidates must be >= 1")
     gen = as_generator(rng)
     n = 1 << bits
-    # batch the candidate draws; pairwise Grams vectorize across candidates
+    # batch the candidate draws; each batch is scored as one stack
     batch = max(1, min(candidates, 1 << 18 >> (2 * bits)))
     best_dist = -1.0
     best: np.ndarray | None = None
     remaining = candidates
-    iu = np.triu_indices(n, 1)
     while remaining > 0:
         c = min(batch, remaining)
         vs = complex_normal(gen, (c, n, nt))
         vs /= np.linalg.norm(vs, axis=2, keepdims=True)
+        remaining -= c
         if n < 2:
             if best is None:
                 best, best_dist = vs[0].copy(), float("inf")
-            remaining -= c
             continue
-        gram = np.abs(np.einsum("cik,cjk->cij", vs, vs.conj())) ** 2
-        dists = np.sqrt(np.maximum(0.0, 1.0 - gram[:, iu[0], iu[1]].max(axis=1)))
-        j = int(np.argmax(dists))
-        if dists[j] > best_dist:
-            best_dist = float(dists[j])
+        winner = _batch_winner(vs, best_dist)
+        if winner is not None:
+            j, best_dist = winner
             best = vs[j].copy()
-        remaining -= c
     assert best is not None
     return Codebook(best, bits, "maximin")
 

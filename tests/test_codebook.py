@@ -7,6 +7,8 @@ from scipy import stats
 from afpopt.channel import RandomStream, SystemShape, complex_normal, sample_channel
 from afpopt.codebook import (
     Codebook,
+    _batch_winner,
+    _row_blocks,
     chordal_distance,
     load_codebook,
     maximin_codebook,
@@ -169,6 +171,52 @@ class TestMaximin:
     def test_bits_cap(self):
         with pytest.raises(ValueError):
             maximin_codebook(2, 11, candidates=10, rng=RandomStream(0))
+
+    def test_negative_bits_rejected(self):
+        with pytest.raises(ValueError, match="bits must be nonnegative"):
+            maximin_codebook(2, -1, candidates=10, rng=RandomStream(0))
+
+    # candidates per budget; 4 and 5 bits span several draw batches
+    # (1 << 18 >> 2 * bits: 1024 and 256 candidates)
+    @pytest.mark.parametrize("nt", [2, 3, 4])
+    @pytest.mark.parametrize("bits,candidates", [(0, 5), (1, 60), (2, 60), (3, 60), (4, 2100), (5, 600)])
+    def test_matches_brute_force_argmax(self, nt, bits, candidates):
+        n = 1 << bits
+        for seed in (44, 45, 46):
+            gen = RandomStream(seed).generator()
+            cands = complex_normal(gen, (candidates, n, nt))
+            cands /= np.linalg.norm(cands, axis=2, keepdims=True)
+            dists = [min_pairwise_distance(cand) for cand in cands]
+            expected = cands[int(np.argmax(dists))]  # the first maximum wins
+            cb = maximin_codebook(nt, bits, candidates=candidates, rng=RandomStream(seed))
+            assert np.array_equal(cb.entries, expected)
+
+
+class TestBatchWinner:
+    def test_row_blocks_cover_each_pair_once(self):
+        for n in range(2, 70):
+            blocks = _row_blocks(n)
+            assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+            assert blocks[0][0] == 0 and blocks[-1][1] == n - 1
+            assert sum(int(mask.sum()) for _, _, mask in blocks) == n * (n - 1) // 2
+
+    def test_earlier_duplicate_wins(self):
+        good = rvq_codebook(2, 3, RandomStream(60)).entries
+        worse = good.copy()
+        worse[5] = worse[2]  # a repeated entry: distance 0
+        vs = np.stack([worse, good, good, worse])
+        index, dist = _batch_winner(vs, -1.0)
+        assert index == 1
+        assert dist == min_pairwise_distance(good) > 0.0
+
+    def test_incumbent_keeps_a_tie(self):
+        good = rvq_codebook(2, 3, RandomStream(61)).entries
+        worse = good.copy()
+        worse[0] = worse[7]
+        vs = np.stack([worse, good, good])
+        _, dist = _batch_winner(vs, -1.0)
+        assert _batch_winner(vs, dist) is None
+        assert _batch_winner(vs, np.nextafter(dist, 0.0))[0] == 1
 
 
 class TestSerialization:

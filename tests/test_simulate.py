@@ -341,6 +341,8 @@ class TestArgmaxMatchesAnalytic:
     Per trial one master codebook and one trajectory serve every K: the
     budget-2^(BK) selection is a prefix argmax, which removes most of the
     between-K noise and makes the argmax stable at moderate trial counts.
+    Only the selection needs every entry's power, and only at block 1; the
+    stale blocks 2..K are scored for the selected entry alone.
     """
 
     def crn_argmax(self, shape, alpha, bits, k_max, trials, seed):
@@ -360,20 +362,20 @@ class TestArgmaxMatchesAnalytic:
             z = gen.standard_normal((c, k_max, nr, nt, 2))
             noise = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2)
             h = noise[:, 0]
-            powers = np.empty((c, k_max, n))
             hs = np.empty((c, k_max, nr, nt), dtype=complex)
             for k in range(k_max):
                 if k > 0:
                     h = alpha * h + decay * noise[:, k]
                 hs[:, k] = h
-            m = np.einsum("ckij,cnj->ckni", hs, entries)
-            powers = (np.abs(m) ** 2).sum(axis=3)  # (c, k_max, n)
-            first = powers[:, 0, :]
+            m = np.einsum("cij,cnj->cni", hs[:, 0], entries)
+            first = (np.abs(m) ** 2).sum(axis=2)  # (c, n)
+            rows = np.arange(c)
             for kk in range(1, k_max + 1):
                 sel = first[:, : 1 << (bits * kk)].argmax(axis=1)
-                rows = np.arange(c)
+                m = np.einsum("ckij,cj->cki", hs[:, :kk], entries[rows, sel])
+                powers = (np.abs(m) ** 2).sum(axis=2)  # (c, kk)
                 for k in range(kk):
-                    sums[kk - 1] += powers[rows, k, sel].sum() / kk
+                    sums[kk - 1] += powers[:, k].sum() / kk
             done += c
         return int(np.argmax(sums / trials)) + 1
 
