@@ -15,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+# numpy loads numpy.random on first use; importing it here keeps that load
+# in start-up, next to numpy's own, for every command that draws
+from numpy.random import Generator, Philox
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -39,7 +42,7 @@ class RandomStream:
             [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF],
             dtype=np.uint64,
         )
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
     def substream(self, index: int) -> "RandomStream":
         """Derived stream; offsets stream_id by ``index``."""
@@ -160,8 +163,11 @@ def alpha_from_jakes(doppler_hz: float, block_seconds: float) -> float:
     """Temporal correlation J0(2*pi*Ds*Ts) for the Jakes/Clarke model.
 
     May be slightly negative for large arguments; callers wanting a
-    Gauss-Markov coefficient clamp to [0, 1] themselves.
+    Gauss-Markov coefficient clamp to [0, 1] themselves.  Needs scipy,
+    imported here so that nothing else in the package does.
     """
+    from scipy.special import j0
+
     if block_seconds <= 0.0:
         raise ValueError("block duration must be positive")
-    return float(special.j0(2.0 * np.pi * doppler_hz * block_seconds))
+    return float(j0(2.0 * np.pi * doppler_hz * block_seconds))

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale when the first parser is built; load it
+# here, with the rest of start-up
+import locale  # noqa: F401
 import os
 import sys
 from pathlib import Path
@@ -209,8 +212,11 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     if not isinstance(loaded, dict):
         parser.error(f"bad config file {args.config}: expected a JSON object")
     # each value becomes its flag, placed before the command line's own
-    # flags: it passes the same type and choice checks, and a flag still wins
-    tokens = [f"--{key.replace('_', '-')}={value}" for key, value in loaded.items()]
+    # flags: it passes the same type and choice checks, and a flag still
+    # wins; a null value counts as not given, so the default applies
+    tokens = [
+        f"--{key.replace('_', '-')}={value}" for key, value in loaded.items() if value is not None
+    ]
     args, unknown = parser.parse_known_args([argv[0], *tokens, *argv[1:]])
     if unknown:
         keys = ", ".join(token.split("=", 1)[0].lstrip("-") for token in unknown)

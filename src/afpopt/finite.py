@@ -16,17 +16,19 @@ the transposed case (two receive antennas, nt > 2) the RVQ selection
 shortfall is homogeneous of degree 1 in (l1, l2), so with s = l2 / l1 the
 l1 integral is a closed-form Gamma integral and the average power is a
 one-dimensional quadrature over s (with a nested head quadrature) against
-the conditional distribution of the quantizer output.
+the conditional distribution of the quantizer output.  The quadratures are
+adaptive Gauss-Kronrod rules written in numpy, vectorised over panels.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy import integrate, special
+import numpy as np
 
 from afpopt.channel import FadingModel, SystemShape
 
@@ -198,7 +200,13 @@ def rank2_power_pdf(x: float, l1: float, l2: float, nt: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the two nested adaptive quadratures behind the nt x 2 form."""
+    """Controls for the adaptive quadratures behind the nt x 2 form.
+
+    Each integral is refined until its error estimate is at most
+    max(abs_tol, rel_tol * |value|), as QUADPACK does; max_subdivisions caps
+    the panels of each integral.  Reaching the cap returns the best
+    estimate with a RuntimeWarning that states its error estimate.
+    """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
@@ -207,6 +215,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_subdivisions < 1:
+            raise ValueError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -214,6 +224,155 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 # quantizer sizes beyond this leave less than ~1e-120 of the selection gap;
 # treat as perfect feedback instead of exponentiating toward overflow
 _BITS_SATURATION = 400.0
+
+# F^N below exp(-50) ~ 2e-22 is dropped: the head where N (1 - F) exceeds it,
+# the tail profile beyond q^p = 50
+_NEGLIGIBLE_EXPONENT = 50.0
+
+# 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15 table): Kronrod
+# nodes from the end inward to the midpoint, their weights, and the weights
+# of the embedded 7-point Gauss rule on every second node
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_GK_NODES = np.array([-x for x in _XGK[:7]] + list(_XGK[::-1]))
+_GK_KRONROD = np.array(_WGK[:7] + _WGK[::-1])
+_GK_GAUSS = np.zeros(15)
+_GK_GAUSS[1::2] = _WG + _WG[2::-1]
+_EPS = float(np.finfo(float).eps)
+
+
+def _gk15(f, owner, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod estimate and QUADPACK error estimate of int_a^b f, per panel.
+
+    ``f(x, owner)`` gets the (panels, 15) node array and each panel's
+    integral index, and returns the integrand at the nodes.
+    """
+    half = 0.5 * (b - a)
+    y = f((0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES, owner)
+    kronrod = y @ _GK_KRONROD
+    err = np.abs(kronrod - y @ _GK_GAUSS) * half
+    resasc = np.abs(y - 0.5 * kronrod[:, None]) @ _GK_KRONROD * half
+    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
+    err = np.maximum(err, 50.0 * _EPS * (np.abs(y) @ _GK_KRONROD) * half)
+    return kronrod * half, err
+
+
+def _adaptive_gk15(f, owner, a, b, count: int, quad: QuadratureSpec):
+    """Integrate ``count`` integrals at once by locally adaptive bisection.
+
+    Integral i starts as the panels [a, b] with owner == i.  Every round
+    evaluates all live panels in one call of ``f``.  An integral is done
+    once its summed error estimate is within max(abs_tol, rel_tol |value|);
+    until then a panel is kept only if its error is within its length's
+    share of that tolerance, and the others are halved.  An integral whose
+    halving would pass max_subdivisions panels, or whose panels reach
+    rounding width, stops where it is and is flagged.
+
+    Returns per integral (value, error estimate, flagged) and the kept
+    panels as (a, b, value) arrays.
+    """
+    length = np.bincount(owner, b - a, minlength=count)
+    panels = np.bincount(owner, minlength=count)
+    value, error = np.zeros(count), np.zeros(count)
+    flagged = np.zeros(count, dtype=bool)
+    kept = []
+    while True:
+        k, e = _gk15(f, owner, a, b)
+        total = value + np.bincount(owner, k, minlength=count)
+        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(total))
+        split = (error + np.bincount(owner, e, minlength=count) > tol)[owner]
+        split &= e > tol[owner] * (b - a) / length[owner]
+        if split.any():
+            stuck = split & (b - a <= 1e4 * _EPS * (np.abs(a) + np.abs(b)))
+            halved = np.bincount(owner[split], minlength=count)
+            over = panels + halved > quad.max_subdivisions
+            over |= np.bincount(owner[stuck], minlength=count) > 0
+            flagged |= over & (halved > 0)
+            split &= ~over[owner]
+            panels += np.where(over, 0, halved)
+        done = ~split
+        value += np.bincount(owner[done], k[done], minlength=count)
+        error += np.bincount(owner[done], e[done], minlength=count)
+        kept.append((a[done], b[done], k[done]))
+        if not split.any():
+            return value, error, flagged, kept
+        mid = 0.5 * (a[split] + b[split])
+        owner = np.tile(owner[split], 2)
+        a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+
+
+def _ntx2_shortfall(nt: int, n_entries: float, quad: QuadratureSpec) -> tuple[float, float, bool]:
+    """E[l1 - selected power] for nt x 2 as (value, error estimate, flagged)."""
+    p = nt - 1
+    log_norm = math.lgamma(2 * nt + 1) - math.lgamma(nt) - math.lgamma(nt - 1)
+
+    # Tail branch of phi(s), x in [s, 1].  With t = 1 - x scaled by the
+    # width (gap/N)^(1/p) of F^N's tail mass it is (gap/N)^(1/p) G(Q), where
+    # G(Q) = int_0^Q (1 - q^p/N)^N dq and Q = (N gap^(p-1))^(1/p).  G does not
+    # depend on s: it is integrated once, and read off at each Q from the
+    # kept panels.  (1 - q^p/N)^N <= exp(-q^p) bounds the range.
+    def profile(q, _owner):
+        return np.exp(n_entries * np.log1p(-(q**p) / n_entries))
+
+    q_top = min(n_entries, _NEGLIGIBLE_EXPONENT) ** (1.0 / p)
+    _, _, flagged, kept = _adaptive_gk15(
+        profile, np.zeros(1, dtype=np.intp), np.zeros(1), np.array([q_top]), 1, quad
+    )
+    left, _, part = (np.concatenate(c) for c in zip(*kept))
+    order = np.argsort(left)
+    left, part = left[order], part[order]
+    below = np.concatenate([[0.0], np.cumsum(part)])
+    tail_scale = n_entries ** (-1.0 / p)
+    # head branch, x in [0, s]: N (1 - F(s - d)) >= N max(gap, d)^(p-1), so
+    # only d below head_reach and gap with N gap^(p-1) below it contribute
+    head_reach = (_NEGLIGIBLE_EXPONENT / n_entries) ** (1.0 / (p - 1))
+    flags = [bool(flagged[0])]
+
+    def weighted(s, _owner):
+        # C s^(n-2) (1-s)^2 (1+s)^-(2n+1) phi(s) at the outer nodes
+        shape, s = s.shape, s.ravel()
+        gap = 1.0 - s
+        q = np.minimum((n_entries * gap ** (p - 1)) ** (1.0 / p), q_top)
+        j = np.searchsorted(left, q, side="right") - 1
+        half = 0.5 * (q - left[j])
+        nodes = left[j, None] + half[:, None] * (_GK_NODES + 1.0)
+        partial = profile(nodes, None) @ _GK_KRONROD * half
+        phi = gap ** (1.0 / p) * tail_scale * (below[j] + partial)
+        live = np.flatnonzero(n_entries * gap ** (p - 1) < _NEGLIGIBLE_EXPONENT)
+        if live.size:
+            s_l, gap_l = s[live, None], gap[live, None]
+
+            def head(d, owner):
+                # F^N at x = s - d:  1 - F = ((gap + d)^p - s (d/s)^p) / gap
+                sl, gl = s_l[owner], gap_l[owner]
+                u = ((gl + d) ** p - sl * (d / sl) ** p) / gl
+                return np.exp(n_entries * np.log1p(-np.minimum(u, 1.0)))
+
+            heads, _, head_flags, _ = _adaptive_gk15(
+                head, np.arange(live.size), np.zeros(live.size),
+                np.minimum(s[live], head_reach), live.size, quad,
+            )
+            phi[live] += heads
+            flags.append(bool(head_flags.any()))
+        log_w = (log_norm + (nt - 2) * np.log(s) + 2.0 * np.log1p(-s)
+                 - (2 * nt + 1) * np.log1p(s))
+        return (np.exp(log_w) * phi).reshape(shape)
+
+    edges = np.linspace(0.0, 1.0, min(4, quad.max_subdivisions) + 1)
+    value, error, flagged, _ = _adaptive_gk15(
+        weighted, np.zeros(edges.size - 1, dtype=np.intp), edges[:-1], edges[1:], 1, quad
+    )
+    return float(value[0]), float(error[0]), bool(flagged[0]) or any(flags)
+
 
 _ntx2_cache: dict[tuple, float] = {}
 
@@ -233,9 +392,13 @@ def rvq_power_ntx2(
         E[shortfall] = (2n)! / ((n-1)!(n-2)!)
                        int_0^1 s^(n-2) (1-s)^2 (1+s)^-(2n+1) phi(s) ds,  n = nt.
 
-    phi(s) is an exact incomplete-beta tail over [s, 1] plus a head over
-    [0, s], so one adaptive quadrature over s runs another over the head.
-    Strictly increasing in the bit budget, equal to 2 at zero bits.
+    phi(s) is a tail over [s, 1] plus a head over [0, s].  The tail is an
+    incomplete-beta integral; scaled to the width of its mass it becomes one
+    profile integral shared by every s.  The head is a nested integral per
+    s, dropped where F^N is below exp(-50).  All three are adaptive 15-point
+    Gauss-Kronrod quadratures held to ``quad``; reaching max_subdivisions
+    gives a RuntimeWarning.  Strictly increasing in the bit budget, equal to
+    2 at zero bits.
     """
     if nt <= 2:
         raise ValueError("quadrature form requires nt > 2")
@@ -246,39 +409,18 @@ def rvq_power_ntx2(
     key = (nt, round(total_bits, 9), quad)
     if key in _ntx2_cache:
         return _ntx2_cache[key]
-    n_entries = 2.0**total_bits
-    p = nt - 1
-    a, b = 1.0 / p, n_entries + 1.0
-    beta = math.exp(special.betaln(a, b))
-    log_norm = math.lgamma(2 * nt + 1) - math.lgamma(nt) - math.lgamma(nt - 1)
-    tols = dict(epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_subdivisions)
-
-    def unit_shortfall(s: float) -> float:
-        # phi(s) = int_0^1 F(x)^N dx at (l1, l2) = (1, s).  Tail branch
-        # (s <= x <= 1): substituting t = 1 - x gives the exact form
-        # (c^(1/p)/p) B(1/p, N+1) I_(c^(nt-2))(1/p, N+1) with c = 1 - s
-        gap = 1.0 - s
-        tail = gap**a / p * beta * special.betainc(a, b, gap ** (nt - 2))
-
-        def head(y: float) -> float:
-            u = ((1.0 - y) ** p - s * (1.0 - y / s) ** p) / gap  # 1 - F(y)
-            if u >= 1.0:
-                return 0.0
-            if u <= 0.0:
-                return 1.0
-            return math.exp(n_entries * math.log1p(-u))
-
-        return integrate.quad(head, 0.0, s, **tols)[0] + tail
-
-    def weighted(s: float) -> float:
-        # (2n)!/((n-1)!(n-2)!) s^(n-2) (1-s)^2 (1+s)^-(2n+1), in logs
-        log_w = (log_norm + (nt - 2) * math.log(s) + 2.0 * math.log1p(-s)
-                 - (2 * nt + 1) * math.log1p(s))
-        return math.exp(log_w) * unit_shortfall(s)
-
-    shortfall, _ = integrate.quad(weighted, 0.0, 1.0, **tols)
+    # log1p(-1) = -inf and the 0/0 of an exactly resolved panel are expected
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shortfall, error, flagged = _ntx2_shortfall(nt, 2.0**total_bits, quad)
     value = mean_max_eigenvalue(nt) - shortfall
-    _ntx2_cache[key] = value
+    if flagged:  # not cached, so a repeat call warns again
+        warnings.warn(
+            f"rvq_power_ntx2({nt}, {total_bits}): quadrature stopped short of its tolerance "
+            f"(max_subdivisions={quad.max_subdivisions}); error estimate {error:.3g}",
+            RuntimeWarning, stacklevel=2,
+        )
+    else:
+        _ntx2_cache[key] = value
     return value
 
 

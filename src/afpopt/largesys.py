@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
 from afpopt.finite import IntervalResult
 
 _LN2 = math.log(2.0)
+_EPS = 2.0**-52
+_ROOT_MAX_ITER = 100
 
 
 def bits_threshold(nr_bar: float) -> float:
@@ -35,7 +35,7 @@ def asymptotic_power(x: float, nr_bar: float) -> float:
 
         g^nr_bar exp(-g) = 2^-x (nr_bar / e)^nr_bar,
 
-    found by bracketed root finding on the decreasing branch (quantization
+    found by safeguarded Newton steps on the decreasing branch (quantization
     can only improve on the isotropic power nr_bar); past the threshold a
     closed form applies.  Continuous and non-decreasing in x, saturating
     at (1 + sqrt(nr_bar))^2.
@@ -58,14 +58,33 @@ def asymptotic_power(x: float, nr_bar: float) -> float:
             - x * _LN2
         )
         return edge - math.exp(log_term)
-    target = -x * _LN2 + nr_bar * (math.log(nr_bar) - 1.0)
+    x_nats = x * _LN2
 
-    def h(g: float) -> float:
-        return nr_bar * math.log(g) - g - target
+    def h(d: float) -> float:
+        # nr_bar log g - g + x ln 2 - nr_bar (log nr_bar - 1) at g = nr_bar + d,
+        # written in d so that the root keeps full precision as x -> 0
+        return nr_bar * math.log1p(d / nr_bar) - d + x_nats
 
-    if h(nr_bar) <= 0.0:  # root pinned to the bracket edge (x ~ 0)
+    if h(0.0) <= 0.0:  # root pinned to the bracket edge (x ~ 0)
         return nr_bar
-    return float(optimize.brentq(h, nr_bar, edge, xtol=1e-15, rtol=8.9e-16))
+    # h is concave and decreasing in d > 0, so Newton steps from the right
+    # end of the bracket [0, edge - nr_bar] fall monotonically onto the
+    # root; a step that leaves the bracket is replaced by bisection
+    lo, hi = 0.0, edge - nr_bar
+    d = hi
+    for _ in range(_ROOT_MAX_ITER):
+        hd = h(d)
+        if hd > 0.0:
+            lo = d
+        else:
+            hi = d
+        step = hd * (nr_bar + d) / d  # -h / h', with h'(d) = -d / (nr_bar + d)
+        if abs(step) <= _EPS * (nr_bar + d):
+            break
+        d += step
+        if not lo < d < hi:
+            d = 0.5 * (lo + hi)
+    return nr_bar + d
 
 
 @dataclass(frozen=True)

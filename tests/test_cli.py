@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,16 @@ class TestConfigFile:
         assert named in err
         assert not (tmp_path / "simulate.csv").exists()
 
+    def test_null_config_value_means_not_given(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nt": 2, "nr": 4, "bits": 1.0, "alpha": None, "output": None}))
+        code, out, _ = invoke(["optimal-k", "--config", str(cfg)], capfd)
+        assert code == 0
+        assert out.strip() == "K*=3"  # the default alpha, 0.8
+        assert (tmp_path / "optimal_k.csv").exists()
+        assert not (tmp_path / "None").exists()
+
     def test_bad_config_exits_2(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.json"
@@ -275,3 +289,47 @@ class TestCompareCodebooks:
         assert not (tmp_path / "cb.json").exists()
         saves = [line for line in err.splitlines() if "codebook not saved" in line]
         assert len(saves) == 1 and "maximin cap" in saves[0]
+
+
+_SCIPY_FREE_SCRIPT = """
+import sys
+from afpopt import cli
+for i, argv in enumerate(sys.argv[2:]):
+    out = f"{sys.argv[1]}/{i:02d}.csv"
+    assert cli.run(argv.split() + ["--seed", "3", "--output", out]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+from afpopt.channel import alpha_from_jakes
+assert abs(alpha_from_jakes(1.0, 0.5) + 0.3042421776440938) < 1e-12
+print("ok")
+"""
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # the analytic commands (Nt x 2 quadrature, large-system root), Monte
+    # Carlo on 2x3 and 3x3 and compare-codebooks run on numpy alone;
+    # alpha_from_jakes still imports scipy.special on demand
+    invocations = [
+        "reproduce-figure --id fig7",
+        "optimal-k --nt 5 --nr 2 --bits 1 --alpha 0.95",
+        "afp-range --nt 4 --nr 2 --bits 1 --alpha 0.9",
+        "analytic --nt 5 --nr 2 --bits 1 --alpha 0.8 --k-max 10",
+        "optimal-k --nt 2 --nr 3 --bits 1 --alpha 0.8",
+        "afp-range --nt 2 --nr 2 --bits 1 --alpha 0.8",
+        "large-system --nr-bar 0 --b-bar 1 --alpha 0.9",
+        "large-system --nr-bar 1 --b-bar 0.25 --alpha 0.95",
+        "reproduce-figure --id fig3",
+        "reproduce-figure --id fig6",
+        "simulate --nt 2 --nr 3 --bits 1 --alpha 0.9 --k-max 3 --trials 200",
+        "simulate --nt 3 --nr 3 --bits 1 --alpha 0.9 --k-max 3 --trials 200",
+        "compare-codebooks --nt 2 --nr 3 --bits 1 --alpha 0.95 --k-max 3 --trials 200",
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_SCRIPT, str(tmp_path), *invocations],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip().endswith("ok")

@@ -297,6 +297,42 @@ def dblquad_rvq_power_ntx2(nt, total_bits, abs_tol=1e-9):
     return mean_max_eigenvalue(nt) - shortfall
 
 
+def quadpack_rvq_power_ntx2(nt, total_bits, quad=QuadratureSpec()):
+    """Independent oracle: the same one-dimensional s = l2/l1 form, by nested
+    QUADPACK quads with scipy's incomplete beta for the tail branch."""
+    if total_bits >= 400.0:
+        return mean_max_eigenvalue(nt)
+    n_entries = 2.0**total_bits
+    p = nt - 1
+    a, b = 1.0 / p, n_entries + 1.0
+    beta = math.exp(special.betaln(a, b))
+    log_norm = math.lgamma(2 * nt + 1) - math.lgamma(nt) - math.lgamma(nt - 1)
+    tols = dict(epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_subdivisions)
+
+    def unit_shortfall(s):
+        # int_0^1 F(x)^N dx at (l1, l2) = (1, s): exact incomplete-beta tail
+        # over [s, 1] plus a quadrature of the head over [0, s]
+        gap = 1.0 - s
+        tail = gap**a / p * beta * special.betainc(a, b, gap ** (nt - 2))
+
+        def head(y):
+            u = ((1.0 - y) ** p - s * (1.0 - y / s) ** p) / gap  # 1 - F(y)
+            if u >= 1.0:
+                return 0.0
+            if u <= 0.0:
+                return 1.0
+            return math.exp(n_entries * math.log1p(-u))
+
+        return integrate.quad(head, 0.0, s, **tols)[0] + tail
+
+    def weighted(s):
+        log_w = (log_norm + (nt - 2) * math.log(s) + 2.0 * math.log1p(-s)
+                 - (2 * nt + 1) * math.log1p(s))
+        return math.exp(log_w) * unit_shortfall(s)
+
+    return mean_max_eigenvalue(nt) - integrate.quad(weighted, 0.0, 1.0, **tols)[0]
+
+
 class TestPowerNtx2:
     @pytest.mark.parametrize(
         "nt,bits",
@@ -304,6 +340,22 @@ class TestPowerNtx2:
     )
     def test_matches_dblquad_oracle(self, nt, bits):
         assert rvq_power_ntx2(nt, bits) == pytest.approx(dblquad_rvq_power_ntx2(nt, bits), rel=1e-9)
+
+    @pytest.mark.parametrize("nt", [3, 4, 5, 6, 8, 12])
+    def test_matches_quadpack_oracle(self, nt):
+        # budgets from fractional bits to the saturation edge; at large
+        # budgets the tail mass sits within (gap/N)^(1/(nt-1)) of x = l1
+        tight = QuadratureSpec(1e-13, 1e-12, 1000)
+        for bits in (0.0, 0.2, 0.5, 1.5, 4.0, 10.0, 24.0, 40.0, 64.0, 120.0, 200.0, 399.0):
+            assert rvq_power_ntx2(nt, bits, tight) == pytest.approx(
+                quadpack_rvq_power_ntx2(nt, bits, tight), rel=1e-9
+            ), bits
+
+    def test_subdivision_cap_warns_with_error_estimate(self):
+        for _ in range(2):  # the unconverged value is not cached
+            with pytest.warns(RuntimeWarning, match=r"max_subdivisions=1\); error estimate"):
+                value = rvq_power_ntx2(4, 3.0, QuadratureSpec(max_subdivisions=1))
+        assert value == pytest.approx(rvq_power_ntx2(4, 3.0), rel=1e-2)
 
     def test_zero_bits_is_isotropic(self):
         for nt in (3, 4, 5):
@@ -342,6 +394,8 @@ class TestPowerNtx2:
     def test_quadrature_spec_validated(self):
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
+        with pytest.raises(ValueError):
+            QuadratureSpec(max_subdivisions=0)
 
 
 class TestIntervalSearch:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from afpopt.largesys import (
     LargeSystemConfig,
@@ -13,6 +14,19 @@ from afpopt.largesys import (
     optimal_interval,
     rate_difference,
 )
+
+
+def brentq_asymptotic_power(x: float, nr_bar: float) -> float:
+    """Oracle below the branch threshold: brentq on the fixed-point equation
+    in logs, nr_bar log1p(d / nr_bar) - d + x ln 2 = 0 with g = nr_bar + d.
+    (The same equation written in g loses the root to cancellation as
+    x -> 0: at x = 1e-12 its rounding noise moves g by about 1e-10.)"""
+    s = math.sqrt(nr_bar)
+    d = optimize.brentq(
+        lambda d: nr_bar * math.log1p(d / nr_bar) - d + x * math.log(2.0),
+        0.0, 2.0 * s + 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500,
+    )
+    return nr_bar + d
 
 
 def fixed_point_residual(g: float, x: float, nr_bar: float) -> float:
@@ -79,6 +93,14 @@ class TestAsymptoticPower:
     def test_saturation(self):
         assert asymptotic_power(300.0, 1.0) == pytest.approx(4.0, abs=1e-9)
         assert asymptotic_power(300.0, 4.0) == pytest.approx(9.0, abs=1e-9)
+
+    def test_matches_brentq_oracle_to_4_ulp(self):
+        for nr_bar in [1e-6, 1e-3, 0.01, *np.linspace(0.1, 4.0, 40)]:
+            nr_bar = float(nr_bar)
+            for x in np.geomspace(1e-12, bits_threshold(nr_bar), 40)[:-1]:
+                x = float(x)
+                g, ref = asymptotic_power(x, nr_bar), brentq_asymptotic_power(x, nr_bar)
+                assert abs(g - ref) <= 4 * math.ulp(ref), (nr_bar, x, g, ref)
 
 
 class TestRateDifference:
