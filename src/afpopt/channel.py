@@ -78,15 +78,21 @@ class FadingModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError(f"rho must be finite and positive, got {self.rho}")
 
 
 def complex_normal(rng: RandomStream | np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """i.i.d. CN(0, 1) array; real/imag parts drawn interleaved per entry."""
+    """i.i.d. CN(0, 1) array; real/imag parts drawn interleaved per entry.
+
+    The interleaved normals are scaled in place and viewed as complex, which
+    is bit-identical to (re + 1j im) / sqrt(2): numpy divides a complex
+    array by a real scalar by multiplying with its reciprocal.
+    """
     gen = as_generator(rng)
     z = gen.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / _SQRT2
+    z *= 1.0 / _SQRT2
+    return z.view(np.complex128)[..., 0]
 
 
 def sample_channel(shape: SystemShape, rng: RandomStream | np.random.Generator) -> np.ndarray:

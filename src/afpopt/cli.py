@@ -22,6 +22,7 @@ import json
 # argparse's gettext imports locale when the first parser is built; load it
 # here, with the rest of start-up
 import locale  # noqa: F401
+import math
 import os
 import sys
 from pathlib import Path
@@ -94,15 +95,22 @@ def _alpha(text: str) -> float:
     return x
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite value, got {text}")
+    return x
+
+
+def _positive(text: str) -> float:
+    x = _finite(text)
     if x <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive value, got {text}")
     return x
 
 
 def _nonneg(text: str) -> float:
-    x = float(text)
+    x = _finite(text)
     if x < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative value, got {text}")
     return x
@@ -150,7 +158,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--metric", choices=simulate.METRICS, default=None)
     p.add_argument("--codebook", choices=("rvq", "maximin"), default=None)
-    p.add_argument("--rho-db", type=float, default=None, help="background SNR in dB")
+    p.add_argument("--rho-db", type=_finite, default=None, help="background SNR in dB")
     common(p)
 
     p = sub.add_parser("optimal-k", help="exhaustive optimal feedback interval, prints K*")

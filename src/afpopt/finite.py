@@ -17,7 +17,9 @@ shortfall is homogeneous of degree 1 in (l1, l2), so with s = l2 / l1 the
 l1 integral is a closed-form Gamma integral and the average power is a
 one-dimensional quadrature over s (with a nested head quadrature) against
 the conditional distribution of the quantizer output.  The quadratures are
-adaptive Gauss-Kronrod rules written in numpy, vectorised over panels.
+adaptive Gauss-Kronrod rules written in numpy, vectorised over panels.  The
+perfect-feedback power E[l1] of any shape comes from Khatri's CDF of the
+largest Wishart eigenvalue, by the same quadrature.
 """
 
 from __future__ import annotations
@@ -424,6 +426,92 @@ def rvq_power_ntx2(
     return value
 
 
+# the Khatri integral's quadrature: GK15's error estimate is pessimistic, so
+# this holds E[l1] to a few ulp
+_KHATRI_QUADRATURE = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-13)
+
+# the Khatri integral stops where 1 - F drops below this; its remaining tail
+# is far below the rounding of E[l1] >= 1
+_KHATRI_TAIL = 1e-20
+
+
+def _laguerre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre rule for int_0^inf f(u) e^-u du, exact to degree 2 count - 1.
+
+    The nodes are the eigenvalues of the Jacobi matrix; the weights are the
+    Christoffel numbers 1 / sum_k L_k(u)^2.  (The squared eigenvector
+    components give the same weights only while they stay well above
+    rounding, which fails from about 30 nodes on.)
+    """
+    k = np.arange(1.0, count)
+    nodes = np.linalg.eigvalsh(np.diag(2.0 * np.arange(count) + 1.0) - np.diag(k, 1) - np.diag(k, -1))
+    prev, cur, total = np.zeros(count), np.ones(count), np.ones(count)
+    for j in range(count - 1):
+        prev, cur = cur, ((2 * j + 1 - nodes) * cur - j * prev) / (j + 1)
+        total += cur * cur
+    return nodes, 1.0 / total
+
+
+@lru_cache(maxsize=None)
+def mean_largest_eigenvalue(shape: SystemShape) -> float:
+    """E[l1], the mean largest eigenvalue of H^H H: the power of perfect-CSI beamforming.
+
+    With m <= n the smaller and larger of (nt, nr), m = 1 gives n (a
+    chi-square mean) and m = 2 the exact :func:`mean_max_eigenvalue`.  For
+    m >= 3 it is int_0^inf (1 - F(x)) dx with Khatri's CDF of the largest
+    root of a complex Wishart matrix (Khatri 1964; Kang & Alouini, IEEE
+    JSAC 2003), F(x) = det(I - K_x).  K_x is the m x m Gram matrix on
+    [x, inf) of the orthonormal generalised-Laguerre functions
+    p_k(t) t^(a/2) e^(-t/2), a = n - m, with the p_k from their three-term
+    recurrence.  With t = x + u each entry is e^-x times the integral of a
+    polynomial of degree at most a + 2m - 2 in u against e^-u, so a
+    Gauss-Laguerre rule of m + a // 2 nodes gives it exactly up to rounding.
+    The eigenvalues of K_x lie in [0, 1], and 1 - F is summed from them as
+    -expm1(sum log1p(-kappa)), which keeps its relative precision in the
+    tail.  The outer integral is the adaptive Gauss-Kronrod quadrature,
+    stopped where 1 - F falls below 1e-20.
+    """
+    m, n = sorted((shape.nt, shape.nr))
+    if m == 1:
+        return float(n)
+    if m == 2:
+        return mean_max_eigenvalue(n)
+    a = n - m
+    nodes, weights = _laguerre_rule(m + a // 2)
+    log_head = 0.5 * np.log(weights) - 0.5 * math.lgamma(a + 1)  # log(sqrt(w) p_0)
+    coupling = np.sqrt(np.arange(m) * (np.arange(m) + a))  # recurrence's sqrt(k (k + a))
+
+    def tail(x, _owner):
+        # 1 - F(x) at every node: K_x = Phi^T Phi, Phi[i, k] the weighted
+        # Laguerre function k at t_i = x + u_i
+        t = x.reshape(-1, 1) + nodes
+        phi = np.empty(t.shape + (m,))
+        phi[..., 0] = np.exp(log_head + 0.5 * a * np.log(t) - 0.5 * x.reshape(-1, 1))
+        prev = 0.0
+        for k in range(m - 1):
+            phi[..., k + 1] = ((t - (2 * k + a + 1)) * phi[..., k] - coupling[k] * prev) / coupling[k + 1]
+            prev = phi[..., k]
+        kappa = np.minimum(np.linalg.eigvalsh(np.swapaxes(phi, 1, 2) @ phi), 1.0)
+        return -np.expm1(np.log1p(-kappa).sum(axis=1)).reshape(x.shape)
+
+    # log1p(-1) = -inf where the spectrum sits above x, and the 0/0 of a
+    # panel whose integrand is exactly zero, are expected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grid = (math.sqrt(m) + math.sqrt(n)) ** 2 * (1.0 + 0.25 * np.arange(1, 41))
+        negligible = tail(grid, None) < _KHATRI_TAIL
+        edges = np.linspace(0.0, grid[negligible.argmax()] if negligible.any() else grid[-1], 5)
+        value, error, flagged, _ = _adaptive_gk15(
+            tail, np.zeros(4, dtype=np.intp), edges[:-1], edges[1:], 1, _KHATRI_QUADRATURE
+        )
+    if flagged[0]:
+        warnings.warn(
+            f"mean_largest_eigenvalue({shape.nt}x{shape.nr}): quadrature stopped short of its "
+            f"tolerance; error estimate {error[0]:.3g}",
+            RuntimeWarning, stacklevel=2,
+        )
+    return float(value[0])
+
+
 def has_closed_form(shape: SystemShape) -> bool:
     """Whether the average power has a closed-form path: 2 x nr (nr >= 2) or nt x 2 (nt > 2)."""
     return (shape.nt == 2 and shape.nr >= 2) or (shape.nr == 2 and shape.nt > 2)
@@ -446,8 +534,8 @@ class AfpConfig:
     def __post_init__(self) -> None:
         if not has_closed_form(self.shape):
             raise ValueError(f"no closed-form path for a {self.shape.nt}x{self.shape.nr} channel")
-        if self.bits_per_block <= 0:
-            raise ValueError("bits_per_block must be positive")
+        if not 0.0 < self.bits_per_block < math.inf:
+            raise ValueError(f"bits_per_block must be finite and positive, got {self.bits_per_block}")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
 
@@ -490,9 +578,8 @@ class IntervalResult:
 def _search_envelope(cfg: AfpConfig, num_blocks: int) -> float:
     # upper bound on avg_power(K): quantized power can never exceed E[l1];
     # the resulting envelope is strictly decreasing in K for alpha < 1
-    n = cfg.shape.nr if cfg.shape.nt == 2 else cfg.shape.nt
     return interval_average_power(
-        isotropic_power(cfg), mean_max_eigenvalue(n), cfg.model.alpha, num_blocks
+        isotropic_power(cfg), mean_largest_eigenvalue(cfg.shape), cfg.model.alpha, num_blocks
     )
 
 

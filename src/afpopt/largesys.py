@@ -97,10 +97,10 @@ class LargeSystemConfig:
     k_max: int = 64
 
     def __post_init__(self) -> None:
-        if self.nr_bar < 0:
-            raise ValueError("nr_bar must be nonnegative")
-        if self.b_bar <= 0:
-            raise ValueError("b_bar must be positive")
+        if not 0.0 <= self.nr_bar < math.inf:
+            raise ValueError(f"nr_bar must be finite and nonnegative, got {self.nr_bar}")
+        if not 0.0 < self.b_bar < math.inf:
+            raise ValueError(f"b_bar must be finite and positive, got {self.b_bar}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.k_max < 1:

@@ -23,7 +23,6 @@ Estimates are therefore reproducible and reruns are bit-identical.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -44,8 +43,9 @@ TRIAL_CHUNK = 2048
 # complex products per maximin scoring step, which bounds its temporaries
 _SCORE_BLOCK = 1 << 18
 
-# halvings that pin a root in [0, l] down to double precision
-_BISECTIONS = 53
+# cap on the safeguarded Newton steps of one tail inversion; halving alone
+# would pin a root in [0, l] down to double precision in 53
+_ROOT_MAX_STEPS = 200
 
 METRICS = ("avg_power", "avg_rate", "rate_difference", "normalized_power")
 
@@ -74,8 +74,8 @@ class ExperimentSpec:
     candidates: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.bits_per_block < 0:
-            raise ValueError("bits_per_block must be nonnegative")
+        if not 0.0 <= self.bits_per_block < math.inf:
+            raise ValueError(f"bits_per_block must be finite and nonnegative, got {self.bits_per_block}")
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
         if self.trials < 1:
@@ -86,10 +86,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.candidates < 1:
             raise ValueError("candidates must be >= 1")
-        if self.budget_bits > STREAM_CAP_BITS:
-            raise ValueError(
-                f"bit budget {self.budget_bits} exceeds the streaming cap ({STREAM_CAP_BITS})"
-            )
+        # checked before rounding, which overflows once a finite B * K does
+        pooled = self.bits_per_block * self.num_blocks
+        if pooled + 0.5 >= STREAM_CAP_BITS + 1:
+            raise ValueError(f"bit budget {pooled:.6g} exceeds the streaming cap ({STREAM_CAP_BITS})")
 
     @property
     def budget_bits(self) -> int:
@@ -146,14 +146,26 @@ def isotropic_power_tail(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     recursion: every level is a convex combination of the one below, so
     nearly coincident eigenvalues cost no precision.
     """
+    return _tail_and_density(x, nodes)[0]
+
+
+def _tail_and_density(x: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # isotropic_power_tail and the density of v^H G v, its negated derivative:
+    # (n-1) times the divided difference of (. - x)_+^(n-2) over all n nodes,
+    # formed from the recursion's last two inputs
     y = nodes - x[:, None]
     tail = (y > 0).astype(float)
-    for width in range(1, nodes.shape[1]):
+    density = np.zeros(x.size)
+    n = nodes.shape[1]
+    for width in range(1, n):
         lo, hi = y[:, :-width], y[:, width:]
         straddle = (lo <= 0) & (hi > 0)
-        mix = (hi * tail[:, 1:] - lo * tail[:, :-1]) / np.where(straddle, hi - lo, 1.0)
+        span = np.where(straddle, hi - lo, 1.0)
+        if width == n - 1:
+            density = (n - 1) * (tail[:, 1] - tail[:, 0]) / span[:, 0]
+        mix = (hi * tail[:, 1:] - lo * tail[:, :-1]) / span
         tail = np.where(straddle, mix, lo > 0)
-    return tail[:, 0]
+    return tail[:, 0], density
 
 
 def rvq_best_power(eigs: np.ndarray, nt: int, bits: int, u: np.ndarray) -> np.ndarray:
@@ -164,8 +176,8 @@ def rvq_best_power(eigs: np.ndarray, nt: int, bits: int, u: np.ndarray) -> np.nd
     CDF F^N, so the draw solves P(q > x) = 1 - u^(1/N), with the right side
     computed as -expm1(log(u) / N).  Above the second-largest node the tail
     is the single term (l1 - x)^(nt-1) / prod_j (l1 - l_j) and inverts in
-    closed form (for nt = 2 that covers every draw); below it a bisection
-    on :func:`isotropic_power_tail` finds x.
+    closed form (for nt = 2 that covers every draw); below it safeguarded
+    Newton steps on :func:`isotropic_power_tail` find x.
     """
     l1 = eigs[:, 0]
     if nt == 1:
@@ -178,19 +190,42 @@ def rvq_best_power(eigs: np.ndarray, nt: int, bits: int, u: np.ndarray) -> np.nd
     x = l1 - (t * spread) ** (1.0 / (nt - 1))
     low = ~(x > second)
     if low.any():
-        x[low] = _bisect_tail(nodes[low], t[low], second[low])
+        x[low] = _invert_tail(nodes[low], t[low], second[low])
     return x
 
 
-def _bisect_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # smallest x in [0, hi] with tail(x) <= t; the tail is 1 at 0 and below t at hi
-    lo = np.zeros_like(hi)
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        above = isotropic_power_tail(mid, nodes) > t
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return hi
+def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Smallest x in [0, hi] with tail(x) <= t, per row; the tail is 1 at 0 and at most t at hi.
+
+    Newton steps on tail(x) - t, whose derivative is minus the density,
+    start at hi inside the bracket [lo, hi] that every evaluation narrows;
+    a step that would leave the bracket halves it instead.  A row stops once
+    its Newton step or its bracket is within double resolution of the
+    starting bracket.
+    """
+    out = np.empty_like(hi)
+    rows = np.arange(hi.size)
+    resolution = np.finfo(float).eps * hi
+    lo, x = np.zeros_like(hi), hi.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero density: halve instead
+        for _ in range(_ROOT_MAX_STEPS):
+            tail, density = _tail_and_density(x, nodes)
+            above = tail > t
+            lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+            step = (tail - t) / density
+            converged = np.abs(step) <= resolution
+            newton = converged | ((x + step > lo) & (x + step < hi))
+            x = np.where(newton, x + step, 0.5 * (lo + hi))
+            done = converged | (hi - lo <= resolution)
+            out[rows[done]] = x[done]
+            live = ~done
+            if not live.any():
+                return out
+            rows, nodes, t, lo, hi, x, resolution = (
+                a[live] for a in (rows, nodes, t, lo, hi, x, resolution)
+            )
+    out[rows] = x
+    return out
 
 
 def _codebook_best_power(h: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -254,8 +289,8 @@ def simulate_avg_power(spec: ExperimentSpec) -> Estimate:
 
 def simulate_avg_rate(spec: ExperimentSpec, rho: float) -> Estimate:
     """Mean achievable rate log2(1 + rho * power), averaged over the interval."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     powers = block_power_trials(spec)
     return _estimate(np.log2(1.0 + rho * powers).mean(axis=1))
 
@@ -265,15 +300,19 @@ def simulate_rate_difference(spec: ExperimentSpec, rho: float) -> Estimate:
 
     Per trial this equals the average rate minus log2(rho * nt).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     nt = spec.shape.nt
     powers = block_power_trials(spec)
     return _estimate(np.log2(1.0 / (rho * nt) + powers / nt).mean(axis=1))
 
 
 def perfect_feedback_power(shape: SystemShape, trials: int, seed: int) -> Estimate:
-    """Monte Carlo mean of the top Gram eigenvalue (unquantized beamforming)."""
+    """Monte Carlo mean of the top Gram eigenvalue (unquantized beamforming).
+
+    The engine's normaliser is exact (:func:`perfect_feedback_mean`); this
+    estimate is kept as an independent check on it.
+    """
     vals = np.empty(trials)
     for rows, gen in _trial_chunks(seed, trials):
         h = complex_normal(gen, (rows.stop - rows.start, shape.nr, shape.nt))
@@ -281,14 +320,12 @@ def perfect_feedback_power(shape: SystemShape, trials: int, seed: int) -> Estima
     return _estimate(vals)
 
 
-@functools.lru_cache(maxsize=None)
-def perfect_feedback_mean(shape: SystemShape, trials: int = 100_000, seed: int = 0) -> float:
-    """Normalizer for normalized-power metrics; closed form when available."""
-    if min(shape.nt, shape.nr) == 2:
-        return finite.mean_max_eigenvalue(max(shape.nt, shape.nr))
-    if min(shape.nt, shape.nr) == 1:
-        return float(max(shape.nt, shape.nr))  # mean of a chi-square top "eigenvalue"
-    return perfect_feedback_power(shape, trials, seed).mean
+def perfect_feedback_mean(shape: SystemShape) -> float:
+    """Normalizer for normalized-power metrics: the exact E[l1] of every shape.
+
+    See :func:`afpopt.finite.mean_largest_eigenvalue`.
+    """
+    return finite.mean_largest_eigenvalue(shape)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,18 @@ class TestSampling:
         assert abs(np.mean(h.imag**2) - 0.5) < 0.01
         assert abs(np.mean(h.real * h.imag)) < 0.01
 
+    def test_matches_interleaved_division_bit_for_bit(self):
+        # the in-place scaling and complex view give exactly the bits of
+        # (re + 1j im) / sqrt(2), three complex temporaries and a division
+        for seed in range(20):
+            for shape in ((7,), (3, 4), (64, 2, 3)):
+                z = RandomStream(seed, 5).generator().standard_normal(shape + (2,))
+                expected = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+                got = complex_normal(RandomStream(seed, 5), shape)
+                assert got.shape == shape and got.dtype == np.complex128
+                assert np.array_equal(got.real.view(np.int64), expected.real.view(np.int64))
+                assert np.array_equal(got.imag.view(np.int64), expected.imag.view(np.int64))
+
     def test_deterministic_per_stream(self):
         a = sample_channel(SystemShape(2, 2), RandomStream(5, 3))
         b = sample_channel(SystemShape(2, 2), RandomStream(5, 3))

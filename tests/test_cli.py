@@ -26,6 +26,37 @@ class TestParsing:
         assert len(err.strip().splitlines()) == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["optimal-k", "--bits"], "--bits"),
+            (["simulate", "--k-max", "2", "--bits"], "--bits"),
+            (["large-system", "--nr-bar"], "--nr-bar"),
+            (["large-system", "--b-bar"], "--b-bar"),
+            (["simulate", "--metric", "avg_rate", "--rho-db"], "--rho-db"),
+        ],
+    )
+    def test_non_finite_values_exit_2(self, argv, flag, value, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            run([*argv[:-1], f"{argv[-1]}={value}"])  # "=" keeps "-inf" a value
+        assert e.value.code == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert flag in err and "finite" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_large_finite_budgets_saturate(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = invoke(["optimal-k", "--bits", "1e308", "--k-max", "3"], capfd)
+        assert code == 0 and out.strip() == "K*=1"
+        # B * K overflows to inf in the second cell: a failed row, not a traceback
+        code, _, err = invoke(["simulate", "--bits", "1e308", "--k-max", "2", "--trials", "2"], capfd)
+        assert code == 1
+        assert "K=2 failed" in err and "streaming cap" in err
+
     def test_unknown_flag_rejected(self, capfd):
         with pytest.raises(SystemExit) as e:
             run(["optimal-k", "--nonsense", "1"])
@@ -169,7 +200,13 @@ class TestConfigFile:
         assert out.strip() == "K*=1"
 
     @pytest.mark.parametrize(
-        "config,named", [({"trials": "abc"}, "--trials"), ({"alpah": 0.99}, "alpah")]
+        "config,named",
+        [
+            ({"trials": "abc"}, "--trials"),
+            ({"alpah": 0.99}, "alpah"),
+            ({"bits": float("nan")}, "--bits"),
+            ({"rho_db": float("inf")}, "--rho-db"),
+        ],
     )
     def test_config_values_validated_like_flags(self, config, named, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -307,7 +344,8 @@ print("ok")
 
 def test_commands_never_import_scipy(tmp_path):
     # the analytic commands (Nt x 2 quadrature, large-system root), Monte
-    # Carlo on 2x3 and 3x3 and compare-codebooks run on numpy alone;
+    # Carlo on 2x3 and 3x3, the 3x3 normaliser and compare-codebooks run on
+    # numpy alone;
     # alpha_from_jakes still imports scipy.special on demand
     invocations = [
         "reproduce-figure --id fig7",
@@ -322,7 +360,10 @@ def test_commands_never_import_scipy(tmp_path):
         "reproduce-figure --id fig6",
         "simulate --nt 2 --nr 3 --bits 1 --alpha 0.9 --k-max 3 --trials 200",
         "simulate --nt 3 --nr 3 --bits 1 --alpha 0.9 --k-max 3 --trials 200",
+        # the exact normaliser of a shape without a rank-2 closed form
+        "simulate --nt 3 --nr 3 --bits 1 --alpha 0.9 --k-max 2 --metric normalized_power --trials 200",
         "compare-codebooks --nt 2 --nr 3 --bits 1 --alpha 0.95 --k-max 3 --trials 200",
+        "compare-codebooks --nt 3 --nr 3 --bits 1 --alpha 0.95 --k-max 2 --trials 200",
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,3 +1,6 @@
+import decimal
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +17,7 @@ from afpopt.finite import (
     block_power_2xnr,
     has_closed_form,
     mean_eigen_gap,
+    mean_largest_eigenvalue,
     mean_max_eigenvalue,
     optimal_interval,
     ordered_eigen_pdf,
@@ -398,6 +402,146 @@ class TestPowerNtx2:
             QuadratureSpec(max_subdivisions=0)
 
 
+def _khatri_orders(m, n):
+    # Khatri's CDF of the largest root is F(x) = det[g(s_ij, x)] / det[Gamma(s_ij)]
+    # with s_ij = n - m + i + j + 1 and g the lower incomplete gamma; for
+    # integer s, g(s, x) = (s-1)! - e^-x sum_(k<s) (s-1)!/k! x^k
+    return [[n - m + i + j + 1 for j in range(m)] for i in range(m)]
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_determinant(m, n):
+    # det[Gamma(s_ij)], an integer
+    s = _khatri_orders(m, n)
+    return sum(
+        _permutation_sign(perm) * math.prod(math.factorial(s[i][j] - 1) for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(m))
+    )
+
+
+def _permutation_sign(perm):
+    return (-1) ** sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+
+
+def _exact_khatri_mean(m, n):
+    """E[l1] = int_0^inf (1 - F) dx exactly: F expanded into terms c x^k e^(-j x)."""
+    s = _khatri_orders(m, n)
+
+    def entry(s_ij):
+        terms = {(0, 0): math.factorial(s_ij - 1)}
+        for k in range(s_ij):
+            terms[(1, k)] = -(math.factorial(s_ij - 1) // math.factorial(k))
+        return terms
+
+    def times(p, q):
+        out = {}
+        for (j1, k1), c1 in p.items():
+            for (j2, k2), c2 in q.items():
+                out[(j1 + j2, k1 + k2)] = out.get((j1 + j2, k1 + k2), 0) + c1 * c2
+        return out
+
+    entries = [[entry(v) for v in row] for row in s]
+    det_x = {}
+    for perm in itertools.permutations(range(m)):
+        term = {(0, 0): _permutation_sign(perm)}
+        for i, j in enumerate(perm):
+            term = times(term, entries[i][j])
+        for key, c in term.items():
+            det_x[key] = det_x.get(key, 0) + c
+    det_inf = _gamma_determinant(m, n)
+    assert det_x.pop((0, 0)) == det_inf  # F(inf) = 1
+    assert all(c == 0 for (j, _), c in det_x.items() if j == 0)
+    # int_0^inf x^k e^(-j x) dx = k! / j^(k+1)
+    return -sum(Fraction(c * math.factorial(k), j ** (k + 1)) for (j, k), c in det_x.items()) / det_inf
+
+
+def _decimal_khatri_tail(m, n, x):
+    """1 - F(x) from Khatri's determinant ratio in 50-digit decimal arithmetic.
+
+    Both Hankel matrices are ill-conditioned (about 1e20 at 6 x 30), which
+    double precision cannot carry; 50 digits can.
+    """
+    s = _khatri_orders(m, n)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        xd, top = decimal.Decimal(x), s[-1][-1]
+        powers = [decimal.Decimal(1)]  # x^k / k!
+        while len(powers) <= top or (x < top and powers[-1] > decimal.Decimal("1e-60")):
+            powers.append(powers[-1] * xd / len(powers))
+        if x < top:  # P(s, x) = e^-x sum_(k >= s) x^k / k!, free of cancellation
+            regularised = {v: (-xd).exp() * sum(powers[v:]) for v in range(1, top + 1)}
+        else:
+            regularised = {v: 1 - (-xd).exp() * sum(powers[:v]) for v in range(1, top + 1)}
+        rows = [[math.factorial(v - 1) * regularised[v] for v in row] for row in s]
+        det = decimal.Decimal(1)
+        for c in range(m):  # Gaussian elimination with partial pivoting
+            pivot = max(range(c, m), key=lambda r: abs(rows[r][c]))
+            if pivot != c:
+                rows[c], rows[pivot] = rows[pivot], rows[c]
+                det = -det
+            det *= rows[c][c]
+            for r in range(c + 1, m):
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [rows[r][q] - f * rows[c][q] for q in range(m)]
+        return float(1 - det / _gamma_determinant(m, n))
+
+
+def quad_khatri_mean(m, n):
+    """QUADPACK quad of 1 - F(x) over [0, inf), split around the spectrum's edge."""
+    edge = (math.sqrt(m) + math.sqrt(n)) ** 2
+    cuts = [0.0, 0.5 * edge, edge, 1.5 * edge, 2.0 * edge, 3.0 * edge, 5.0 * edge, math.inf]
+    return sum(
+        integrate.quad(lambda x: _decimal_khatri_tail(m, n, x), lo, hi,
+                       epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    )
+
+
+class TestMeanLargestEigenvalue:
+    def test_exact_oracle_reproduces_known_rationals(self):
+        assert _exact_khatri_mean(3, 3) == Fraction(313, 48)
+        assert _exact_khatri_mean(3, 4) == Fraction(41761, 5184)
+        assert _exact_khatri_mean(4, 4) == Fraction(1367807, 139968)
+        assert _exact_khatri_mean(2, 3) == Fraction(39, 8)  # = mean_max_eigenvalue(3)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (3, 5), (3, 8), (4, 4), (4, 6)])
+    def test_matches_exact_rationals(self, m, n):
+        exact = _exact_khatri_mean(m, n)
+        for shape in (SystemShape(m, n), SystemShape(n, m)):
+            got = mean_largest_eigenvalue(shape)
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact, (m, n, got)
+
+    # (3, 60) needs 31 Laguerre nodes, where eigenvector-based weights fail
+    @pytest.mark.parametrize("m,n", [(3, 30), (3, 60), (4, 17), (5, 5), (5, 20), (6, 6), (6, 30)])
+    def test_matches_quadrature_of_khatri_determinant(self, m, n):
+        assert mean_largest_eigenvalue(SystemShape(n, m)) == pytest.approx(quad_khatri_mean(m, n), rel=1e-12)
+
+    def test_rank_one_and_two_are_the_closed_forms(self):
+        for n in range(1, 12):
+            assert mean_largest_eigenvalue(SystemShape(1, n)) == float(n)
+            assert mean_largest_eigenvalue(SystemShape(n, 1)) == float(n)
+        for n in range(2, 40):
+            assert mean_largest_eigenvalue(SystemShape(2, n)) == mean_max_eigenvalue(n)
+            assert mean_largest_eigenvalue(SystemShape(n, 2)) == mean_max_eigenvalue(n)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_monte_carlo_agreement(self, n):
+        from afpopt.simulate import perfect_feedback_power
+
+        est = perfect_feedback_power(SystemShape(n, n), 20_000, 900 + n)
+        assert abs(est.mean - mean_largest_eigenvalue(SystemShape(n, n))) < 4 * est.stderr
+
+    def test_below_the_spectrum_edge_and_increasing(self):
+        # l1 dominates every column's squared norm and, by interlacing, the
+        # top eigenvalue of any two columns, so E[l1] > max(n, E_rank2(n));
+        # at these sizes it stays below the large-system edge
+        # (sqrt(m) + sqrt(n))^2, and it grows with n
+        for m in range(3, 9):
+            vals = [mean_largest_eigenvalue(SystemShape(m, n)) for n in range(m, m + 6)]
+            assert np.all(np.diff(vals) > 0)
+            for n, v in zip(range(m, m + 6), vals):
+                assert max(n, mean_max_eigenvalue(n)) < v < (math.sqrt(m) + math.sqrt(n)) ** 2
+
+
 class TestIntervalSearch:
     def test_config_requires_closed_form_shape(self):
         with pytest.raises(ValueError):
@@ -407,6 +551,11 @@ class TestIntervalSearch:
         closed = {(nt, nr) for nt in range(1, 6) for nr in range(1, 6)
                   if has_closed_form(SystemShape(nt, nr))}
         assert closed == {(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (4, 2), (5, 2)}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_bits(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AfpConfig(SystemShape(2, 2), bad, FadingModel(0.8))
 
     def test_headline_optimal_intervals(self):
         for nr in (2, 3, 4):

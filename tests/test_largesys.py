@@ -156,6 +156,23 @@ class TestOptimalInterval:
         assert k_one == 2
 
 
+class TestConfig:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LargeSystemConfig(bad, 1.0, 0.9)
+        with pytest.raises(ValueError, match="finite"):
+            LargeSystemConfig(1.0, bad, 0.9)
+        with pytest.raises(ValueError):
+            LargeSystemConfig(1.0, 1.0, bad)
+
+    def test_large_finite_budget_saturates(self):
+        cfg = LargeSystemConfig(1.0, 1e308, 0.9, k_max=3)
+        # the power saturates at the edge (1 + sqrt(nr_bar))^2 = 4
+        assert rate_difference(2, cfg) == pytest.approx((2.0 + math.log2(1.0 + 0.81 * 3.0)) / 2.0)
+        assert optimal_interval(cfg).k_star == 1
+
+
 class TestMisoApprox:
     def test_anchor_values(self):
         assert miso_interval_approx(1.0, 0.9) == pytest.approx(2.921972, abs=1e-6)

@@ -6,7 +6,15 @@ import pytest
 from scipy import stats
 
 from afpopt import finite
-from afpopt.channel import FadingModel, RandomStream, SystemShape, evolve, sample_channel
+from afpopt.channel import (
+    FadingModel,
+    RandomStream,
+    SystemShape,
+    complex_normal,
+    evolve,
+    gram_eigenvalues,
+    sample_channel,
+)
 from afpopt.codebook import select_beamformer_streaming
 from afpopt.simulate import (
     TRIAL_CHUNK,
@@ -48,6 +56,24 @@ class TestSpec:
     def test_budget_cap(self):
         with pytest.raises(ValueError):
             spec_2x2(bits_per_block=8.0, num_blocks=4)  # 32 bits
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            spec_2x2(bits_per_block=bad)
+        with pytest.raises(ValueError, match="finite"):
+            FadingModel(0.8, rho=bad)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_avg_rate(spec_2x2(trials=2), bad)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_rate_difference(spec_2x2(trials=2), bad)
+
+    def test_overflowing_budget_rejected_before_rounding(self):
+        with pytest.raises(ValueError, match="streaming cap"):
+            spec_2x2(bits_per_block=1e308, num_blocks=2)  # B * K = inf
+        with pytest.raises(ValueError, match="streaming cap"):
+            spec_2x2(bits_per_block=15.25, num_blocks=2)  # 30.5 rounds to 31
+        assert spec_2x2(bits_per_block=15.2, num_blocks=2).budget_bits == 30
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -210,6 +236,27 @@ class TestBestPowerDraw:
                 assert np.all((a >= 0.0) & (a <= 1.0))
                 assert np.max(np.abs(a - b)) < 1e-7
 
+    @pytest.mark.parametrize("nt,nr", [(3, 2), (5, 2), (3, 3), (5, 3), (4, 4), (8, 8)])
+    def test_inversion_matches_bisection_to_rounding(self, nt, nr):
+        # reference: 60 halvings of [0, l1] on the tail, no closed form and
+        # no Newton steps; the draws may differ only by the rounding of the
+        # tail, which moves an ill-conditioned root (a flat tail near the
+        # smallest eigenvalue) by up to about 1e-14 l1
+        gen = RandomStream(61, nt * 10 + nr).generator()
+        eigs = gram_eigenvalues(complex_normal(gen, (3000, nr, nt)))
+        nodes = np.zeros((eigs.shape[0], nt))
+        nodes[:, nt - eigs.shape[1]:] = eigs[:, ::-1]
+        for bits in (0, 1, 4):
+            u = 1.0 - gen.random(eigs.shape[0])
+            t = -np.expm1(np.log(u) / 2.0**bits)
+            lo, hi = np.zeros(len(u)), eigs[:, 0].copy()
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                above = isotropic_power_tail(mid, nodes) > t
+                lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+            got = rvq_best_power(eigs, nt, bits, u)
+            assert np.max(np.abs(got - hi) / eigs[:, 0]) < 1e-12, bits
+
     def test_large_budget_closes_on_top_eigenvalue(self):
         eigs = np.array([[4.0, 1.0, 0.5]])
         gaps = [4.0 - rvq_best_power(eigs, 3, bits, np.array([0.5]))[0] for bits in (10, 20, 30)]
@@ -282,6 +329,7 @@ class TestPerfectFeedback:
         assert perfect_feedback_mean(SystemShape(2, 4)) == finite.mean_max_eigenvalue(4)
         assert perfect_feedback_mean(SystemShape(5, 2)) == finite.mean_max_eigenvalue(5)
         assert perfect_feedback_mean(SystemShape(3, 1)) == 3.0
+        assert perfect_feedback_mean(SystemShape(3, 3)) == pytest.approx(313 / 48, rel=1e-15)
 
     def test_stderr_scales_with_trials(self):
         small = perfect_feedback_power(SystemShape(2, 2), 2000, 9)
