@@ -70,16 +70,17 @@ class SystemShape:
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Temporal correlation coefficient alpha and linear background SNR rho."""
+    """Temporal correlation coefficient alpha of the Gauss-Markov fading.
+
+    The background SNR of the rate metrics is not part of the model: it is
+    the ``rho`` argument of ``simulate.run_spec`` and ``simulate.sweep``.
+    """
 
     alpha: float
-    rho: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 < self.rho < np.inf:
-            raise ValueError(f"rho must be finite and positive, got {self.rho}")
 
 
 def complex_normal(rng: RandomStream | np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -169,8 +170,9 @@ def alpha_from_jakes(doppler_hz: float, block_seconds: float) -> float:
     """Temporal correlation J0(2*pi*Ds*Ts) for the Jakes/Clarke model.
 
     May be slightly negative for large arguments; callers wanting a
-    Gauss-Markov coefficient clamp to [0, 1] themselves.  Needs scipy,
-    imported here so that nothing else in the package does.
+    Gauss-Markov coefficient clamp to [0, 1] themselves.  Needs scipy
+    installed (the ``test`` extra); it is imported here so that nothing else
+    in the package does.
     """
     from scipy.special import j0
 

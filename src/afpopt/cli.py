@@ -36,8 +36,6 @@ CSV_HEADER = "nt,nr,alpha,bits_per_block,K,metric,value,stderr,analytic,source,s
 _FIELDS = CSV_HEADER.split(",")
 OUTPUT_DIR_ENV = "AFPOPT_OUTPUT_DIR"
 
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
-
 
 def _fmt(x: object) -> str:
     if x is None:
@@ -63,8 +61,14 @@ def _record_dict(r: SweepRecord) -> dict:
     }
 
 
+def _json_value(x: object) -> object:
+    # JSON has no Infinity or NaN: a non-finite float is written as the text
+    # the CSV writer prints for it, as a string (null marks a failed cell)
+    return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def emit_table(records: list[SweepRecord], fmt: str, path: Path) -> None:
-    """Write the record list as CSV or JSON; files end with a newline."""
+    """Write the record list as CSV or strict JSON; files end with a newline."""
     if not records:
         raise ValueError("refusing to write an empty table")
     if fmt == "csv":
@@ -74,7 +78,8 @@ def emit_table(records: list[SweepRecord], fmt: str, path: Path) -> None:
             lines.append(",".join(_fmt(d[k]) for k in _FIELDS))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps([_record_dict(r) for r in records], indent=1) + "\n"
+        rows = [{k: _json_value(v) for k, v in _record_dict(r).items()} for r in records]
+        text = json.dumps(rows, indent=1, allow_nan=False) + "\n"
     try:
         path.write_text(text)
     except OSError as exc:
@@ -123,87 +128,255 @@ def _positive_int(text: str) -> int:
     return x
 
 
+def _output_path(opts: dict, command: str) -> Path:
+    if opts.get("output"):
+        return Path(opts["output"])
+    base = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
+    return base / f"{command.replace('-', '_')}.{opts['format']}"
+
+
+def _analytic_record(nt, nr, alpha, bits, k, metric, value, source, seed) -> SweepRecord:
+    return SweepRecord(nt, nr, alpha, bits, k, metric, value, None, value, source, seed)
+
+
+def _optimal_k_record(nt, nr, alpha, bits, k, source, seed) -> SweepRecord:
+    return _analytic_record(nt, nr, alpha, bits, k, "optimal_k", float(k), source, seed)
+
+
+def _rate_record(alpha, b_bar, k, value, seed) -> SweepRecord:
+    return _analytic_record(0, 0, alpha, b_bar, k, "rate_difference", value, "large-system", seed)
+
+
+def _finite_record(opts: dict, k: int, metric: str, value: float) -> SweepRecord:
+    return _analytic_record(
+        opts["nt"], opts["nr"], opts["alpha"], opts["bits"], k, metric, value, "finite", opts["seed"]
+    )
+
+
+def _print_k_star(result: finite.IntervalResult) -> None:
+    flag = " (horizon-limited)" if result.horizon_limited else ""
+    print(f"K*={result.k_star}{flag}")
+
+
+def _finite_cfg(opts: dict) -> finite.AfpConfig:
+    shape = SystemShape(opts["nt"], opts["nr"])
+    return finite.AfpConfig(shape, opts["bits"], FadingModel(opts["alpha"]), opts["k_max"])
+
+
+def _cmd_analytic(opts: dict) -> list[SweepRecord]:
+    cfg = _finite_cfg(opts)
+    curve = finite.scan_interval(lambda k: finite.avg_power(cfg, k), opts["k_max"])
+    return [_finite_record(opts, k, "avg_power", value) for k, value in enumerate(curve, 1)]
+
+
+def _cmd_large_system(opts: dict) -> list[SweepRecord]:
+    cfg = largesys.LargeSystemConfig(opts["nr_bar"], opts["b_bar"], opts["alpha"], opts["k_max"])
+    result = largesys.optimal_interval(cfg)
+    _print_k_star(result)
+    return [
+        _rate_record(opts["alpha"], opts["b_bar"], k, value, opts["seed"])
+        for k, value in enumerate(result.curve, 1)
+    ]
+
+
+def _spec(opts: dict, nt, nr, alpha, bits, k, kind, metric) -> ExperimentSpec:
+    return ExperimentSpec(
+        SystemShape(nt, nr), FadingModel(alpha), bits, k,
+        trials=opts["trials"], seed=opts["seed"], codebook_kind=kind, metric=metric,
+        candidates=opts["candidates"],
+    )
+
+
+def _cell_spec(opts: dict, k: int, kind: str, metric: str) -> ExperimentSpec:
+    return _spec(opts, opts["nt"], opts["nr"], opts["alpha"], opts["bits"], k, kind, metric)
+
+
+def _simulate_cell(opts: dict, k: int, kind: str, metric: str, rho: float = 10.0) -> SweepRecord:
+    # building the spec can fail for a single cell (a budget over the
+    # streaming cap); that costs the cell its value, not the whole table
+    try:
+        spec = _cell_spec(opts, k, kind, metric)
+    except ValueError as exc:
+        return simulate.failed_record(
+            SystemShape(opts["nt"], opts["nr"]), FadingModel(opts["alpha"]),
+            opts["bits"], k, metric, kind, opts["seed"], exc,
+        )
+    return simulate.run_spec(spec, rho)
+
+
+def _cmd_simulate(opts: dict) -> list[SweepRecord]:
+    ks = range(opts["k_min"], opts["k_max"] + 1)
+    if not ks:
+        raise ValueError(f"empty K range [{opts['k_min']}, {opts['k_max']}]")
+    rho = 10.0 ** (opts["rho_db"] / 10.0)
+    return [_simulate_cell(opts, k, opts["codebook"], opts["metric"], rho) for k in ks]
+
+
+def _cmd_optimal_k(opts: dict) -> list[SweepRecord]:
+    result = finite.optimal_interval(_finite_cfg(opts))
+    _print_k_star(result)
+    return [_finite_record(opts, result.k_star, "optimal_k", float(result.k_star))]
+
+
+def _cmd_afp_range(opts: dict) -> list[SweepRecord]:
+    cfg = _finite_cfg(opts)
+    cmp = finite.afp_beats_mfp(cfg)
+    ks = cmp.winning_k
+    if not ks:
+        print("K in []")
+    elif ks == tuple(range(ks[0], ks[-1] + 1)):
+        print(f"K in [{ks[0]},{ks[-1]}]")
+    else:
+        print("K in {" + ",".join(map(str, ks)) + "}")
+    # no winning K: one row carrying the large-budget bound
+    rows = zip(ks, cmp.pointwise_bound) if ks else [(1, cmp.large_budget_bound)]
+    return [_finite_record(opts, k, "afp_minus_mfp_bound", bound) for k, bound in rows]
+
+
+def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
+    records: list[SweepRecord] = []
+    best: dict[str, tuple[float, int]] = {}
+    for kind in ("rvq", "maximin"):
+        for k in range(1, opts["k_max"] + 1):
+            rec = _simulate_cell(opts, k, kind, "normalized_power")
+            records.append(rec)
+            if rec.value is not None and (kind not in best or rec.value > best[kind][0]):
+                best[kind] = (rec.value, k)
+    for kind in ("rvq", "maximin"):
+        if kind in best:
+            print(f"{kind} K*={best[kind][1]}")
+    return records
+
+
+def _save_maximin_codebook(opts: dict) -> None:
+    """Write the codebook the K = k_max maximin cell simulated (its cache entry)."""
+    spec = _cell_spec(opts, opts["k_max"], "maximin", "normalized_power")
+    codebook = simulate.fixed_codebook(spec)
+    try:
+        save_codebook(codebook, opts["save_codebook"])
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {opts['save_codebook']}: {exc}") from exc
+
+
+def _finite_k(nt, nr, alpha, bits, seed) -> SweepRecord:
+    cfg = finite.AfpConfig(SystemShape(nt, nr), bits, FadingModel(alpha))
+    return _optimal_k_record(nt, nr, alpha, bits, finite.optimal_interval(cfg).k_star, "finite", seed)
+
+
+def _large_k(nr_bar, b_bar, alpha, seed) -> SweepRecord:
+    cfg = largesys.LargeSystemConfig(nr_bar, b_bar, alpha)
+    k = largesys.optimal_interval(cfg).k_star
+    return _optimal_k_record(0, 0, alpha, b_bar, k, "large-system", seed)
+
+
+def _large_rate(nr_bar, b_bar, alpha, k, seed) -> SweepRecord:
+    cfg = largesys.LargeSystemConfig(nr_bar, b_bar, alpha)
+    return _rate_record(alpha, b_bar, k, largesys.rate_difference(k, cfg), seed)
+
+
+_FIG4_B_BARS = (0.0625, 0.125, 0.25, 0.5)
+_FIG5_ALPHAS = (0.5, 0.8, 0.9, 0.95, 1.0)
+
+# the figure presets, as parameters: per figure id, the analytic rows (a
+# record maker and its arguments, less the seed) and the Monte Carlo cells
+# (nt, nr, alpha, bits, K, codebook, metric); a table lists the analytic
+# rows first, then the simulated ones, each in the order given here
+_PRESETS: dict[str, tuple[tuple, tuple]] = {
+    "fig1": ((), tuple(
+        (nt, nr, 0.8, 1.0, k, "rvq", "normalized_power")
+        for nt, nr in ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2)) for k in range(1, 11)
+    )),
+    "fig2": ((), tuple(
+        (3, 2, alpha, 1.0, k, kind, "normalized_power")
+        for alpha in (0.8, 0.9, 0.95)
+        for kind, k_hi in (("rvq", 10), ("maximin", 8)) for k in range(1, k_hi + 1)
+    )),
+    "fig3": (tuple(
+        row
+        for alpha in (0.5, 0.8, 0.9, 0.99, 0.9999) for b_bar in (0.5, 1.0)
+        for row in ((_finite_k, (2, 2, alpha, 2 * b_bar)), (_large_k, (1.0, b_bar, alpha)))
+    ), ()),
+    "fig4": (
+        tuple((_large_rate, (1.0, b_bar, alpha, 8)) for alpha in (0.5, 0.9) for b_bar in _FIG4_B_BARS),
+        tuple(
+            (nt, nt, alpha, b_bar * nt, 8, "rvq", "rate_difference")
+            for alpha in (0.5, 0.9) for b_bar in _FIG4_B_BARS for nt in (4, 8, 16)
+            if not round(b_bar * nt * 8) > 16
+        ),
+    ),
+    "fig5": (
+        tuple((_large_rate, (1.0, 0.25, alpha, k)) for alpha in _FIG5_ALPHAS for k in range(1, 11)),
+        tuple((4, 4, alpha, 1.0, k, "rvq", "rate_difference") for alpha in _FIG5_ALPHAS for k in range(1, 11)),
+    ),
+    "fig6": (tuple(
+        (_large_k, (nr_bar, b_bar, alpha))
+        for nr_bar in (0.0, 0.5, 1.0, 2.0) for b_bar in (0.25, 1.0)
+        for alpha in (0.5, 0.7, 0.8, 0.9, 0.95, 0.99)
+    ), ()),
+    "fig7": (tuple((_finite_k, (nt, 2, 0.8, bits)) for nt in (2, 3, 4, 5, 6) for bits in (1.0, 2.0)), ()),
+}
+FIGURE_IDS = tuple(_PRESETS)
+
+
+def _cmd_reproduce_figure(opts: dict) -> list[SweepRecord]:
+    rows, cells = _PRESETS[opts["id"]]
+    records = [make(*args, opts["seed"]) for make, args in rows]
+    if cells:
+        records.extend(simulate.sweep([_spec(opts, *cell) for cell in cells]))
+    return records
+
+
+_COMMANDS = {
+    "analytic": (_cmd_analytic, "closed-form average power vs K"),
+    "large-system": (_cmd_large_system, "asymptotic rate difference vs K, prints K*"),
+    "simulate": (_cmd_simulate, "Monte Carlo estimate over a K range"),
+    "optimal-k": (_cmd_optimal_k, "exhaustive optimal feedback interval, prints K*"),
+    "afp-range": (_cmd_afp_range, "intervals where pooled feedback beats per-block"),
+    "compare-codebooks": (_cmd_compare_codebooks, "RVQ vs maximin normalized power vs K"),
+    "reproduce-figure": (_cmd_reproduce_figure, "run a named figure preset"),
+}
+
+_CHANNEL = ("analytic", "simulate", "optimal-k", "afp-range", "compare-codebooks")
+_ALL = tuple(_COMMANDS)
+
+# every flag once: the subcommands that take it, its default and its other
+# argparse keywords.  Every command sees every default, whether or not it
+# takes the flag (simulate reads candidates); a config-file value becomes
+# its flag, so it passes the same checks.
+_OPTIONS: dict[str, tuple[tuple[str, ...], object, dict]] = {
+    "id": (("reproduce-figure",), None, {"choices": FIGURE_IDS, "required": True}),
+    "nr_bar": (("large-system",), 1.0, {"type": _nonneg}),
+    "b_bar": (("large-system",), 1.0, {"type": _positive}),
+    "nt": (_CHANNEL, 2, {"type": _positive_int}),
+    "nr": (_CHANNEL, 2, {"type": _positive_int}),
+    "bits": (_CHANNEL, 1.0, {"type": _positive, "help": "feedback bits per block"}),
+    "alpha": ((*_CHANNEL, "large-system"), 0.8, {"type": _alpha}),
+    "k_max": ((*_CHANNEL, "large-system"), 64, {"type": _positive_int}),
+    "k_min": (("simulate",), 1, {"type": _positive_int}),
+    "trials": (("simulate", "compare-codebooks", "reproduce-figure"), 3000, {"type": _positive_int}),
+    "metric": (("simulate",), "avg_power", {"choices": simulate.METRICS}),
+    "codebook": (("simulate",), "rvq", {"choices": ("rvq", "maximin")}),
+    "rho_db": (("simulate",), 10.0, {"type": _finite, "help": "background SNR in dB"}),
+    "candidates": (("compare-codebooks",), 10_000, {"type": _positive_int}),
+    "save_codebook": (("compare-codebooks",), None, {
+        "help": "also save the maximin codebook of the K = k-max cell (JSON)"}),
+    "output": (_ALL, None, {"help": "output table path (default: <command>.<format> "
+                                    f"under ${OUTPUT_DIR_ENV} or the working directory)"}),
+    "format": (_ALL, "csv", {"choices": ("csv", "json")}),
+    "seed": (_ALL, 0, {"type": int}),
+    "config": (_ALL, None, {"help": "JSON file with defaults for any flag"}),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="afpopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: _Parser) -> None:
-        p.add_argument("--output", help="output table path (default: <command>.<format> "
-                                        f"under ${OUTPUT_DIR_ENV} or the working directory)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-
-    def channel_args(p: _Parser) -> None:
-        p.add_argument("--nt", type=_positive_int, default=None)
-        p.add_argument("--nr", type=_positive_int, default=None)
-        p.add_argument("--bits", type=_positive, default=None, help="feedback bits per block")
-        p.add_argument("--alpha", type=_alpha, default=None)
-        p.add_argument("--k-max", type=_positive_int, default=None)
-
-    p = sub.add_parser("analytic", parents=[], help="closed-form average power vs K")
-    channel_args(p)
-    common(p)
-
-    p = sub.add_parser("large-system", help="asymptotic rate difference vs K, prints K*")
-    p.add_argument("--nr-bar", type=_nonneg, default=None)
-    p.add_argument("--b-bar", type=_positive, default=None)
-    p.add_argument("--alpha", type=_alpha, default=None)
-    p.add_argument("--k-max", type=_positive_int, default=None)
-    common(p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo estimate over a K range")
-    channel_args(p)
-    p.add_argument("--k-min", type=_positive_int, default=None)
-    p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--metric", choices=simulate.METRICS, default=None)
-    p.add_argument("--codebook", choices=("rvq", "maximin"), default=None)
-    p.add_argument("--rho-db", type=_finite, default=None, help="background SNR in dB")
-    common(p)
-
-    p = sub.add_parser("optimal-k", help="exhaustive optimal feedback interval, prints K*")
-    channel_args(p)
-    common(p)
-
-    p = sub.add_parser("afp-range", help="intervals where pooled feedback beats per-block")
-    channel_args(p)
-    common(p)
-
-    p = sub.add_parser("compare-codebooks", help="RVQ vs maximin normalized power vs K")
-    channel_args(p)
-    p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--candidates", type=_positive_int, default=None)
-    p.add_argument("--save-codebook", default=None, help="also save the maximin codebook of the K = k-max cell (JSON)")
-    common(p)
-
-    p = sub.add_parser("reproduce-figure", help="run a named figure preset")
-    p.add_argument("--id", choices=FIGURE_IDS, required=True)
-    p.add_argument("--trials", type=_positive_int, default=None)
-    common(p)
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, (commands, default, kwargs) in _OPTIONS.items():
+            if command in commands:
+                p.add_argument(f"--{name.replace('_', '-')}", default=default, **kwargs)
     return parser
-
-
-# defaults applied beneath config-file values; flags override both
-_DEFAULTS = {
-    "nt": 2,
-    "nr": 2,
-    "bits": 1.0,
-    "alpha": 0.8,
-    "k_max": 64,
-    "k_min": 1,
-    "nr_bar": 1.0,
-    "b_bar": 1.0,
-    "trials": 3000,
-    "metric": "avg_power",
-    "codebook": "rvq",
-    "rho_db": 10.0,
-    "candidates": 10_000,
-    "format": "csv",
-    "seed": 0,
-    "output": None,
-    "save_codebook": None,
-}
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -232,264 +405,12 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
-    return {**_DEFAULTS, **given}
-
-
-def _output_path(opts: dict, command: str) -> Path:
-    if opts.get("output"):
-        return Path(opts["output"])
-    base = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    return base / f"{command.replace('-', '_')}.{opts['format']}"
-
-
-def _analytic_record(nt, nr, alpha, bits, k, metric, value, source, seed) -> SweepRecord:
-    return SweepRecord(nt, nr, alpha, bits, k, metric, value, None, value, source, seed)
-
-
-def _finite_cfg(opts: dict) -> finite.AfpConfig:
-    shape = SystemShape(opts["nt"], opts["nr"])
-    return finite.AfpConfig(shape, opts["bits"], FadingModel(opts["alpha"]), opts["k_max"])
-
-
-def _cmd_analytic(opts: dict) -> list[SweepRecord]:
-    cfg = _finite_cfg(opts)
-    return [
-        _analytic_record(
-            opts["nt"], opts["nr"], opts["alpha"], opts["bits"], k,
-            "avg_power", finite.avg_power(cfg, k), "finite", opts["seed"],
-        )
-        for k in range(1, opts["k_max"] + 1)
-    ]
-
-
-def _cmd_large_system(opts: dict) -> list[SweepRecord]:
-    cfg = largesys.LargeSystemConfig(opts["nr_bar"], opts["b_bar"], opts["alpha"], opts["k_max"])
-    result = largesys.optimal_interval(cfg)
-    flag = " (horizon-limited)" if result.horizon_limited else ""
-    print(f"K*={result.k_star}{flag}")
-    return [
-        _analytic_record(
-            0, 0, opts["alpha"], opts["b_bar"], k, "rate_difference",
-            largesys.rate_difference(k, cfg), "large-system", opts["seed"],
-        )
-        for k in range(1, opts["k_max"] + 1)
-    ]
-
-
-def _cell_spec(opts: dict, k: int, kind: str, metric: str) -> ExperimentSpec:
-    return ExperimentSpec(
-        SystemShape(opts["nt"], opts["nr"]), FadingModel(opts["alpha"]), opts["bits"], k,
-        trials=opts["trials"], seed=opts["seed"], codebook_kind=kind, metric=metric,
-        candidates=opts["candidates"],
-    )
-
-
-def _simulate_cell(opts: dict, k: int, kind: str, metric: str, rho: float = 10.0) -> SweepRecord:
-    # building the spec can fail for a single cell (a budget over the
-    # streaming cap); that costs the cell its value, not the whole table
-    try:
-        spec = _cell_spec(opts, k, kind, metric)
-    except ValueError as exc:
-        return simulate.failed_record(
-            SystemShape(opts["nt"], opts["nr"]), FadingModel(opts["alpha"]),
-            opts["bits"], k, metric, kind, opts["seed"], exc,
-        )
-    return simulate.run_spec(spec, rho)
-
-
-def _cmd_simulate(opts: dict) -> list[SweepRecord]:
-    ks = range(opts["k_min"], opts["k_max"] + 1)
-    if not ks:
-        raise ValueError(f"empty K range [{opts['k_min']}, {opts['k_max']}]")
-    rho = 10.0 ** (opts["rho_db"] / 10.0)
-    return [_simulate_cell(opts, k, opts["codebook"], opts["metric"], rho) for k in ks]
-
-
-def _cmd_optimal_k(opts: dict) -> list[SweepRecord]:
-    cfg = _finite_cfg(opts)
-    result = finite.optimal_interval(cfg)
-    flag = " (horizon-limited)" if result.horizon_limited else ""
-    print(f"K*={result.k_star}{flag}")
-    return [
-        _analytic_record(
-            opts["nt"], opts["nr"], opts["alpha"], opts["bits"], result.k_star,
-            "optimal_k", float(result.k_star), "finite", opts["seed"],
-        )
-    ]
-
-
-def _cmd_afp_range(opts: dict) -> list[SweepRecord]:
-    cfg = _finite_cfg(opts)
-    cmp = finite.afp_beats_mfp(cfg)
-    ks = cmp.winning_k
-    if not ks:
-        print("K in []")
-    elif ks == tuple(range(ks[0], ks[-1] + 1)):
-        print(f"K in [{ks[0]},{ks[-1]}]")
-    else:
-        print("K in {" + ",".join(map(str, ks)) + "}")
-    records = [
-        _analytic_record(
-            opts["nt"], opts["nr"], opts["alpha"], opts["bits"], k,
-            "afp_minus_mfp_bound", bound, "finite", opts["seed"],
-        )
-        for k, bound in zip(ks, cmp.pointwise_bound)
-    ]
-    if not records:
-        records = [
-            _analytic_record(
-                opts["nt"], opts["nr"], opts["alpha"], opts["bits"], 1,
-                "afp_minus_mfp_bound", cmp.large_budget_bound, "finite", opts["seed"],
-            )
-        ]
-    return records
-
-
-def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
-    records: list[SweepRecord] = []
-    best: dict[str, tuple[float, int]] = {}
-    for kind in ("rvq", "maximin"):
-        for k in range(1, opts["k_max"] + 1):
-            rec = _simulate_cell(opts, k, kind, "normalized_power")
-            records.append(rec)
-            if rec.value is not None and (kind not in best or rec.value > best[kind][0]):
-                best[kind] = (rec.value, k)
-    for kind in ("rvq", "maximin"):
-        if kind in best:
-            print(f"{kind} K*={best[kind][1]}")
-    return records
-
-
-def _save_maximin_codebook(opts: dict) -> None:
-    """Write the codebook the K = k_max maximin cell simulated (its cache entry)."""
-    spec = _cell_spec(opts, opts["k_max"], "maximin", "normalized_power")
-    codebook = simulate.fixed_codebook(spec)
-    try:
-        save_codebook(codebook, opts["save_codebook"])
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {opts['save_codebook']}: {exc}") from exc
-
-
-def _figure_specs(fig: str, trials: int, seed: int) -> tuple[list[SweepRecord], list[ExperimentSpec], float]:
-    """Returns (precomputed analytic records, simulation specs, rho)."""
-    analytic: list[SweepRecord] = []
-    specs: list[ExperimentSpec] = []
-    rho = 10.0
-    if fig == "fig1":
-        for nt, nr in ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2)):
-            for k in range(1, 11):
-                specs.append(
-                    ExperimentSpec(
-                        SystemShape(nt, nr), FadingModel(0.8), 1.0, k,
-                        trials=trials, seed=seed, metric="normalized_power",
-                    )
-                )
-    elif fig == "fig2":
-        for alpha in (0.8, 0.9, 0.95):
-            for kind, k_hi in (("rvq", 10), ("maximin", 8)):
-                for k in range(1, k_hi + 1):
-                    specs.append(
-                        ExperimentSpec(
-                            SystemShape(3, 2), FadingModel(alpha), 1.0, k,
-                            trials=trials, seed=seed,
-                            codebook_kind=kind, metric="normalized_power",
-                        )
-                    )
-    elif fig == "fig3":
-        for alpha in (0.5, 0.8, 0.9, 0.99, 0.9999):
-            for b_bar in (0.5, 1.0):
-                fin = finite.optimal_interval(
-                    finite.AfpConfig(SystemShape(2, 2), 2 * b_bar, FadingModel(alpha))
-                )
-                analytic.append(_analytic_record(
-                    2, 2, alpha, 2 * b_bar, fin.k_star, "optimal_k",
-                    float(fin.k_star), "finite", seed,
-                ))
-                big = largesys.optimal_interval(largesys.LargeSystemConfig(1.0, b_bar, alpha))
-                analytic.append(_analytic_record(
-                    0, 0, alpha, b_bar, big.k_star, "optimal_k",
-                    float(big.k_star), "large-system", seed,
-                ))
-    elif fig == "fig4":
-        for alpha in (0.5, 0.9):
-            for b_bar in (0.0625, 0.125, 0.25, 0.5):
-                for nt in (4, 8, 16):
-                    if round(b_bar * nt * 8) > 16:
-                        continue
-                    specs.append(
-                        ExperimentSpec(
-                            SystemShape(nt, nt), FadingModel(alpha), b_bar * nt, 8,
-                            trials=trials, seed=seed, metric="rate_difference",
-                        )
-                    )
-                cfg = largesys.LargeSystemConfig(1.0, b_bar, alpha, k_max=8)
-                analytic.append(_analytic_record(
-                    0, 0, alpha, b_bar, 8, "rate_difference",
-                    largesys.rate_difference(8, cfg), "large-system", seed,
-                ))
-    elif fig == "fig5":
-        for alpha in (0.5, 0.8, 0.9, 0.95, 1.0):
-            for k in range(1, 11):
-                specs.append(
-                    ExperimentSpec(
-                        SystemShape(4, 4), FadingModel(alpha), 1.0, k,
-                        trials=trials, seed=seed, metric="rate_difference",
-                    )
-                )
-                cfg = largesys.LargeSystemConfig(1.0, 0.25, alpha, k_max=10)
-                analytic.append(_analytic_record(
-                    0, 0, alpha, 0.25, k, "rate_difference",
-                    largesys.rate_difference(k, cfg), "large-system", seed,
-                ))
-    elif fig == "fig6":
-        for nr_bar in (0.0, 0.5, 1.0, 2.0):
-            for b_bar in (0.25, 1.0):
-                for alpha in (0.5, 0.7, 0.8, 0.9, 0.95, 0.99):
-                    cfg = largesys.LargeSystemConfig(nr_bar, b_bar, alpha)
-                    res = largesys.optimal_interval(cfg)
-                    analytic.append(_analytic_record(
-                        0, 0, alpha, b_bar, res.k_star, "optimal_k",
-                        float(res.k_star), "large-system", seed,
-                    ))
-    elif fig == "fig7":
-        for nt in (2, 3, 4, 5, 6):
-            for bits in (1.0, 2.0):
-                cfg = finite.AfpConfig(SystemShape(nt, 2), bits, FadingModel(0.8))
-                res = finite.optimal_interval(cfg)
-                analytic.append(_analytic_record(
-                    nt, 2, 0.8, bits, res.k_star, "optimal_k",
-                    float(res.k_star), "finite", seed,
-                ))
-    return analytic, specs, rho
-
-
-def _cmd_reproduce_figure(opts: dict) -> list[SweepRecord]:
-    analytic, specs, rho = _figure_specs(opts["id"], opts["trials"], opts["seed"])
-    records = list(analytic)
-    if specs:
-        records.extend(simulate.sweep(specs, rho))
-    return records
-
-
-_COMMANDS = {
-    "analytic": _cmd_analytic,
-    "large-system": _cmd_large_system,
-    "simulate": _cmd_simulate,
-    "optimal-k": _cmd_optimal_k,
-    "afp-range": _cmd_afp_range,
-    "compare-codebooks": _cmd_compare_codebooks,
-    "reproduce-figure": _cmd_reproduce_figure,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
-    opts = _merge_config(args)
+    opts = {name: default for name, (_, default, _) in _OPTIONS.items()} | vars(args)
     path = _output_path(opts, args.command)
     try:
-        records = _COMMANDS[args.command](opts)
+        records = _COMMANDS[args.command][0](opts)
     except (ValueError, RuntimeError) as exc:
         print(f"afpopt {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -568,11 +569,42 @@ def avg_power(cfg: AfpConfig, num_blocks: int) -> float:
 
 @dataclass(frozen=True)
 class IntervalResult:
-    """Outcome of an exhaustive interval search."""
+    """Outcome of an interval search: the best K and the curve scanned for it.
+
+    ``curve`` holds the objective at K = 1, 2, ... as far as the scan went;
+    it is empty when no scan ran (``finite`` at alpha = 1 evaluates K = k_max
+    alone).
+    """
 
     k_star: int
     value: float
     horizon_limited: bool
+    curve: tuple[float, ...] = ()
+
+
+def scan_interval(
+    objective: Callable[[int], float],
+    k_max: int,
+    stop: Callable[[int, list[float]], bool] | None = None,
+) -> tuple[float, ...]:
+    """objective(K) for K = 1, 2, ..., k_max; ``stop(K, curve)`` true ends the scan before K."""
+    curve = [objective(1)]
+    for k in range(2, k_max + 1):
+        if stop is not None and stop(k, curve):
+            break
+        curve.append(objective(k))
+    return tuple(curve)
+
+
+def best_interval(curve: tuple[float, ...], k_max: int) -> IntervalResult:
+    """First argmax of a scanned curve (smallest K wins ties); flagged when it is k_max."""
+    best = max(range(len(curve)), key=curve.__getitem__)
+    return IntervalResult(best + 1, curve[best], best + 1 == k_max, curve)
+
+
+def intervals_beating_first(curve: tuple[float, ...]) -> tuple[int, ...]:
+    """Every K > 1 of a scanned curve whose value exceeds the K = 1 value."""
+    return tuple(k for k, v in enumerate(curve[1:], 2) if v > curve[0])
 
 
 def _search_envelope(cfg: AfpConfig, num_blocks: int) -> float:
@@ -590,18 +622,14 @@ def optimal_interval(cfg: AfpConfig) -> IntervalResult:
     the incumbent (a strictly decreasing envelope), which cannot change the
     argmax.  A maximum sitting at k_max is flagged horizon-limited.
     """
-    alpha = cfg.model.alpha
-    if alpha >= 1.0:
+    if cfg.model.alpha >= 1.0:
         # average power equals the quantized power at K*bits, increasing in K
         return IntervalResult(cfg.k_max, avg_power(cfg, cfg.k_max), True)
-    best_k, best_v = 1, avg_power(cfg, 1)
-    for k in range(2, cfg.k_max + 1):
-        if _search_envelope(cfg, k) <= best_v:
-            break
-        v = avg_power(cfg, k)
-        if v > best_v:
-            best_k, best_v = k, v
-    return IntervalResult(best_k, best_v, best_k == cfg.k_max)
+    curve = scan_interval(
+        lambda k: avg_power(cfg, k), cfg.k_max,
+        lambda k, curve: _search_envelope(cfg, k) <= max(curve),
+    )
+    return best_interval(curve, cfg.k_max)
 
 
 @dataclass(frozen=True)
@@ -614,22 +642,24 @@ class AfpMfpComparison:
 
 
 def afp_beats_mfp(cfg: AfpConfig) -> AfpMfpComparison:
-    """All K in [2, k_max] whose interval-average power exceeds the K = 1 value."""
+    """All K in [2, k_max] whose interval-average power exceeds the K = 1 value.
+
+    For alpha < 1 the scan stops once the envelope falls to the K = 1 value.
+    """
     alpha = cfg.model.alpha
-    iso = isotropic_power(cfg)
-    base = avg_power(cfg, 1)
     if alpha >= 1.0:
         # quantized power is strictly increasing in bits, so every K wins
         ks = tuple(range(2, cfg.k_max + 1))
         return AfpMfpComparison(ks, tuple(math.inf for _ in ks), math.inf)
+    curve = scan_interval(
+        lambda k: avg_power(cfg, k), cfg.k_max,
+        lambda k, curve: _search_envelope(cfg, k) <= curve[0],
+    )
+    ks = intervals_beating_first(curve)
+    iso, base = isotropic_power(cfg), curve[0]
     large_budget = 1.0 / (1.0 - alpha * alpha)
-    ks: list[int] = []
-    bounds: list[float] = []
-    for k in range(2, cfg.k_max + 1):
-        if _search_envelope(cfg, k) <= base:
-            break
-        if avg_power(cfg, k) > base:
-            g = quantized_first_block_power(cfg, cfg.bits_per_block * k)
-            ks.append(k)
-            bounds.append(large_budget * (g - iso) / (base - iso))
-    return AfpMfpComparison(tuple(ks), tuple(bounds), large_budget)
+    bounds = tuple(
+        large_budget * (quantized_first_block_power(cfg, cfg.bits_per_block * k) - iso) / (base - iso)
+        for k in ks
+    )
+    return AfpMfpComparison(ks, bounds, large_budget)

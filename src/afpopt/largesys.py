@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from afpopt.finite import IntervalResult
+from afpopt.finite import IntervalResult, best_interval, intervals_beating_first, scan_interval
 
 _LN2 = math.log(2.0)
 _EPS = 2.0**-52
@@ -132,17 +132,18 @@ def rate_difference(num_blocks: int, cfg: LargeSystemConfig) -> float:
     return total / k
 
 
+def _rate_curve(cfg: LargeSystemConfig) -> tuple[float, ...]:
+    """The rate difference at every K in [1, k_max]."""
+    return scan_interval(lambda k: rate_difference(k, cfg), cfg.k_max)
+
+
 def optimal_interval(cfg: LargeSystemConfig) -> IntervalResult:
-    """Exhaustive argmax of the rate difference over K in [1, k_max]."""
+    """Exhaustive argmax of the rate difference over K in [1, k_max], with its curve."""
+    curve = _rate_curve(cfg)
     if cfg.alpha >= 1.0:
         # no staleness: the rate difference grows with the pooled budget
-        return IntervalResult(cfg.k_max, rate_difference(cfg.k_max, cfg), True)
-    best_k, best_v = 1, rate_difference(1, cfg)
-    for k in range(2, cfg.k_max + 1):
-        v = rate_difference(k, cfg)
-        if v > best_v:
-            best_k, best_v = k, v
-    return IntervalResult(best_k, best_v, best_k == cfg.k_max)
+        return IntervalResult(cfg.k_max, curve[-1], True, curve)
+    return best_interval(curve, cfg.k_max)
 
 
 def miso_interval_approx(b_bar: float, alpha: float) -> float:
@@ -167,7 +168,4 @@ def miso_interval_small_budget(alpha: float) -> float:
 
 def afp_beats_mfp(cfg: LargeSystemConfig) -> tuple[int, ...]:
     """All K in [2, k_max] whose rate difference beats per-block feedback."""
-    base = rate_difference(1, cfg)
-    return tuple(
-        k for k in range(2, cfg.k_max + 1) if rate_difference(k, cfg) > base
-    )
+    return intervals_beating_first(_rate_curve(cfg))

@@ -71,6 +71,20 @@ class TestSampling:
         assert abs(np.mean(vals) - 3.0) < 3 * stderr
 
 
+class TestFadingModel:
+    def test_alpha_is_the_only_field(self):
+        # the rate metrics' SNR is run_spec's rho; the model carries none
+        with pytest.raises(TypeError):
+            FadingModel(0.8, rho=100.0)
+        with pytest.raises(TypeError):
+            FadingModel(0.8, 100.0)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, math.inf])
+    def test_alpha_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="alpha"):
+            FadingModel(bad)
+
+
 class TestEvolve:
     def test_alpha_one_freezes_channel(self):
         h = sample_channel(SystemShape(3, 2), RandomStream(1))

@@ -106,6 +106,22 @@ class TestHeadlines:
         assert code == 0
         assert out.strip() == "K*=3"
 
+    def test_large_system_writes_the_search_curve(self, tmp_path, capfd, monkeypatch):
+        # the table is the curve the search scanned: one rate_difference call per K
+        from afpopt import largesys
+
+        calls = []
+        real = largesys.rate_difference
+        monkeypatch.setattr(largesys, "rate_difference", lambda k, cfg: calls.append(k) or real(k, cfg))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = invoke(
+            ["large-system", "--nr-bar", "1", "--b-bar", "0.5", "--alpha", "0.9", "--output", "t.csv"],
+            capfd,
+        )
+        assert code == 0 and out.strip() == "K*=4"
+        assert calls == list(range(1, 65))
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 65
+
     def test_afp_range_prints_window(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, _ = invoke(
@@ -141,6 +157,29 @@ class TestTables:
         assert [r["K"] for r in rows] == [1, 2, 3]
         assert set(rows[0]) == set(CSV_HEADER.split(","))
         assert rows[0]["value"] == 2.5
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (["afp-range", "--alpha", "1"], "inf"),
+            (["large-system", "--nr-bar", "0", "--alpha", "0"], "-inf"),
+        ],
+    )
+    def test_json_is_strict(self, argv, value, tmp_path, capfd, monkeypatch):
+        # RFC 8259 has no Infinity: a non-finite float is the CSV text, quoted
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = invoke([*argv, "--format", "json", "--output", "t.json"], capfd)
+        assert code == 0
+
+        def reject(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        rows = json.loads((tmp_path / "t.json").read_text(), parse_constant=reject)
+        non_finite = [r for r in rows if isinstance(r["value"], str)]
+        assert non_finite and all(r["value"] == r["analytic"] == value for r in non_finite)
+        assert all(r["stderr"] is None for r in rows)
+        if argv[0] == "large-system":
+            assert rows[0]["value"] == -1.0 and len(non_finite) == 63
 
     def test_reruns_are_byte_identical(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -259,10 +298,10 @@ class TestFigurePresets:
         assert len(rows) == 20
 
     def test_every_preset_id_is_wired(self):
-        from afpopt.cli import _figure_specs
+        from afpopt.cli import _PRESETS
 
         for fig in FIGURE_IDS:
-            analytic, specs, _ = _figure_specs(fig, trials=1, seed=0)
+            analytic, specs = _PRESETS[fig]
             assert analytic or specs
 
 

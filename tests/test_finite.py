@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from afpopt import finite
 from afpopt.channel import FadingModel, RandomStream, SystemShape, complex_normal
 from afpopt.finite import (
     AfpConfig,
     QuadratureSpec,
     afp_beats_mfp,
     avg_power,
+    best_interval,
     block_power_2xnr,
     has_closed_form,
+    intervals_beating_first,
     mean_eigen_gap,
     mean_largest_eigenvalue,
     mean_max_eigenvalue,
@@ -575,6 +578,33 @@ class TestIntervalSearch:
         result = optimal_interval(cfg)
         assert result.k_star == 16
         assert result.horizon_limited
+        # the power saturates in floating point, so the first argmax of the
+        # full curve would be K = 54; at alpha = 1 the answer is k_max by rule
+        result = optimal_interval(AfpConfig(SystemShape(2, 2), 1.0, FadingModel(1.0)))
+        assert result.k_star == 64 and result.horizon_limited
+
+    def test_scan_evaluates_no_extra_interval(self, monkeypatch):
+        # count through the module attribute, the way a tracer wraps it
+        calls = []
+        real = finite.avg_power
+        monkeypatch.setattr(finite, "avg_power", lambda cfg, k: calls.append(k) or real(cfg, k))
+        cfg = AfpConfig(SystemShape(6, 2), 1.0, FadingModel(0.8))
+        result = optimal_interval(cfg)
+        # the envelope falls to the best value so far before K = 13
+        assert calls == list(range(1, 13))
+        assert result.curve == tuple(real(cfg, k) for k in range(1, 13))
+        assert result.k_star == 5 and result.value == result.curve[4]
+        calls.clear()
+        cmp = afp_beats_mfp(cfg)
+        # the envelope falls to the K = 1 value before K = 28
+        assert calls == list(range(1, 28))
+        assert cmp.winning_k == tuple(range(2, 27))
+
+    def test_curve_reductions(self):
+        assert best_interval((1.0, 2.0, 2.0), 3) == finite.IntervalResult(2, 2.0, False, (1.0, 2.0, 2.0))
+        assert best_interval((1.0, 2.0, 3.0), 3).horizon_limited
+        assert best_interval((1.0,), 1) == finite.IntervalResult(1, 1.0, True, (1.0,))
+        assert intervals_beating_first((1.0, 0.5, 2.0, 1.0, -math.inf)) == (3,)
 
     def test_afp_beats_mfp_ranges(self):
         # exact rational evaluation of the closed form gives {2..8} for both

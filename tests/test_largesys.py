@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from afpopt import largesys
 from afpopt.largesys import (
     LargeSystemConfig,
     afp_beats_mfp,
@@ -148,6 +149,25 @@ class TestOptimalInterval:
         result = optimal_interval(cfg)
         assert result.k_star == 32
         assert result.horizon_limited
+        # the curve saturates in floating point (its first argmax is K = 54);
+        # at alpha = 1 the answer is k_max by rule, with the whole curve
+        result = optimal_interval(LargeSystemConfig(1.0, 1.0, 1.0))
+        assert result.k_star == 64 and result.horizon_limited
+        assert result.value == result.curve[-1] and len(result.curve) == 64
+
+    def test_scan_evaluates_each_interval_once(self, monkeypatch):
+        # count through the module attribute, the way a tracer wraps it
+        calls = []
+        real = largesys.rate_difference
+        monkeypatch.setattr(largesys, "rate_difference", lambda k, cfg: calls.append(k) or real(k, cfg))
+        cfg = LargeSystemConfig(1.0, 0.5, 0.9)
+        result = optimal_interval(cfg)
+        assert calls == list(range(1, 65))
+        assert result.curve == tuple(real(k, cfg) for k in range(1, 65))
+        assert result.k_star == 4 and result.value == max(result.curve)
+        calls.clear()
+        assert afp_beats_mfp(cfg) == tuple(k for k in range(2, 65) if result.curve[k - 1] > result.curve[0])
+        assert calls == list(range(1, 65))
 
     def test_interval_shrinks_with_budget(self):
         k_half = optimal_interval(LargeSystemConfig(1.0, 0.5, 0.8)).k_star

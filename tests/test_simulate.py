@@ -62,8 +62,6 @@ class TestSpec:
         with pytest.raises(ValueError, match="finite"):
             spec_2x2(bits_per_block=bad)
         with pytest.raises(ValueError, match="finite"):
-            FadingModel(0.8, rho=bad)
-        with pytest.raises(ValueError, match="finite"):
             simulate_avg_rate(spec_2x2(trials=2), bad)
         with pytest.raises(ValueError, match="finite"):
             simulate_rate_difference(spec_2x2(trials=2), bad)
