@@ -121,6 +121,25 @@ def _nonneg(text: str) -> float:
     return x
 
 
+def _rho_linear(rho_db: float) -> float:
+    """The linear SNR 10^(rho_db / 10), which must be finite and positive."""
+    try:
+        rho = 10.0 ** (rho_db / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not 0.0 < rho < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a dB value whose linear SNR is finite and positive, got {rho_db:g}"
+        )
+    return rho
+
+
+def _rho_db(text: str) -> float:
+    x = _finite(text)
+    _rho_linear(x)
+    return x
+
+
 def _positive_int(text: str) -> int:
     x = int(text)
     if x < 1:
@@ -208,7 +227,7 @@ def _cmd_simulate(opts: dict) -> list[SweepRecord]:
     ks = range(opts["k_min"], opts["k_max"] + 1)
     if not ks:
         raise ValueError(f"empty K range [{opts['k_min']}, {opts['k_max']}]")
-    rho = 10.0 ** (opts["rho_db"] / 10.0)
+    rho = _rho_linear(opts["rho_db"])
     return [_simulate_cell(opts, k, opts["codebook"], opts["metric"], rho) for k in ks]
 
 
@@ -356,7 +375,7 @@ _OPTIONS: dict[str, tuple[tuple[str, ...], object, dict]] = {
     "trials": (("simulate", "compare-codebooks", "reproduce-figure"), 3000, {"type": _positive_int}),
     "metric": (("simulate",), "avg_power", {"choices": simulate.METRICS}),
     "codebook": (("simulate",), "rvq", {"choices": ("rvq", "maximin")}),
-    "rho_db": (("simulate",), 10.0, {"type": _finite, "help": "background SNR in dB"}),
+    "rho_db": (("simulate",), 10.0, {"type": _rho_db, "help": "background SNR in dB"}),
     "candidates": (("compare-codebooks",), 10_000, {"type": _positive_int}),
     "save_codebook": (("compare-codebooks",), None, {
         "help": "also save the maximin codebook of the K = k-max cell (JSON)"}),
@@ -368,21 +387,32 @@ _OPTIONS: dict[str, tuple[tuple[str, ...], object, dict]] = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None) -> _Parser:
+    """The parser for one run of ``command``.
+
+    Every subcommand is listed with its help text, so the top-level help
+    and its errors are the same for any ``command``; only ``command``
+    gets its flags (None, for no command or an unknown one: none).
+    """
     parser = _Parser(prog="afpopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for name, (commands, default, kwargs) in _OPTIONS.items():
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
+        for option, (commands, default, kwargs) in _OPTIONS.items():
             if command in commands:
-                p.add_argument(f"--{name.replace('_', '-')}", default=default, **kwargs)
+                p.add_argument(f"--{option.replace('_', '-')}", default=default, **kwargs)
     return parser
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Parse the flags, with ``--config`` values checked exactly like flags."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # the top-level parser has no flags of its own, so argparse reads the
+    # first token that is not a flag as the command
+    command = next((token for token in argv if not token.startswith("-")), None)
+    parser = build_parser(command if command in _COMMANDS else None)
     args = parser.parse_args(argv)
     if not args.config:
         return args

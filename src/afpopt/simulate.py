@@ -108,7 +108,8 @@ class Estimate:
 
 def _estimate(values: np.ndarray) -> Estimate:
     n = values.size
-    sd = float(values.std(ddof=1)) if n > 1 else 0.0
+    # one trial has no sample variance: its standard error is unknown, not 0
+    sd = float(values.std(ddof=1)) if n > 1 else math.nan
     return Estimate(float(values.mean()), sd / math.sqrt(n), n)
 
 
@@ -288,11 +289,14 @@ def simulate_avg_power(spec: ExperimentSpec) -> Estimate:
 
 
 def simulate_avg_rate(spec: ExperimentSpec, rho: float) -> Estimate:
-    """Mean achievable rate log2(1 + rho * power), averaged over the interval."""
+    """Mean achievable rate log2(1 + rho * power), averaged over the interval.
+
+    Computed as log1p(rho * power) / ln 2, which keeps its digits at low SNR.
+    """
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be finite and positive, got {rho}")
     powers = block_power_trials(spec)
-    return _estimate(np.log2(1.0 + rho * powers).mean(axis=1))
+    return _estimate((np.log1p(rho * powers) / math.log(2.0)).mean(axis=1))
 
 
 def simulate_rate_difference(spec: ExperimentSpec, rho: float) -> Estimate:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from afpopt import simulate
 from afpopt.cli import CSV_HEADER, FIGURE_IDS, run
 
 
@@ -47,6 +48,29 @@ class TestParsing:
         assert len(err.strip().splitlines()) == 1
         assert flag in err and "finite" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("db", ["4000", "-4000"])
+    def test_rho_db_without_finite_positive_snr_exits_2(self, db, tmp_path, capfd, monkeypatch):
+        # 10 ** 400 overflows and 10 ** -400 underflows to 0
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            run(["simulate", "--metric", "avg_rate", "--k-max", "1", f"--rho-db={db}"])
+        assert e.value.code == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--rho-db" in err and db in err
+        assert not list(tmp_path.iterdir())
+
+    def test_extreme_but_finite_rho_db_runs(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = invoke(
+            ["simulate", "--metric", "avg_rate", "--k-max", "1", "--trials", "4", "--rho-db=-400"],
+            capfd,
+        )
+        assert code == 0
+        row = (tmp_path / "simulate.csv").read_text().splitlines()[1].split(",")
+        assert 0.0 < float(row[6]) < 1e-38
 
     def test_large_finite_budgets_saturate(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -198,6 +222,18 @@ class TestTables:
         assert code == 0
         assert (outdir / "analytic.csv").exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_trial_stderr_is_nan(self, fmt, tmp_path, capfd, monkeypatch):
+        # a single trial has no sample variance: the error is unknown, not 0
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = invoke(["simulate", "--k-max", "1", "--trials", "1", "--format", fmt], capfd)
+        assert code == 0
+        text = (tmp_path / f"simulate.{fmt}").read_text()
+        if fmt == "csv":
+            assert text.splitlines()[1].split(",")[7] == "nan"
+        else:
+            assert json.loads(text)[0]["stderr"] == "nan"
+
     def test_unwritable_output_fails_with_code_1(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, _, err = invoke(
@@ -245,6 +281,8 @@ class TestConfigFile:
             ({"alpah": 0.99}, "alpah"),
             ({"bits": float("nan")}, "--bits"),
             ({"rho_db": float("inf")}, "--rho-db"),
+            ({"rho_db": 4000}, "--rho-db"),
+            ({"rho_db": -4000}, "--rho-db"),
         ],
     )
     def test_config_values_validated_like_flags(self, config, named, tmp_path, capfd, monkeypatch):
@@ -277,6 +315,37 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as e:
             run(["optimal-k", "--config", str(bad)])
         assert e.value.code == 2
+
+
+class TestRepeatedRuns:
+    def test_config_values_do_not_outlive_their_call(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"trials": 7}))
+        trials = []
+        run_spec = simulate.run_spec
+        monkeypatch.setattr(
+            simulate, "run_spec", lambda spec, rho: trials.append(spec.trials) or run_spec(spec, rho)
+        )
+        assert invoke(["simulate", "--k-max", "1", "--config", "cfg.json"], capfd)[0] == 0
+        assert invoke(["simulate", "--k-max", "1"], capfd)[0] == 0
+        assert trials == [7, 3000]
+
+    def test_alternating_commands_do_not_depend_on_order(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = [
+            ["simulate", "--k-max", "3", "--trials", "50", "--seed", "4"],
+            ["optimal-k", "--nt", "3", "--alpha", "0.9"],
+            ["simulate", "--nt", "3", "--k-max", "2", "--trials", "40", "--metric", "avg_rate"],
+        ]
+
+        def outputs(argv, path):
+            code, out, _ = invoke([*argv, "--output", path], capfd)
+            assert code == 0
+            return (tmp_path / path).read_text(), out
+
+        forward = [outputs(argv, f"forward{i}.csv") for i, argv in enumerate(calls)]
+        backward = [outputs(argv, f"backward{i}.csv") for i, argv in reversed(list(enumerate(calls)))]
+        assert forward == backward[::-1]
 
 
 class TestFigurePresets:

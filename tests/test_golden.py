@@ -2,7 +2,9 @@
 
 Commands that run no Monte Carlo are compared byte for byte.  The Monte
 Carlo presets run at two trials and are compared on every column except
-``value`` and ``stderr``, which depend on the platform's LAPACK.
+``value`` and ``stderr``, which depend on the platform's LAPACK.  Help
+texts and usage errors (stdout, stderr and exit code, at ``COLUMNS=80``
+so that wrapping is fixed) are compared byte for byte as well.
 
 Regenerate the files (only when an output change is intended) with
 
@@ -14,8 +16,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -23,6 +28,7 @@ from afpopt.cli import CSV_HEADER, run
 
 GOLDEN = Path(__file__).with_name("golden")
 STDOUT_FILE = GOLDEN / "stdout.json"
+USAGE_FILE = GOLDEN / "usage.json"
 
 EXACT = {
     "fig3": "reproduce-figure --id fig3",
@@ -48,6 +54,25 @@ MONTE_CARLO = {
     fig: f"reproduce-figure --id {fig} --trials 2 --seed 7"
     for fig in ("fig1", "fig2", "fig4", "fig5")
 }
+
+# help and usage errors; a relative config and output path keep the
+# messages free of the working directory
+USAGE = {
+    "help": "--help",
+    "no_arguments": "",
+    "unknown_command": "frobnicate --nt 2",
+    **{f"help_{command}": f"{command} --help" for command in (
+        "analytic", "large-system", "simulate", "optimal-k", "afp-range",
+        "compare-codebooks", "reproduce-figure",
+    )},
+    "unknown_flag": "optimal-k --nonsense 1",
+    "abbreviated_flag": "simulate --trial 5 --k-max 1 --output table.csv",
+    "ambiguous_flag": "simulate --k 3",
+    "flag_before_command": "--nt 2 simulate",
+    "joined_flag_before_command": "--seed=1 reproduce-figure",
+    "config_key_of_another_command": "simulate --config cfg.json",
+}
+USAGE_CONFIG = {"trials": 5, "id": "fig3"}
 
 # value and stderr: their digits follow the platform's eigensolver
 _NOISY = {CSV_HEADER.split(",").index(name) for name in ("value", "stderr")}
@@ -87,12 +112,44 @@ def test_monte_carlo_presets_match_outside_value_and_stderr(name, recorded_stdou
     assert stdout == recorded_stdout[name]
 
 
+def _usage(invocation: str, workdir: Path) -> dict:
+    (workdir / "cfg.json").write_text(json.dumps(USAGE_CONFIG))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with (
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+            contextlib.redirect_stdout(stdout),
+            contextlib.redirect_stderr(stderr),
+        ):
+            code = run(invocation.split())
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    return {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def recorded_usage() -> dict[str, dict]:
+    return json.loads(USAGE_FILE.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(USAGE))
+def test_help_and_usage_match(name, recorded_usage, tmp_path):
+    assert _usage(USAGE[name], tmp_path) == recorded_usage[name]
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     stdouts = {}
     for name, invocation in {**EXACT, **MONTE_CARLO}.items():
         _, stdouts[name] = _run(invocation, GOLDEN / f"{name}.csv")
     STDOUT_FILE.write_text(json.dumps(stdouts, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as workdir:
+        usage = {name: _usage(invocation, Path(workdir)) for name, invocation in USAGE.items()}
+    USAGE_FILE.write_text(json.dumps(usage, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -293,6 +293,23 @@ class TestAgainstClosedForms:
         power = simulate_avg_power(spec)
         assert rate.mean / rho == pytest.approx(power.mean * math.log2(math.e), rel=0.05)
 
+    @pytest.mark.parametrize("db", [-60.0, -400.0])
+    def test_low_snr_rate_keeps_its_digits(self, db):
+        # log2(1 + x) rounds 1 + x; log1p does not (at -400 dB: 0 vs ~1e-40)
+        spec = spec_2x2(trials=50)
+        rho = 10.0 ** (db / 10.0)
+        powers = block_power_trials(spec)
+        per_trial = [
+            sum(math.log1p(rho * p) for p in row) / (len(row) * math.log(2.0)) for row in powers
+        ]
+        rate = simulate_avg_rate(spec, rho)
+        assert rate.mean == pytest.approx(sum(per_trial) / len(per_trial), rel=1e-12, abs=0.0)
+
+    def test_one_trial_has_no_stderr(self):
+        assert math.isnan(simulate_avg_power(spec_2x2(trials=1)).stderr)
+        assert math.isnan(run_spec(spec_2x2(trials=1, metric="normalized_power")).stderr)
+        assert math.isfinite(simulate_avg_power(spec_2x2(trials=2)).stderr)
+
     def test_rate_difference_identity(self):
         spec = spec_2x2(trials=500)
         rho = 10.0
