@@ -73,7 +73,8 @@ class FadingModel:
     """Temporal correlation coefficient alpha of the Gauss-Markov fading.
 
     The background SNR of the rate metrics is not part of the model: it is
-    the ``rho`` argument of ``simulate.run_spec`` and ``simulate.sweep``.
+    the ``rho_db`` argument (in dB) of the rate functions,
+    ``simulate.run_spec`` and ``simulate.sweep``.
     """
 
     alpha: float
@@ -156,14 +157,6 @@ def gram_eigenvalues(h: np.ndarray) -> np.ndarray:
     else:
         vals = np.linalg.eigvalsh(g)[..., ::-1]
     return np.maximum(vals, 0.0)
-
-
-def received_power(h: np.ndarray, v: np.ndarray) -> float:
-    """Post-beamforming channel gain ||H v||^2 for a unit-norm v."""
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"beamforming vector must have unit norm, got ||v||={norm!r}")
-    return float(np.linalg.norm(h @ v) ** 2)
 
 
 def alpha_from_jakes(doppler_hz: float, block_seconds: float) -> float:

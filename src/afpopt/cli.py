@@ -121,25 +121,6 @@ def _nonneg(text: str) -> float:
     return x
 
 
-def _rho_linear(rho_db: float) -> float:
-    """The linear SNR 10^(rho_db / 10), which must be finite and positive."""
-    try:
-        rho = 10.0 ** (rho_db / 10.0)
-    except OverflowError:
-        rho = math.inf
-    if not 0.0 < rho < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a dB value whose linear SNR is finite and positive, got {rho_db:g}"
-        )
-    return rho
-
-
-def _rho_db(text: str) -> float:
-    x = _finite(text)
-    _rho_linear(x)
-    return x
-
-
 def _positive_int(text: str) -> int:
     x = int(text)
     if x < 1:
@@ -210,25 +191,12 @@ def _cell_spec(opts: dict, k: int, kind: str, metric: str) -> ExperimentSpec:
     return _spec(opts, opts["nt"], opts["nr"], opts["alpha"], opts["bits"], k, kind, metric)
 
 
-def _simulate_cell(opts: dict, k: int, kind: str, metric: str, rho: float = 10.0) -> SweepRecord:
-    # building the spec can fail for a single cell (a budget over the
-    # streaming cap); that costs the cell its value, not the whole table
-    try:
-        spec = _cell_spec(opts, k, kind, metric)
-    except ValueError as exc:
-        return simulate.failed_record(
-            SystemShape(opts["nt"], opts["nr"]), FadingModel(opts["alpha"]),
-            opts["bits"], k, metric, kind, opts["seed"], exc,
-        )
-    return simulate.run_spec(spec, rho)
-
-
 def _cmd_simulate(opts: dict) -> list[SweepRecord]:
     ks = range(opts["k_min"], opts["k_max"] + 1)
     if not ks:
         raise ValueError(f"empty K range [{opts['k_min']}, {opts['k_max']}]")
-    rho = _rho_linear(opts["rho_db"])
-    return [_simulate_cell(opts, k, opts["codebook"], opts["metric"], rho) for k in ks]
+    specs = [_cell_spec(opts, k, opts["codebook"], opts["metric"]) for k in ks]
+    return simulate.sweep(specs, opts["rho_db"])
 
 
 def _cmd_optimal_k(opts: dict) -> list[SweepRecord]:
@@ -253,17 +221,14 @@ def _cmd_afp_range(opts: dict) -> list[SweepRecord]:
 
 
 def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
-    records: list[SweepRecord] = []
+    cells = [(kind, k) for kind in ("rvq", "maximin") for k in range(1, opts["k_max"] + 1)]
+    records = simulate.sweep([_cell_spec(opts, k, kind, "normalized_power") for kind, k in cells])
     best: dict[str, tuple[float, int]] = {}
-    for kind in ("rvq", "maximin"):
-        for k in range(1, opts["k_max"] + 1):
-            rec = _simulate_cell(opts, k, kind, "normalized_power")
-            records.append(rec)
-            if rec.value is not None and (kind not in best or rec.value > best[kind][0]):
-                best[kind] = (rec.value, k)
-    for kind in ("rvq", "maximin"):
-        if kind in best:
-            print(f"{kind} K*={best[kind][1]}")
+    for (kind, k), rec in zip(cells, records):
+        if rec.value is not None and (kind not in best or rec.value > best[kind][0]):
+            best[kind] = (rec.value, k)
+    for kind, (_, k) in best.items():
+        print(f"{kind} K*={k}")
     return records
 
 
@@ -320,7 +285,6 @@ _PRESETS: dict[str, tuple[tuple, tuple]] = {
         tuple(
             (nt, nt, alpha, b_bar * nt, 8, "rvq", "rate_difference")
             for alpha in (0.5, 0.9) for b_bar in _FIG4_B_BARS for nt in (4, 8, 16)
-            if not round(b_bar * nt * 8) > 16
         ),
     ),
     "fig5": (
@@ -375,7 +339,7 @@ _OPTIONS: dict[str, tuple[tuple[str, ...], object, dict]] = {
     "trials": (("simulate", "compare-codebooks", "reproduce-figure"), 3000, {"type": _positive_int}),
     "metric": (("simulate",), "avg_power", {"choices": simulate.METRICS}),
     "codebook": (("simulate",), "rvq", {"choices": ("rvq", "maximin")}),
-    "rho_db": (("simulate",), 10.0, {"type": _rho_db, "help": "background SNR in dB"}),
+    "rho_db": (("simulate",), 10.0, {"type": _finite, "help": "background SNR in dB"}),
     "candidates": (("compare-codebooks",), 10_000, {"type": _positive_int}),
     "save_codebook": (("compare-codebooks",), None, {
         "help": "also save the maximin codebook of the K = k-max cell (JSON)"}),

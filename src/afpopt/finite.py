@@ -38,10 +38,6 @@ from afpopt.channel import FadingModel, SystemShape
 _MOMENT_CAP = 200
 _LN2 = math.log(2.0)
 
-# relative eigenvalue gap below which the rank-2 distributions are evaluated
-# at a jittered l2; the coincident set has zero probability
-_DEGENERATE_GAP = 1e-7
-
 
 @lru_cache(maxsize=None)
 def wedge_moment_exact(m: int, n: int) -> Fraction:
@@ -145,60 +141,6 @@ def interval_average_power(iso_power: float, quantized_power: float, alpha: floa
     return iso_power + _interval_decay_sum(alpha, num_blocks) / num_blocks * (
         quantized_power - iso_power
     )
-
-
-def ordered_eigen_pdf(l1: float, l2: float, n: int) -> float:
-    """Joint density of the two ordered Gram eigenvalues, larger dimension n."""
-    if n < 2:
-        raise ValueError("larger system dimension must be >= 2")
-    if l1 < l2 or l2 < 0:
-        raise ValueError("require l1 >= l2 >= 0")
-    return (
-        l1 ** (n - 2) * l2 ** (n - 2) * (l1 - l2) ** 2 * math.exp(-(l1 + l2)) / _norm_const(n)
-    )
-
-
-def _checked_rank2_args(x: float, l1: float, l2: float, nt: int) -> tuple[float, float]:
-    if nt <= 2:
-        raise ValueError("rank-2 distributions require nt > 2")
-    if not (l1 >= l2 > 0.0):
-        raise ValueError("require l1 >= l2 > 0")
-    if not (0.0 <= x <= l1 * (1 + 1e-12)):
-        raise ValueError(f"x={x} outside [0, l1={l1}]")
-    if (l1 - l2) / l1 < _DEGENERATE_GAP:
-        l2 = l1 * (1.0 - _DEGENERATE_GAP)
-    return min(x, l1), l2
-
-
-def rank2_power_cdf(x: float, l1: float, l2: float, nt: int) -> float:
-    """CDF of v^H diag(l1, l2, 0, ..., 0) v for an isotropic unit v in C^nt.
-
-    Two branches meeting continuously at x = l2; supported on [0, l1].
-    """
-    x, l2 = _checked_rank2_args(x, l1, l2, nt)
-    if x == 0.0:
-        return 0.0
-    if x >= l1:
-        return 1.0
-    gap = l1 - l2
-    p = nt - 1
-    if x <= l2:
-        return (
-            1.0
-            - (l1 / gap) * (1.0 - x / l1) ** p
-            + (l2 / gap) * (1.0 - x / l2) ** p
-        )
-    return 1.0 - (l1 - x) ** p / (gap * l1 ** (nt - 2))
-
-
-def rank2_power_pdf(x: float, l1: float, l2: float, nt: int) -> float:
-    """Density matching :func:`rank2_power_cdf`."""
-    x, l2 = _checked_rank2_args(x, l1, l2, nt)
-    gap = l1 - l2
-    q = nt - 2
-    if x <= l2:
-        return (nt - 1) / gap * ((1.0 - x / l1) ** q - (1.0 - x / l2) ** q)
-    return (nt - 1) * (l1 - x) ** q / (gap * l1**q)
 
 
 @dataclass(frozen=True)
@@ -386,8 +328,11 @@ def rvq_power_ntx2(
     """Mean selected power for an nt x 2 channel (nt > 2), RVQ quantized.
 
     E[l1] minus the expected selection shortfall int_0^l1 F(x)^N dx, the
-    gap between l1 and the best of N = 2^bits isotropic entries, where F is
-    :func:`rank2_power_cdf`.  The shortfall is homogeneous of degree 1 in
+    gap between l1 and the best of N = 2^bits isotropic entries.  F is the
+    CDF of v^H diag(l1, l2, 0, ..., 0) v for an isotropic unit v in C^nt:
+    1 - (l1 - x)^(nt-1) / ((l1 - l2) l1^(nt-2)) above l2, and
+    1 - (l1 (1 - x/l1)^(nt-1) - l2 (1 - x/l2)^(nt-1)) / (l1 - l2) below it.
+    The shortfall is homogeneous of degree 1 in
     (l1, l2), so it equals l1 phi(s) with s = l2 / l1.  Substituting
     l2 = s l1 in the joint eigenvalue density turns the l1 integral into
     int l1^(2n) e^(-l1 (1+s)) dl1 = (2n)! / (1+s)^(2n+1), which leaves

@@ -31,7 +31,7 @@ import numpy as np
 
 from afpopt import finite
 from afpopt.channel import FadingModel, RandomStream, SystemShape, complex_normal, gram_eigenvalues
-from afpopt.codebook import STREAM_CAP_BITS, Codebook, maximin_codebook
+from afpopt.codebook import Codebook, maximin_codebook
 
 #: substream reserved for per-configuration codebook construction; chunk
 #: indices stay safely below this
@@ -50,9 +50,12 @@ _ROOT_MAX_STEPS = 200
 METRICS = ("avg_power", "avg_rate", "rate_difference", "normalized_power")
 
 
-def round_half_up(x: float) -> int:
-    """Deterministic bit-budget rounding: .5 always rounds up."""
-    return int(math.floor(x + 0.5))
+_LN2 = math.log(2.0)
+
+
+def round_half_up(x: float) -> int | float:
+    """Deterministic bit-budget rounding: .5 always rounds up; inf stays inf."""
+    return int(math.floor(x + 0.5)) if x < math.inf else x
 
 
 @dataclass(frozen=True)
@@ -86,14 +89,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.candidates < 1:
             raise ValueError("candidates must be >= 1")
-        # checked before rounding, which overflows once a finite B * K does
-        pooled = self.bits_per_block * self.num_blocks
-        if pooled + 0.5 >= STREAM_CAP_BITS + 1:
-            raise ValueError(f"bit budget {pooled:.6g} exceeds the streaming cap ({STREAM_CAP_BITS})")
 
     @property
-    def budget_bits(self) -> int:
-        """Pooled quantization budget round(B * K)."""
+    def budget_bits(self) -> int | float:
+        """Pooled quantization budget round(B * K); inf where B * K overflows."""
         return round_half_up(self.bits_per_block * self.num_blocks)
 
 
@@ -169,21 +168,23 @@ def _tail_and_density(x: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.
     return tail[:, 0], density
 
 
-def rvq_best_power(eigs: np.ndarray, nt: int, bits: int, u: np.ndarray) -> np.ndarray:
+def rvq_best_power(eigs: np.ndarray, nt: int, bits: float, u: np.ndarray) -> np.ndarray:
     """Power of the best of 2**bits isotropic entries, one draw per row by inversion.
 
     ``eigs`` holds each row's min(nt, nr) Gram eigenvalues in descending
     order and ``u`` one uniform in (0, 1] per row.  The best power has the
     CDF F^N, so the draw solves P(q > x) = 1 - u^(1/N), with the right side
-    computed as -expm1(log(u) / N).  Above the second-largest node the tail
-    is the single term (l1 - x)^(nt-1) / prod_j (l1 - l_j) and inverts in
-    closed form (for nt = 2 that covers every draw); below it safeguarded
-    Newton steps on :func:`isotropic_power_tail` find x.
+    computed as -expm1(log(u) 2^-bits).  Past about 1075 bits (or at an
+    infinite budget) 2^-bits is 0 and every draw is x = l1, the exact limit.
+    Above the second-largest node the tail is the single term
+    (l1 - x)^(nt-1) / prod_j (l1 - l_j) and inverts in closed form (for
+    nt = 2 that covers every draw); below it safeguarded Newton steps on
+    :func:`isotropic_power_tail` find x.
     """
     l1 = eigs[:, 0]
     if nt == 1:
         return l1  # a unit phase cannot change the power
-    t = -np.expm1(np.log(u) / 2.0**bits)
+    t = -np.expm1(np.log(u) * 2.0**-bits)
     nodes = np.zeros((l1.size, nt))
     nodes[:, nt - eigs.shape[1] :] = eigs[:, ::-1]
     second = nodes[:, -2]
@@ -288,27 +289,33 @@ def simulate_avg_power(spec: ExperimentSpec) -> Estimate:
     return _estimate(block_power_trials(spec).mean(axis=1))
 
 
-def simulate_avg_rate(spec: ExperimentSpec, rho: float) -> Estimate:
-    """Mean achievable rate log2(1 + rho * power), averaged over the interval.
+def _log_rates(spec: ExperimentSpec, rho_db: float) -> tuple[float, np.ndarray]:
+    # ln rho and the per-trial, per-block ln power: the rate metrics work in
+    # the log domain, so every finite rho_db gives finite rates
+    if not math.isfinite(rho_db):
+        raise ValueError(f"rho_db must be finite, got {rho_db}")
+    return rho_db * math.log(10.0) / 10.0, np.log(block_power_trials(spec))
 
-    Computed as log1p(rho * power) / ln 2, which keeps its digits at low SNR.
+
+def simulate_avg_rate(spec: ExperimentSpec, rho_db: float) -> Estimate:
+    """Mean rate log2(1 + rho * power) over the interval, with rho_db = 10 log10 rho.
+
+    Computed as logaddexp(0, ln rho + ln power) / ln 2, which keeps its
+    digits at low SNR.
     """
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be finite and positive, got {rho}")
-    powers = block_power_trials(spec)
-    return _estimate((np.log1p(rho * powers) / math.log(2.0)).mean(axis=1))
+    log_rho, log_power = _log_rates(spec, rho_db)
+    return _estimate((np.logaddexp(0.0, log_rho + log_power) / _LN2).mean(axis=1))
 
 
-def simulate_rate_difference(spec: ExperimentSpec, rho: float) -> Estimate:
-    """Mean rate offset log2(1/(rho*nt) + power/nt) over the interval.
+def simulate_rate_difference(spec: ExperimentSpec, rho_db: float) -> Estimate:
+    """Mean rate offset log2(1/(rho*nt) + power/nt) over the interval, with rho_db as above.
 
-    Per trial this equals the average rate minus log2(rho * nt).
+    Per trial this equals the average rate minus log2(rho * nt); it is
+    computed as (logaddexp(-ln rho, ln power) - ln nt) / ln 2.
     """
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be finite and positive, got {rho}")
-    nt = spec.shape.nt
-    powers = block_power_trials(spec)
-    return _estimate(np.log2(1.0 / (rho * nt) + powers / nt).mean(axis=1))
+    log_rho, log_power = _log_rates(spec, rho_db)
+    offset = np.logaddexp(-log_rho, log_power) - math.log(spec.shape.nt)
+    return _estimate((offset / _LN2).mean(axis=1))
 
 
 def perfect_feedback_power(shape: SystemShape, trials: int, seed: int) -> Estimate:
@@ -368,50 +375,36 @@ def _analytic_value(spec: ExperimentSpec) -> float | None:
     return value
 
 
-def _source(codebook_kind: str) -> str:
-    return "simulation" if codebook_kind == "rvq" else "simulation-maximin"
+def run_spec(spec: ExperimentSpec, rho_db: float = 10.0) -> SweepRecord:
+    """Evaluate one grid point, attaching the closed form when one exists.
 
-
-def failed_record(
-    shape: SystemShape, model: FadingModel, bits_per_block: float, num_blocks: int,
-    metric: str, codebook_kind: str, seed: int, exc: Exception,
-) -> SweepRecord:
-    """The row of a grid point that could not be evaluated: no value, the error kept."""
-    return SweepRecord(
-        shape.nt, shape.nr, model.alpha, bits_per_block, num_blocks, metric,
-        None, None, None, _source(codebook_kind), seed,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
-def run_spec(spec: ExperimentSpec, rho: float = 10.0) -> SweepRecord:
-    """Evaluate one grid point, attaching the closed form when one exists."""
+    The rate metrics are taken at an SNR of ``rho_db`` dB.  A grid point
+    that cannot be evaluated keeps its row: no value, the error kept.
+    """
     try:
         if spec.metric == "avg_power":
             est = simulate_avg_power(spec)
         elif spec.metric == "avg_rate":
-            est = simulate_avg_rate(spec, rho)
+            est = simulate_avg_rate(spec, rho_db)
         elif spec.metric == "rate_difference":
-            est = simulate_rate_difference(spec, rho)
+            est = simulate_rate_difference(spec, rho_db)
         else:
             norm = perfect_feedback_mean(spec.shape)
             raw = simulate_avg_power(spec)
             est = Estimate(raw.mean / norm, raw.stderr / norm, raw.trials)
-        analytic = _analytic_value(spec)
+        value, stderr, analytic, error = est.mean, est.stderr, _analytic_value(spec), None
     except Exception as exc:
-        return failed_record(
-            spec.shape, spec.model, spec.bits_per_block, spec.num_blocks,
-            spec.metric, spec.codebook_kind, spec.seed, exc,
-        )
+        value = stderr = analytic = None
+        error = f"{type(exc).__name__}: {exc}"
     return SweepRecord(
         spec.shape.nt, spec.shape.nr, spec.model.alpha, spec.bits_per_block,
-        spec.num_blocks, spec.metric, est.mean, est.stderr, analytic,
-        _source(spec.codebook_kind), spec.seed,
+        spec.num_blocks, spec.metric, value, stderr, analytic,
+        "simulation" if spec.codebook_kind == "rvq" else "simulation-maximin", spec.seed, error,
     )
 
 
-def sweep(specs: list[ExperimentSpec], rho: float = 10.0) -> list[SweepRecord]:
-    """Evaluate a grid in order; failures are reported per record, never raised."""
+def sweep(specs: list[ExperimentSpec], rho_db: float = 10.0) -> list[SweepRecord]:
+    """Evaluate a grid in order with :func:`run_spec`; failures are reported per record, never raised."""
     if not specs:
         raise ValueError("sweep requires a nonempty grid")
-    return [run_spec(spec, rho) for spec in specs]
+    return [run_spec(spec, rho_db) for spec in specs]

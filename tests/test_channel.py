@@ -11,7 +11,6 @@ from afpopt.channel import (
     complex_normal,
     evolve,
     gram_eigenvalues,
-    received_power,
     sample_channel,
     trajectory,
 )
@@ -168,44 +167,6 @@ class TestSpectral:
         gen = RandomStream(32).generator()
         vals = [gram_eigenvalues(sample_channel(SystemShape(2, 2), gen))[0] for _ in range(100_000)]
         assert abs(np.mean(vals) - 3.5) < 0.02
-
-    def test_received_power_at_singular_vector(self):
-        h = sample_channel(SystemShape(3, 2), RandomStream(33))
-        _, s, vh = np.linalg.svd(h)
-        top = vh[0].conj()
-        assert abs(received_power(h, top) - s[0] ** 2) < 1e-9 * s[0] ** 2
-        null = vh[-1].conj()
-        if s[-1] < 1e-8:
-            assert received_power(h, null) < 1e-12
-
-    def test_received_power_orthogonal_row_space(self):
-        h = np.array([[1.0, 0.0, 0.0]], dtype=complex)
-        v = np.array([0.0, 1.0, 0.0], dtype=complex)
-        assert received_power(h, v) == 0.0
-
-    def test_received_power_bounded_by_top_eigenvalue(self):
-        gen = RandomStream(34).generator()
-        for _ in range(200):
-            h = sample_channel(SystemShape(3, 3), gen)
-            v = sample_channel(SystemShape(3, 1), gen).ravel()
-            v /= np.linalg.norm(v)
-            assert received_power(h, v) <= gram_eigenvalues(h)[0] + 1e-9
-
-    def test_isotropic_power_mean(self):
-        gen = RandomStream(35).generator()
-        vals = []
-        for _ in range(20_000):
-            h = sample_channel(SystemShape(2, 2), gen)
-            v = sample_channel(SystemShape(2, 1), gen).ravel()
-            v /= np.linalg.norm(v)
-            vals.append(received_power(h, v))
-        stderr = np.std(vals) / math.sqrt(len(vals))
-        assert abs(np.mean(vals) - 2.0) < 3 * stderr
-
-    def test_rejects_non_unit_vector(self):
-        h = sample_channel(SystemShape(2, 2), RandomStream(36))
-        with pytest.raises(ValueError):
-            received_power(h, np.array([1.0, 1.0], dtype=complex))
 
 
 class TestJakes:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afpopt import simulate
+from afpopt import finite, simulate
+from afpopt.channel import FadingModel, SystemShape
 from afpopt.cli import CSV_HEADER, FIGURE_IDS, run
 
 
@@ -49,18 +51,22 @@ class TestParsing:
         assert flag in err and "finite" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("metric", ["avg_rate", "rate_difference"])
     @pytest.mark.parametrize("db", ["4000", "-4000"])
-    def test_rho_db_without_finite_positive_snr_exits_2(self, db, tmp_path, capfd, monkeypatch):
-        # 10 ** 400 overflows and 10 ** -400 underflows to 0
+    def test_rho_db_beyond_double_range_runs(self, db, metric, tmp_path, capfd, monkeypatch):
+        # 10 ** 400 overflows and 10 ** -400 underflows to 0, but the rates
+        # are computed from ln rho, so any finite dB value gives finite rates,
+        # from a flag or from a config file
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as e:
-            run(["simulate", "--metric", "avg_rate", "--k-max", "1", f"--rho-db={db}"])
-        assert e.value.code == 2
-        out, err = capfd.readouterr()
-        assert out == ""
-        assert len(err.strip().splitlines()) == 1
-        assert "--rho-db" in err and db in err
-        assert not list(tmp_path.iterdir())
+        (tmp_path / "cfg.json").write_text(json.dumps({"rho_db": float(db)}))
+        for snr in ([f"--rho-db={db}"], ["--config", "cfg.json"]):
+            code, _, _ = invoke(
+                ["simulate", "--metric", metric, "--k-max", "2", "--trials", "4", *snr], capfd
+            )
+            assert code == 0
+            rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+            assert len(rows) == 2
+            assert all(math.isfinite(float(row.split(",")[6])) for row in rows)
 
     def test_extreme_but_finite_rho_db_runs(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -76,10 +82,16 @@ class TestParsing:
         monkeypatch.chdir(tmp_path)
         code, out, _ = invoke(["optimal-k", "--bits", "1e308", "--k-max", "3"], capfd)
         assert code == 0 and out.strip() == "K*=1"
-        # B * K overflows to inf in the second cell: a failed row, not a traceback
-        code, _, err = invoke(["simulate", "--bits", "1e308", "--k-max", "2", "--trials", "2"], capfd)
-        assert code == 1
-        assert "K=2 failed" in err and "streaming cap" in err
+        # B * K overflows to inf in the second cell, which saturates too: the
+        # K = 1 cell draws the top eigenvalue, whose mean is its analytic value
+        code, _, _ = invoke(["simulate", "--bits", "1e308", "--k-max", "2", "--trials", "2"], capfd)
+        assert code == 0
+        k1, k2 = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+        top = finite.mean_largest_eigenvalue(SystemShape(2, 2))
+        assert k1.split(",")[8] == f"{top:.12g}"
+        saturated = finite.avg_power(finite.AfpConfig(SystemShape(2, 2), 1e308, FadingModel(0.8)), 2)
+        assert k2.split(",")[8] == f"{saturated:.12g}"
+        assert all(row.split(",")[6] != "" for row in (k1, k2))
 
     def test_unknown_flag_rejected(self, capfd):
         with pytest.raises(SystemExit) as e:
@@ -245,10 +257,11 @@ class TestTables:
 
 class TestCellFailures:
     def test_over_cap_cell_keeps_its_row(self, tmp_path, capfd, monkeypatch):
+        # round(5.5 * 2) = 11 bits is over the 10-bit maximin cap
         monkeypatch.chdir(tmp_path)
         code, _, err = invoke(
-            ["simulate", "--nt", "2", "--nr", "2", "--bits", "16", "--k-min", "1",
-             "--k-max", "2", "--trials", "2"],
+            ["simulate", "--nt", "2", "--nr", "2", "--codebook", "maximin", "--bits", "5.5",
+             "--k-min", "1", "--k-max", "2", "--trials", "2"],
             capfd,
         )
         assert code == 1
@@ -257,7 +270,7 @@ class TestCellFailures:
         k1, k2 = (row.split(",") for row in rows)
         assert k1[4] == "1" and k1[6] != ""
         assert k2[4] == "2" and k2[6] == "" and k2[7] == ""
-        assert "K=2 failed" in err and "streaming cap" in err
+        assert "K=2 failed" in err and "maximin cap" in err
 
 
 class TestConfigFile:
@@ -281,8 +294,8 @@ class TestConfigFile:
             ({"alpah": 0.99}, "alpah"),
             ({"bits": float("nan")}, "--bits"),
             ({"rho_db": float("inf")}, "--rho-db"),
-            ({"rho_db": 4000}, "--rho-db"),
-            ({"rho_db": -4000}, "--rho-db"),
+            ({"rho_db": float("nan")}, "--rho-db"),
+            ({"rho_db": float("-inf")}, "--rho-db"),
         ],
     )
     def test_config_values_validated_like_flags(self, config, named, tmp_path, capfd, monkeypatch):

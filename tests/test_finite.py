@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from rank2_oracle import ordered_eigen_pdf, rank2_power_cdf, rank2_power_pdf
 from scipy import integrate, special, stats
 
 from afpopt import finite
@@ -23,9 +24,6 @@ from afpopt.finite import (
     mean_largest_eigenvalue,
     mean_max_eigenvalue,
     optimal_interval,
-    ordered_eigen_pdf,
-    rank2_power_cdf,
-    rank2_power_pdf,
     rvq_power_2xnr,
     rvq_power_ntx2,
     wedge_moment,

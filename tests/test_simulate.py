@@ -51,11 +51,14 @@ class TestSpec:
         assert round_half_up(0.5) == 1
         assert round_half_up(1.49) == 1
         assert round_half_up(2.5) == 3
+        assert round_half_up(math.inf) == math.inf
         assert spec_2x2(bits_per_block=0.5, num_blocks=3).budget_bits == 2  # 1.5 -> 2
+        assert spec_2x2(bits_per_block=15.25, num_blocks=2).budget_bits == 31
 
     def test_budget_cap(self):
-        with pytest.raises(ValueError):
-            spec_2x2(bits_per_block=8.0, num_blocks=4)  # 32 bits
+        # there is none: the draw costs the same at any budget
+        assert spec_2x2(bits_per_block=8.0, num_blocks=4).budget_bits == 32
+        assert spec_2x2(bits_per_block=1e308, num_blocks=1).budget_bits == 1e308
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_fields_rejected(self, bad):
@@ -66,12 +69,15 @@ class TestSpec:
         with pytest.raises(ValueError, match="finite"):
             simulate_rate_difference(spec_2x2(trials=2), bad)
 
-    def test_overflowing_budget_rejected_before_rounding(self):
-        with pytest.raises(ValueError, match="streaming cap"):
-            spec_2x2(bits_per_block=1e308, num_blocks=2)  # B * K = inf
-        with pytest.raises(ValueError, match="streaming cap"):
-            spec_2x2(bits_per_block=15.25, num_blocks=2)  # 30.5 rounds to 31
-        assert spec_2x2(bits_per_block=15.2, num_blocks=2).budget_bits == 30
+    @pytest.mark.parametrize("bits,blocks", [(1e308, 2), (1e308, 1), (1000.0, 2)])
+    def test_overflowing_budget_saturates(self, bits, blocks):
+        # past about 1075 bits every draw is the top eigenvalue, exactly; a
+        # B * K that overflows to inf stays inf and saturates the same way
+        spec = spec_2x2(bits_per_block=bits, num_blocks=blocks, model=FadingModel(1.0), trials=50)
+        assert spec.budget_bits == round_half_up(bits * blocks)
+        top = gram_eigenvalues(complex_normal(RandomStream(spec.seed, 0), (50, 2, 2)))[:, 0]
+        powers = block_power_trials(spec)
+        assert np.array_equal(powers, np.repeat(top[:, None], blocks, axis=1))
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -255,6 +261,33 @@ class TestBestPowerDraw:
             got = rvq_best_power(eigs, nt, bits, u)
             assert np.max(np.abs(got - hi) / eigs[:, 0]) < 1e-12, bits
 
+    @pytest.mark.parametrize("nt,nr", [(2, 3), (4, 2), (8, 2)])
+    def test_large_budget_shortfall_matches_closed_forms(self, nt, nr):
+        # E[l1 - x] against E[l1] - g from the 2 x nr closed form and the
+        # nt x 2 quadrature, on the same draws at every budget; each side is
+        # resolved only to the double resolution of l1, so a shortfall below
+        # it (2x3 from 64 bits, 4x2 at 200) must read 0 on both
+        trials, chunk, z_bound = 200_000, 10_000, 3.0
+        budgets = (20, 40, 64, 200)
+        shortfalls = {bits: [] for bits in budgets}
+        for c in range(trials // chunk):
+            gen = RandomStream(5, c).generator()
+            eigs = gram_eigenvalues(complex_normal(gen, (chunk, nr, nt)))
+            u = 1.0 - gen.random(chunk)
+            for bits in budgets:
+                shortfalls[bits].append(eigs[:, 0] - rvq_best_power(eigs, nt, bits, u))
+        top = finite.mean_largest_eigenvalue(SystemShape(nt, nr))
+        tight = finite.QuadratureSpec(abs_tol=1e-16, rel_tol=1e-10)
+        for bits in budgets:
+            if nt == 2:
+                g = finite.rvq_power_2xnr(nr, bits)
+            else:
+                g = finite.rvq_power_ntx2(nt, bits, tight)
+            sample = np.concatenate(shortfalls[bits])
+            se = sample.std(ddof=1) / math.sqrt(trials)
+            slack = 2.0 * np.finfo(float).eps * top
+            assert abs(sample.mean() - (top - g)) <= z_bound * se + slack, bits
+
     def test_large_budget_closes_on_top_eigenvalue(self):
         eigs = np.array([[4.0, 1.0, 0.5]])
         gaps = [4.0 - rvq_best_power(eigs, 3, bits, np.array([0.5]))[0] for bits in (10, 20, 30)]
@@ -281,17 +314,15 @@ class TestAgainstClosedForms:
 
     def test_jensen_bound(self):
         spec = spec_2x2(trials=10_000)
-        rho = 10.0
-        rate = simulate_avg_rate(spec, rho)
+        rate = simulate_avg_rate(spec, 10.0)  # rho = 10
         power = simulate_avg_power(spec)
-        assert rate.mean <= math.log2(1 + rho * power.mean) + 3 * rate.stderr
+        assert rate.mean <= math.log2(1 + 10.0 * power.mean) + 3 * rate.stderr
 
     def test_low_snr_linearization(self):
         spec = spec_2x2(num_blocks=1, trials=10_000)
-        rho = 1e-3
-        rate = simulate_avg_rate(spec, rho)
+        rate = simulate_avg_rate(spec, -30.0)  # rho = 1e-3
         power = simulate_avg_power(spec)
-        assert rate.mean / rho == pytest.approx(power.mean * math.log2(math.e), rel=0.05)
+        assert rate.mean / 1e-3 == pytest.approx(power.mean * math.log2(math.e), rel=0.05)
 
     @pytest.mark.parametrize("db", [-60.0, -400.0])
     def test_low_snr_rate_keeps_its_digits(self, db):
@@ -302,8 +333,21 @@ class TestAgainstClosedForms:
         per_trial = [
             sum(math.log1p(rho * p) for p in row) / (len(row) * math.log(2.0)) for row in powers
         ]
-        rate = simulate_avg_rate(spec, rho)
+        rate = simulate_avg_rate(spec, db)
         assert rate.mean == pytest.approx(sum(per_trial) / len(per_trial), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("db", [-3100.0, 3100.0])
+    def test_extreme_snr_rates_are_finite(self, db):
+        # rho = 10^(db/10) is outside the double range; the log domain is not
+        spec = spec_2x2(trials=50)
+        rate = simulate_avg_rate(spec, db)
+        diff = simulate_rate_difference(spec, db)
+        assert math.isfinite(rate.mean) and math.isfinite(diff.mean)
+        log2_rho_nt = db / 10.0 * math.log2(10.0) + 1.0
+        assert rate.mean - diff.mean == pytest.approx(log2_rho_nt, rel=1e-12)
+        if db < 0:
+            assert 0.0 <= rate.mean < 1e-300
+            assert diff.mean == pytest.approx(1028.8, abs=0.01)
 
     def test_one_trial_has_no_stderr(self):
         assert math.isnan(simulate_avg_power(spec_2x2(trials=1)).stderr)
@@ -312,10 +356,9 @@ class TestAgainstClosedForms:
 
     def test_rate_difference_identity(self):
         spec = spec_2x2(trials=500)
-        rho = 10.0
-        rate = simulate_avg_rate(spec, rho)
-        diff = simulate_rate_difference(spec, rho)
-        assert rate.mean - diff.mean == pytest.approx(math.log2(rho * 2), abs=1e-12)
+        rate = simulate_avg_rate(spec, 10.0)  # rho = 10
+        diff = simulate_rate_difference(spec, 10.0)
+        assert rate.mean - diff.mean == pytest.approx(math.log2(10.0 * 2), abs=1e-12)
         assert rate.stderr == pytest.approx(diff.stderr, abs=1e-12)
 
 
