@@ -1,25 +1,23 @@
 """Finite-size analysis of quantized beamforming over a feedback interval.
 
 Everything here rests on the two ordered eigenvalues (l1 >= l2) of the
-channel Gram matrix, whose joint density for a min(nt, nr) = 2 channel with
-larger dimension n is
+channel Gram matrix of a min(nt, nr) = 2 channel, the shapes
+:func:`has_closed_form` admits.  With larger dimension n their joint density
+is
 
-    f(l1, l2) = l1^(n-2) l2^(n-2) (l1 - l2)^2 exp(-(l1 + l2)) / ((n-1)!(n-2)!).
+    f(l1, l2) = l1^(n-2) l2^(n-2) (l1 - l2)^2 exp(-(l1 + l2)) / ((n-1)!(n-2)!),
 
-Expectations against this density reduce to the wedge moments
-
-    M(m, n) = int_0^inf l1^m e^-l1 int_0^l1 l2^n e^-l2 dl2 dl1,
-
-computed exactly by recursion from closed-form base rows.  Channels with
-two transmit antennas admit fully closed-form average received power.  In
-the transposed case (two receive antennas, nt > 2) the RVQ selection
-shortfall is homogeneous of degree 1 in (l1, l2), so with s = l2 / l1 the
-l1 integral is a closed-form Gamma integral and the average power is a
-one-dimensional quadrature over s (with a nested head quadrature) against
-the conditional distribution of the quantizer output.  The quadratures are
-adaptive Gauss-Kronrod rules written in numpy, vectorised over panels.  The
-perfect-feedback power E[l1] of any shape comes from Khatri's CDF of the
-largest Wishart eigenvalue, by the same quadrature.
+and its two moments E[l1] = n + c and E[l1 - l2] = 2c, with
+c = (2n-1) C(2n-2, n-1) / 4^(n-1), are exact rationals.  With two transmit
+antennas the average received power is closed form in them.  With two
+receive antennas the RVQ selection shortfall is homogeneous of degree 1 in
+(l1, l2), so with s = l2 / l1 the l1 integral is a closed-form Gamma
+integral and the average power is a one-dimensional quadrature over s (with
+a nested head quadrature) against the conditional distribution of the
+quantizer output.  The quadratures are adaptive Gauss-Kronrod rules written
+in numpy, vectorised over panels.  The perfect-feedback power E[l1] of any
+shape comes from Khatri's CDF of the largest Wishart eigenvalue, by the same
+quadrature.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -35,65 +32,30 @@ import numpy as np
 
 from afpopt.channel import FadingModel, SystemShape
 
-_MOMENT_CAP = 200
 _LN2 = math.log(2.0)
 
 
-@lru_cache(maxsize=None)
-def wedge_moment_exact(m: int, n: int) -> Fraction:
-    """Exact wedge moment M(m, n) as a rational number.
-
-    Base rows: M(m, 0) = m! (1 - 2^-(m+1)) and M(0, n) = n! 2^-(n+1);
-    interior values follow the recursion
-    M(m, n) = m n M(m-1, n-1) - (m - n)(m + n - 1)! / 2^(m+n+1).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("moment orders must be nonnegative")
-    if m > _MOMENT_CAP or n > _MOMENT_CAP:
-        raise ValueError(f"moment orders above {_MOMENT_CAP} are not supported")
-    if n == 0:
-        return Fraction(math.factorial(m)) * (1 - Fraction(1, 2 ** (m + 1)))
-    if m == 0:
-        return Fraction(math.factorial(n), 2 ** (n + 1))
-    return m * n * wedge_moment_exact(m - 1, n - 1) - Fraction(
-        (m - n) * math.factorial(m + n - 1), 2 ** (m + n + 1)
-    )
+def _rank2_excess(n: int) -> tuple[int, int]:
+    # E[l1] - n = E[l1 - l2] / 2 = (2n-1) C(2n-2, n-1) / 4^(n-1), as numerator
+    # and denominator, so that one int division rounds it correctly
+    if n < 2:
+        raise ValueError("larger system dimension must be >= 2")
+    return (2 * n - 1) * math.comb(2 * n - 2, n - 1), 4 ** (n - 1)
 
 
-def wedge_moment(m: int, n: int) -> float:
-    """Float value of the wedge moment M(m, n)."""
-    return float(wedge_moment_exact(m, n))
-
-
-def _norm_const(n: int) -> int:
-    return math.factorial(n - 1) * math.factorial(n - 2)
-
-
-@lru_cache(maxsize=None)
 def mean_max_eigenvalue(n: int) -> float:
     """E[l1] for the rank-2 Gram spectrum with larger dimension n >= 2."""
-    if n < 2:
-        raise ValueError("larger system dimension must be >= 2")
-    s = (
-        wedge_moment_exact(n + 1, n - 2)
-        - 2 * wedge_moment_exact(n, n - 1)
-        + wedge_moment_exact(n - 1, n)
-    )
-    return float(s / _norm_const(n))
+    num, den = _rank2_excess(n)
+    return (n * den + num) / den
 
 
-@lru_cache(maxsize=None)
 def mean_eigen_gap(n: int) -> float:
-    """E[l1 - l2] for the rank-2 Gram spectrum with larger dimension n >= 2."""
-    if n < 2:
-        raise ValueError("larger system dimension must be >= 2")
-    s = (
-        wedge_moment_exact(n + 1, n - 2)
-        - 3 * wedge_moment_exact(n, n - 1)
-        + 3 * wedge_moment_exact(n - 1, n)
-        - wedge_moment_exact(n - 2, n + 1)
-    )
-    return float(s / _norm_const(n))
+    """E[l1 - l2] for the rank-2 Gram spectrum with larger dimension n >= 2.
+
+    Twice the excess of E[l1] over n, since E[l1 + l2] = E[trace] = 2n.
+    """
+    num, den = _rank2_excess(n)
+    return 2 * num / den
 
 
 def _codebook_deficit_factor(total_bits: float) -> float:
@@ -286,13 +248,16 @@ def _ntx2_shortfall(nt: int, n_entries: float, quad: QuadratureSpec) -> tuple[fl
         # C s^(n-2) (1-s)^2 (1+s)^-(2n+1) phi(s) at the outer nodes
         shape, s = s.shape, s.ravel()
         gap = 1.0 - s
-        q = np.minimum((n_entries * gap ** (p - 1)) ** (1.0 / p), q_top)
+        # log(N gap^(p-1)), formed in logs: gap^(p-1) alone is subnormal
+        # near s = 1 once nt is past about 120
+        log_mass = math.log(n_entries) + (p - 1) * np.log(gap)
+        q = np.minimum(np.exp(log_mass / p), q_top)
         j = np.searchsorted(left, q, side="right") - 1
         half = 0.5 * (q - left[j])
         nodes = left[j, None] + half[:, None] * (_GK_NODES + 1.0)
         partial = profile(nodes, None) @ _GK_KRONROD * half
         phi = gap ** (1.0 / p) * tail_scale * (below[j] + partial)
-        live = np.flatnonzero(n_entries * gap ** (p - 1) < _NEGLIGIBLE_EXPONENT)
+        live = np.flatnonzero(log_mass < math.log(_NEGLIGIBLE_EXPONENT))
         if live.size:
             s_l, gap_l = s[live, None], gap[live, None]
 
@@ -467,15 +432,14 @@ def has_closed_form(shape: SystemShape) -> bool:
 class AfpConfig:
     """Configuration for the finite-size interval search.
 
-    Closed-form paths exist for nt = 2 with nr >= 2 and for nr = 2 with
-    nt > 2; other shapes must go through the simulator.
+    The shape must pass :func:`has_closed_form`; other shapes must go
+    through the simulator.
     """
 
     shape: SystemShape
     bits_per_block: float
     model: FadingModel
     k_max: int = 64
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE
 
     def __post_init__(self) -> None:
         if not has_closed_form(self.shape):
@@ -486,16 +450,11 @@ class AfpConfig:
             raise ValueError("k_max must be >= 1")
 
 
-def quantized_first_block_power(cfg: AfpConfig, total_bits: float) -> float:
+def quantized_first_block_power(shape: SystemShape, total_bits: float) -> float:
     """Dispatch to the 2 x nr closed form or the nt x 2 quadrature."""
-    if cfg.shape.nt == 2:
-        return rvq_power_2xnr(cfg.shape.nr, total_bits)
-    return rvq_power_ntx2(cfg.shape.nt, total_bits, cfg.quadrature)
-
-
-def isotropic_power(cfg: AfpConfig) -> float:
-    """Received power with a random beamformer: E[trace] / nt = nr."""
-    return float(cfg.shape.nr)
+    if shape.nt == 2:
+        return rvq_power_2xnr(shape.nr, total_bits)
+    return rvq_power_ntx2(shape.nt, total_bits)
 
 
 def avg_power(cfg: AfpConfig, num_blocks: int) -> float:
@@ -508,8 +467,8 @@ def avg_power(cfg: AfpConfig, num_blocks: int) -> float:
     """
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
-    g = quantized_first_block_power(cfg, cfg.bits_per_block * num_blocks)
-    return interval_average_power(isotropic_power(cfg), g, cfg.model.alpha, num_blocks)
+    g = quantized_first_block_power(cfg.shape, cfg.bits_per_block * num_blocks)
+    return interval_average_power(cfg.shape.nr, g, cfg.model.alpha, num_blocks)
 
 
 @dataclass(frozen=True)
@@ -556,7 +515,7 @@ def _search_envelope(cfg: AfpConfig, num_blocks: int) -> float:
     # upper bound on avg_power(K): quantized power can never exceed E[l1];
     # the resulting envelope is strictly decreasing in K for alpha < 1
     return interval_average_power(
-        isotropic_power(cfg), mean_largest_eigenvalue(cfg.shape), cfg.model.alpha, num_blocks
+        cfg.shape.nr, mean_largest_eigenvalue(cfg.shape), cfg.model.alpha, num_blocks
     )
 
 
@@ -601,10 +560,10 @@ def afp_beats_mfp(cfg: AfpConfig) -> AfpMfpComparison:
         lambda k, curve: _search_envelope(cfg, k) <= curve[0],
     )
     ks = intervals_beating_first(curve)
-    iso, base = isotropic_power(cfg), curve[0]
+    iso, base = cfg.shape.nr, curve[0]
     large_budget = 1.0 / (1.0 - alpha * alpha)
     bounds = tuple(
-        large_budget * (quantized_first_block_power(cfg, cfg.bits_per_block * k) - iso) / (base - iso)
+        large_budget * (quantized_first_block_power(cfg.shape, cfg.bits_per_block * k) - iso) / (base - iso)
         for k in ks
     )
     return AfpMfpComparison(ks, bounds, large_budget)

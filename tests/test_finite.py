@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from rank2_oracle import ordered_eigen_pdf, rank2_power_cdf, rank2_power_pdf
+from rank2_oracle import (
+    mean_eigen_gap_exact,
+    mean_max_eigenvalue_exact,
+    ordered_eigen_pdf,
+    rank2_power_cdf,
+    rank2_power_pdf,
+    wedge_moment,
+    wedge_moment_exact,
+)
 from scipy import integrate, special, stats
 
 from afpopt import finite
@@ -26,8 +34,6 @@ from afpopt.finite import (
     optimal_interval,
     rvq_power_2xnr,
     rvq_power_ntx2,
-    wedge_moment,
-    wedge_moment_exact,
 )
 
 
@@ -77,9 +83,18 @@ class TestWedgeMoments:
                 exact = wedge_moment(m, n)
                 assert oracle(m, n) == pytest.approx(exact, rel=1e-6)
 
-    def test_order_guard(self):
-        with pytest.raises(ValueError):
-            wedge_moment_exact(201, 0)
+
+class TestRank2ClosedForms:
+    def test_closed_forms_are_the_rounded_wedge_combinations(self):
+        for n in range(2, 200):
+            assert mean_max_eigenvalue(n) == float(mean_max_eigenvalue_exact(n)), n
+            assert mean_eigen_gap(n) == float(mean_eigen_gap_exact(n)), n
+
+    def test_closed_form_matches_khatri_oracle_at_250(self):
+        # E[l1 + l2] = 2n, so the gap is twice E[l1]'s excess over n
+        exact = _exact_khatri_mean(2, 250)
+        assert mean_max_eigenvalue(250) == float(exact)
+        assert mean_eigen_gap(250) == float(2 * (exact - 250))
 
 
 class TestPower2xNr:
@@ -376,6 +391,14 @@ class TestPowerNtx2:
         assert rvq_power_ntx2(3, 2.0) == pytest.approx(3.146919, rel=1e-5)
         assert rvq_power_ntx2(3, 4.0) == pytest.approx(3.954692, rel=1e-5)
         assert rvq_power_ntx2(5, 4.0) == pytest.approx(4.461686, rel=1e-5)
+
+    @pytest.mark.parametrize("nt", [3, 10, 60, 120, 150, 199, 250, 400])
+    def test_one_bit_rational_form(self, nt):
+        # the one-bit power is 2 + 3(nt-1) / (2(2nt-1)): 2.5 at the 2x2
+        # anchor, 2.6 at nt = 3, and the oracles' values at nt <= 12; large
+        # nt probes the tail of F^N next to s = 1, where the gap underflows
+        exact = 2.0 + 3.0 * (nt - 1) / (2.0 * (2 * nt - 1))
+        assert rvq_power_ntx2(nt, 1.0) == pytest.approx(exact, rel=1e-9)
 
     def test_monte_carlo_agreement(self):
         from afpopt.simulate import ExperimentSpec, simulate_avg_power

@@ -38,12 +38,14 @@ EXACT = {
     "optimal_k_5x2_a0.95": "optimal-k --nt 5 --nr 2 --bits 1 --alpha 0.95",
     "optimal_k_2x2_a1_k8": "optimal-k --nt 2 --nr 2 --bits 1 --alpha 1 --k-max 8",
     "optimal_k_b1e308_k3": "optimal-k --bits 1e308 --k-max 3",
+    "optimal_k_250x2_a0.8": "optimal-k --nt 250 --nr 2 --bits 1 --alpha 0.8",
     "afp_range_2x2_a0.8": "afp-range --nt 2 --nr 2 --bits 1 --alpha 0.8",
     "afp_range_4x2_a0.9": "afp-range --nt 4 --nr 2 --bits 1 --alpha 0.9",
     "afp_range_6x2_b0.25": "afp-range --nt 6 --nr 2 --bits 0.25",
     "afp_range_2x2_a1_k3": "afp-range --nt 2 --nr 2 --bits 1 --alpha 1 --k-max 3",
     "analytic_5x2_k10": "analytic --nt 5 --nr 2 --bits 1 --alpha 0.8 --k-max 10",
     "analytic_2x4": "analytic --nt 2 --nr 4",
+    "analytic_2x250_k4": "analytic --nt 2 --nr 250 --bits 1 --k-max 4",
     "large_system_0_1_0.9": "large-system --nr-bar 0 --b-bar 1 --alpha 0.9",
     "large_system_1_0.5_0.9": "large-system --nr-bar 1 --b-bar 0.5 --alpha 0.9",
     "large_system_a1": "large-system --alpha 1",
