@@ -233,7 +233,7 @@ def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
 
 
 def _save_maximin_codebook(opts: dict) -> None:
-    """Write the codebook the K = k_max maximin cell simulated (its cache entry)."""
+    """Write the codebook the K = k_max maximin cell simulated, rebuilt from the same draws."""
     spec = _cell_spec(opts, opts["k_max"], "maximin", "normalized_power")
     codebook = simulate.fixed_codebook(spec)
     try:

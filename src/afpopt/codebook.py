@@ -6,7 +6,8 @@ variant keeps, out of many candidate RVQ codebooks, the one whose minimum
 pairwise chordal distance is largest -- a cheap stand-in for an optimal
 line packing.  Its search scores each candidate's pairwise overlaps a block
 of Gram rows at a time and stops as soon as the candidate can no longer
-beat the best one so far; the pick is exactly that of a full scan.
+beat the best one so far; the pick is exactly that of a full scan.  The
+searches of several budgets share one pass over the candidate stream.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +30,10 @@ MAXIMIN_CAP_BITS = 10
 # chunk used by every selection path; shared so streaming and materialized
 # selection perform bit-identical arithmetic
 _CHUNK = 1 << 16
+
+# unit vectors per chunk of the maximin candidate stream; a multiple of
+# 2**MAXIMIN_CAP_BITS, so every chunk holds whole candidates of every budget
+_STREAM_ENTRIES = 1 << 15
 
 # Gram rows in the maximin search's first scoring block; each later block
 # doubles, so a full scan of 2**bits rows takes about bits - 1 blocks
@@ -209,6 +215,70 @@ def _batch_winner(vs: np.ndarray, best_dist: float) -> tuple[int, float] | None:
     return int(live[j]), float(dist[j])
 
 
+def check_maximin_bits(bits: int | float) -> None:
+    """Raise ValueError unless a maximin search of ``bits`` bits is allowed."""
+    if bits < 0:
+        raise ValueError("bits must be nonnegative")
+    if bits > MAXIMIN_CAP_BITS:
+        raise ValueError(f"bits={bits} exceeds the maximin cap ({MAXIMIN_CAP_BITS})")
+
+
+def _scan_candidates(
+    vs: np.ndarray, best_dist: float, best: np.ndarray | None
+) -> tuple[float, np.ndarray | None]:
+    """Fold the (c, n, nt) candidate stack ``vs`` into the best codebook so far.
+
+    Candidates are scored in batches of a bounded Gram size, each with early
+    rejection against the best distance so far (:func:`_batch_winner`).
+    """
+    n = vs.shape[1]
+    if n < 2:  # one entry has no pairs: the first candidate wins
+        return (best_dist, best) if best is not None else (float("inf"), vs[0].copy())
+    batch = max(1, (1 << 18) // (n * n))
+    for start in range(0, vs.shape[0], batch):
+        winner = _batch_winner(vs[start : start + batch], best_dist)
+        if winner is not None:
+            j, best_dist = winner
+            best = vs[start + j].copy()
+    return best_dist, best
+
+
+def maximin_codebooks(
+    nt: int,
+    budgets: Iterable[int],
+    candidates: int = 10_000,
+    rng: RandomStream | np.random.Generator = RandomStream(0),
+) -> dict[int, Codebook]:
+    """The :func:`maximin_codebook` of every budget, from one pass over the candidate stream.
+
+    Candidate i of a ``bits``-bit search is entries i 2**bits .. (i+1)
+    2**bits - 1 of one stream of unit vectors, so the candidates of every
+    smaller budget are a prefix of the largest budget's.  The stream is
+    drawn once, ``_STREAM_ENTRIES`` entries at a time, and each budget's
+    search reads its next candidates from every chunk until it has read
+    ``candidates`` of them.  Each codebook is bit-identical to the one a
+    search of its budget alone returns.
+    """
+    budgets = sorted(set(budgets))
+    for bits in budgets:
+        check_maximin_bits(bits)
+    if candidates < 1:
+        raise ValueError("candidates must be >= 1")
+    gen = as_generator(rng)
+    best: dict[int, tuple[float, np.ndarray | None]] = {bits: (-1.0, None) for bits in budgets}
+    total = candidates << budgets[-1] if budgets else 0
+    for start in range(0, total, _STREAM_ENTRIES):
+        chunk = complex_normal(gen, (min(_STREAM_ENTRIES, total - start), nt))
+        chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
+        for bits in budgets:
+            # a chunk starts on a candidate boundary of every budget
+            take = min(candidates - (start >> bits), chunk.shape[0] >> bits)
+            if take > 0:
+                vs = chunk[: take << bits].reshape(take, 1 << bits, nt)
+                best[bits] = _scan_candidates(vs, *best[bits])
+    return {bits: Codebook(entries, bits, "maximin") for bits, (_, entries) in best.items()}
+
+
 def maximin_codebook(
     nt: int,
     bits: int,
@@ -222,36 +292,10 @@ def maximin_codebook(
     to the earliest candidate.  Candidates are drawn in batches, and each
     batch is scored with early rejection against the best distance so far
     (:func:`_batch_winner`); the draws and the pick are those of scoring
-    every pair of every candidate.
+    every pair of every candidate.  This is the one-budget case of
+    :func:`maximin_codebooks`.
     """
-    if bits < 0:
-        raise ValueError("bits must be nonnegative")
-    if bits > MAXIMIN_CAP_BITS:
-        raise ValueError(f"bits={bits} exceeds the maximin cap ({MAXIMIN_CAP_BITS})")
-    if candidates < 1:
-        raise ValueError("candidates must be >= 1")
-    gen = as_generator(rng)
-    n = 1 << bits
-    # batch the candidate draws; each batch is scored as one stack
-    batch = max(1, min(candidates, 1 << 18 >> (2 * bits)))
-    best_dist = -1.0
-    best: np.ndarray | None = None
-    remaining = candidates
-    while remaining > 0:
-        c = min(batch, remaining)
-        vs = complex_normal(gen, (c, n, nt))
-        vs /= np.linalg.norm(vs, axis=2, keepdims=True)
-        remaining -= c
-        if n < 2:
-            if best is None:
-                best, best_dist = vs[0].copy(), float("inf")
-            continue
-        winner = _batch_winner(vs, best_dist)
-        if winner is not None:
-            j, best_dist = winner
-            best = vs[j].copy()
-    assert best is not None
-    return Codebook(best, bits, "maximin")
+    return maximin_codebooks(nt, (bits,), candidates, rng)[bits]
 
 
 def save_codebook(codebook: Codebook, path: str | Path) -> None:

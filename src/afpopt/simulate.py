@@ -19,19 +19,26 @@ whatever its bit budget.  Trials run in fixed chunks of ``TRIAL_CHUNK``;
 chunk c consumes only the substream (seed, c), drawing its channels, then
 its uniforms (RVQ only), then one block of innovations per stale block.
 Estimates are therefore reproducible and reruns are bit-identical.
+
+Cells of a sweep that share shape, seed, trial count and codebook kind
+(and, for maximin, candidate count) draw the same chunks, so :func:`sweep`
+draws them once per group: the channels, eigenvalues and uniforms, and the
+innovations of the group's longest stale interval.  Each cell runs only
+its own budget's draw (shared by cells of the same budget) and its own
+recursion, and gets the same bits as it does alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
 from afpopt import finite
 from afpopt.channel import FadingModel, RandomStream, SystemShape, complex_normal, gram_eigenvalues
-from afpopt.codebook import Codebook, maximin_codebook
+from afpopt.codebook import Codebook, check_maximin_bits, maximin_codebook, maximin_codebooks
 
 #: substream reserved for per-configuration codebook construction; chunk
 #: indices stay safely below this
@@ -118,22 +125,13 @@ def _trial_chunks(seed: int, trials: int) -> Iterator[tuple[slice, np.random.Gen
         yield slice(start, min(start + TRIAL_CHUNK, trials)), RandomStream(seed, index).generator()
 
 
-_maximin_cache: dict[tuple[int, int, int, int], Codebook] = {}
-
-
 def fixed_codebook(spec: ExperimentSpec) -> Codebook | None:
-    """The configuration's maximin codebook (built once, then cached); None for RVQ."""
+    """The configuration's maximin codebook, built afresh; None for RVQ."""
     if spec.codebook_kind != "maximin":
         return None
-    key = (spec.shape.nt, spec.budget_bits, spec.candidates, spec.seed)
-    if key not in _maximin_cache:
-        _maximin_cache[key] = maximin_codebook(
-            spec.shape.nt,
-            spec.budget_bits,
-            spec.candidates,
-            RandomStream(spec.seed, CODEBOOK_STREAM),
-        )
-    return _maximin_cache[key]
+    return maximin_codebook(
+        spec.shape.nt, spec.budget_bits, spec.candidates, RandomStream(spec.seed, CODEBOOK_STREAM)
+    )
 
 
 def isotropic_power_tail(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -188,9 +186,13 @@ def rvq_best_power(eigs: np.ndarray, nt: int, bits: float, u: np.ndarray) -> np.
     nodes = np.zeros((l1.size, nt))
     nodes[:, nt - eigs.shape[1] :] = eigs[:, ::-1]
     second = nodes[:, -2]
-    spread = np.prod(l1[:, None] - nodes[:, :-1], axis=1)
-    x = l1 - (t * spread) ** (1.0 / (nt - 1))
-    low = ~(x > second)
+    # from about nt = 150 the product of nt - 1 gaps can overflow; such a
+    # row has no closed-form draw (it would be -inf or nan), so it goes to
+    # the inversion, as every row below the second node does
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.prod(l1[:, None] - nodes[:, :-1], axis=1)
+        x = l1 - (t * spread) ** (1.0 / (nt - 1))
+    low = np.isinf(spread) | ~(x > second)
     if low.any():
         x[low] = _invert_tail(nodes[low], t[low], second[low])
     return x
@@ -209,7 +211,8 @@ def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray) -> np.ndarray
     rows = np.arange(hi.size)
     resolution = np.finfo(float).eps * hi
     lo, x = np.zeros_like(hi), hi.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero density: halve instead
+    # a zero density, or one so small that the step overflows, halves instead
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ROOT_MAX_STEPS):
             tail, density = _tail_and_density(x, nodes)
             above = tail > t
@@ -242,23 +245,84 @@ def _codebook_best_power(h: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return best
 
 
-def _stale_block_powers(
-    x: np.ndarray, alpha: float, num_blocks: int, nr: int, gen: np.random.Generator
-) -> np.ndarray:
+def _stale_block_powers(x: np.ndarray, spec: ExperimentSpec, noise: np.ndarray) -> np.ndarray:
     # ||a_k||^2 with a_1 = (sqrt(x), 0, ..., 0); a_k is kept as real and
-    # imaginary parts, so a CN(0, 1) innovation has variance 1/2 per part
+    # imaginary parts, so a CN(0, 1) innovation has variance 1/2 per part;
+    # noise[k - 1] is block k's (rows, nr, 2) standard normal innovation
+    alpha, num_blocks = spec.model.alpha, spec.num_blocks
     out = np.empty((x.size, num_blocks))
     out[:, 0] = x
     if alpha >= 1.0:
         out[:, 1:] = x[:, None]
         return out
-    a = np.zeros((x.size, nr, 2))
+    a = np.zeros((x.size, noise.shape[2], 2))
     a[:, 0, 0] = np.sqrt(x)
     decay = math.sqrt(0.5 * (1.0 - alpha * alpha))
     for k in range(1, num_blocks):
-        a = alpha * a + decay * gen.standard_normal(a.shape)
+        a = alpha * a + decay * noise[k - 1]
         out[:, k] = (a * a).sum(axis=(1, 2))
     return out
+
+
+def _group_trials(
+    specs: list[ExperimentSpec], rho_db: float, raw: bool = False
+) -> list[np.ndarray | Exception]:
+    """Per-trial metric values of each cell of a group that shares every draw.
+
+    One draw pass serves the group (see the module docstring); the best
+    power is found once per budget.  With ``raw`` a cell keeps its
+    (trials, K) block powers instead.  A cell that fails gets its exception
+    instead; the others keep their values.
+    """
+    first = specs[0]
+    nt, nr = first.shape.nt, first.shape.nr
+    rvq = first.codebook_kind == "rvq"
+    outputs = [np.empty((first.trials, spec.num_blocks) if raw else first.trials) for spec in specs]
+    errors: list[Exception | None] = [None] * len(specs)
+    for i, spec in enumerate(specs if not rvq else ()):
+        try:
+            check_maximin_bits(spec.budget_bits)
+        except ValueError as exc:  # an over-cap budget fails only its own cells
+            errors[i] = exc
+    live = [i for i, error in enumerate(errors) if error is None]
+    try:
+        if not rvq:
+            books = maximin_codebooks(
+                nt, {specs[i].budget_bits for i in live}, first.candidates,
+                RandomStream(first.seed, CODEBOOK_STREAM),
+            )
+        stale = [specs[i].num_blocks for i in live if specs[i].model.alpha < 1.0]
+        for rows, gen in _trial_chunks(first.seed, first.trials) if live else ():
+            count = rows.stop - rows.start
+            h = complex_normal(gen, (count, nr, nt))
+            if rvq:
+                eigs, u = gram_eigenvalues(h), 1.0 - gen.random(count)
+                best = {}
+            else:
+                best = {bits: _codebook_best_power(h, book.entries) for bits, book in books.items()}
+            noise = gen.standard_normal((max(stale, default=1) - 1, count, nr, 2))
+            for i in live:
+                spec, bits = specs[i], specs[i].budget_bits
+                try:
+                    if bits not in best:
+                        best[bits] = rvq_best_power(eigs, nt, bits, u)
+                    powers = _stale_block_powers(best[bits], spec, noise)
+                    outputs[i][rows] = powers if raw else _metric_values(powers, spec, rho_db)
+                except Exception as exc:
+                    errors[i] = exc
+            live = [i for i in live if errors[i] is None]
+    except Exception as exc:  # a shared draw failed, and so do its cells
+        for i in live:
+            errors[i] = exc
+    return [error if error is not None else out for out, error in zip(outputs, errors)]
+
+
+def _cell_trials(spec: ExperimentSpec, rho_db: float = math.nan, raw: bool = False) -> np.ndarray:
+    # one cell as a group of one; its failure is raised
+    (outcome,) = _group_trials([spec], rho_db, raw)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def block_power_trials(spec: ExperimentSpec) -> np.ndarray:
@@ -270,31 +334,28 @@ def block_power_trials(spec: ExperimentSpec) -> np.ndarray:
     trials is drawn through the trial's sufficient statistic (see the
     module docstring).
     """
-    nt, nr = spec.shape.nt, spec.shape.nr
-    fixed = fixed_codebook(spec)
-    out = np.empty((spec.trials, spec.num_blocks))
-    for rows, gen in _trial_chunks(spec.seed, spec.trials):
-        count = rows.stop - rows.start
-        h = complex_normal(gen, (count, nr, nt))
-        if fixed is None:
-            x = rvq_best_power(gram_eigenvalues(h), nt, spec.budget_bits, 1.0 - gen.random(count))
-        else:
-            x = _codebook_best_power(h, fixed.entries)
-        out[rows] = _stale_block_powers(x, spec.model.alpha, spec.num_blocks, nr, gen)
-    return out
+    return _cell_trials(spec, raw=True)
+
+
+def _metric_values(powers: np.ndarray, spec: ExperimentSpec, rho_db: float) -> np.ndarray:
+    # per-trial value of the cell's metric from (rows, K) block powers (the
+    # caller scales normalized_power); the rate metrics work in the log
+    # domain, so every finite rho_db gives finite rates
+    if spec.metric in ("avg_power", "normalized_power"):
+        return powers.mean(axis=1)
+    if not math.isfinite(rho_db):
+        raise ValueError(f"rho_db must be finite, got {rho_db}")
+    log_rho, log_power = rho_db * math.log(10.0) / 10.0, np.log(powers)
+    if spec.metric == "avg_rate":
+        rate = np.logaddexp(0.0, log_rho + log_power)
+    else:
+        rate = np.logaddexp(-log_rho, log_power) - math.log(spec.shape.nt)
+    return (rate / _LN2).mean(axis=1)
 
 
 def simulate_avg_power(spec: ExperimentSpec) -> Estimate:
     """Mean over trials of the interval-average received power."""
-    return _estimate(block_power_trials(spec).mean(axis=1))
-
-
-def _log_rates(spec: ExperimentSpec, rho_db: float) -> tuple[float, np.ndarray]:
-    # ln rho and the per-trial, per-block ln power: the rate metrics work in
-    # the log domain, so every finite rho_db gives finite rates
-    if not math.isfinite(rho_db):
-        raise ValueError(f"rho_db must be finite, got {rho_db}")
-    return rho_db * math.log(10.0) / 10.0, np.log(block_power_trials(spec))
+    return _estimate(_cell_trials(replace(spec, metric="avg_power")))
 
 
 def simulate_avg_rate(spec: ExperimentSpec, rho_db: float) -> Estimate:
@@ -303,8 +364,7 @@ def simulate_avg_rate(spec: ExperimentSpec, rho_db: float) -> Estimate:
     Computed as logaddexp(0, ln rho + ln power) / ln 2, which keeps its
     digits at low SNR.
     """
-    log_rho, log_power = _log_rates(spec, rho_db)
-    return _estimate((np.logaddexp(0.0, log_rho + log_power) / _LN2).mean(axis=1))
+    return _estimate(_cell_trials(replace(spec, metric="avg_rate"), rho_db))
 
 
 def simulate_rate_difference(spec: ExperimentSpec, rho_db: float) -> Estimate:
@@ -313,9 +373,7 @@ def simulate_rate_difference(spec: ExperimentSpec, rho_db: float) -> Estimate:
     Per trial this equals the average rate minus log2(rho * nt); it is
     computed as (logaddexp(-ln rho, ln power) - ln nt) / ln 2.
     """
-    log_rho, log_power = _log_rates(spec, rho_db)
-    offset = np.logaddexp(-log_rho, log_power) - math.log(spec.shape.nt)
-    return _estimate((offset / _LN2).mean(axis=1))
+    return _estimate(_cell_trials(replace(spec, metric="rate_difference"), rho_db))
 
 
 def perfect_feedback_power(shape: SystemShape, trials: int, seed: int) -> Estimate:
@@ -372,23 +430,15 @@ def _analytic_value(spec: ExperimentSpec) -> float | None:
     return value
 
 
-def run_spec(spec: ExperimentSpec, rho_db: float = 10.0) -> SweepRecord:
-    """Evaluate one grid point, attaching the closed form when one exists.
-
-    The rate metrics are taken at an SNR of ``rho_db`` dB.  A grid point
-    that cannot be evaluated keeps its row: no value, the error kept.
-    """
+def _record(spec: ExperimentSpec, outcome: np.ndarray | Exception) -> SweepRecord:
+    # the row of one cell from its per-trial values, or from its failure
     try:
-        if spec.metric == "avg_power":
-            est = simulate_avg_power(spec)
-        elif spec.metric == "avg_rate":
-            est = simulate_avg_rate(spec, rho_db)
-        elif spec.metric == "rate_difference":
-            est = simulate_rate_difference(spec, rho_db)
-        else:
+        if isinstance(outcome, Exception):
+            raise outcome
+        est = _estimate(outcome)
+        if spec.metric == "normalized_power":
             norm = perfect_feedback_mean(spec.shape)
-            raw = simulate_avg_power(spec)
-            est = Estimate(raw.mean / norm, raw.stderr / norm, raw.trials)
+            est = Estimate(est.mean / norm, est.stderr / norm, est.trials)
         value, stderr, analytic, error = est.mean, est.stderr, _analytic_value(spec), None
     except Exception as exc:
         value = stderr = analytic = None
@@ -400,8 +450,33 @@ def run_spec(spec: ExperimentSpec, rho_db: float = 10.0) -> SweepRecord:
     )
 
 
+def run_spec(spec: ExperimentSpec, rho_db: float = 10.0) -> SweepRecord:
+    """Evaluate one grid point, attaching the closed form when one exists.
+
+    The rate metrics are taken at an SNR of ``rho_db`` dB.  A grid point
+    that cannot be evaluated keeps its row: no value, the error kept.  This
+    is :func:`sweep` of a one-cell grid.
+    """
+    return sweep([spec], rho_db)[0]
+
+
 def sweep(specs: list[ExperimentSpec], rho_db: float = 10.0) -> list[SweepRecord]:
-    """Evaluate a grid in order with :func:`run_spec`; failures are reported per record, never raised."""
+    """Evaluate a grid, one record per spec in order; failures are reported, never raised.
+
+    Cells with the same shape, seed, trial count and codebook kind (and,
+    for maximin, candidate count) share one draw pass (:func:`_group_trials`),
+    and each gets the same bits as :func:`run_spec` gives it alone.
+    """
     if not specs:
         raise ValueError("sweep requires a nonempty grid")
-    return [run_spec(spec, rho_db) for spec in specs]
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        key = (spec.shape, spec.seed, spec.trials, spec.codebook_kind)
+        if spec.codebook_kind == "maximin":
+            key += (spec.candidates,)
+        groups.setdefault(key, []).append(i)
+    outcomes: list[np.ndarray | Exception | None] = [None] * len(specs)
+    for members in groups.values():
+        for i, outcome in zip(members, _group_trials([specs[i] for i in members], rho_db)):
+            outcomes[i] = outcome
+    return [_record(spec, outcome) for spec, outcome in zip(specs, outcomes)]

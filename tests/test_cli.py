@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,23 @@ class TestCellFailures:
         assert "K=2 failed" in err and "maximin cap" in err
 
 
+    def test_wide_ntx2_draws_raise_no_warning(self, tmp_path, capfd, monkeypatch):
+        # from about nt = 150 the RVQ draw's product of eigenvalue gaps
+        # overflows; those rows go to the tail inversion without a warning,
+        # which an "error" filter would turn into a failed cell
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = invoke(
+                ["simulate", "--nt", "160", "--nr", "2", "--bits", "1", "--k-min", "1",
+                 "--k-max", "1", "--alpha", "1", "--trials", "2000", "--seed", "0"],
+                capfd,
+            )
+        assert code == 0, err
+        (row,) = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
+        assert row.split(",")[6:8] == ["2.77434740568", "0.0345748386568"]
+
+
 class TestLargeRank2Shapes:
     # a larger dimension of 200 or more runs through the rank-2 closed forms
     def test_simulate_2xnr_attaches_the_closed_form(self, tmp_path, capfd, monkeypatch):
@@ -360,10 +378,13 @@ class TestRepeatedRuns:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps({"trials": 7}))
         trials = []
-        run_spec = simulate.run_spec
-        monkeypatch.setattr(
-            simulate, "run_spec", lambda spec, rho: trials.append(spec.trials) or run_spec(spec, rho)
-        )
+        sweep = simulate.sweep
+
+        def counted(specs, rho):
+            trials.extend(spec.trials for spec in specs)
+            return sweep(specs, rho)
+
+        monkeypatch.setattr(simulate, "sweep", counted)
         assert invoke(["simulate", "--k-max", "1", "--config", "cfg.json"], capfd)[0] == 0
         assert invoke(["simulate", "--k-max", "1"], capfd)[0] == 0
         assert trials == [7, 3000]

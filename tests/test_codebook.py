@@ -12,6 +12,7 @@ from afpopt.codebook import (
     chordal_distance,
     load_codebook,
     maximin_codebook,
+    maximin_codebooks,
     min_pairwise_distance,
     rvq_codebook,
     save_codebook,
@@ -190,6 +191,18 @@ class TestMaximin:
             expected = cands[int(np.argmax(dists))]  # the first maximum wins
             cb = maximin_codebook(nt, bits, candidates=candidates, rng=RandomStream(seed))
             assert np.array_equal(cb.entries, expected)
+
+
+    @pytest.mark.parametrize("nt", [1, 2, 3])
+    @pytest.mark.parametrize("candidates", [1, 7, 1000])
+    def test_one_stream_pass_equals_each_budget_alone(self, nt, candidates):
+        budgets = range(7)
+        books = maximin_codebooks(nt, budgets, candidates, RandomStream(47))
+        assert sorted(books) == list(budgets)
+        for bits in budgets:
+            alone = maximin_codebook(nt, bits, candidates, RandomStream(47))
+            assert books[bits].bits == bits and books[bits].kind == "maximin"
+            assert np.array_equal(books[bits].entries, alone.entries)
 
 
 class TestBatchWinner:

@@ -427,14 +427,58 @@ class TestSweep:
 
     def test_partial_failure_reported_not_raised(self):
         good = spec_2x2(num_blocks=1, trials=50)
-        bad = ExperimentSpec(
-            SystemShape(3, 2), FadingModel(0.8), 11.0, 1,
-            trials=50, seed=1, codebook_kind="maximin",
-        )  # maximin cap is 10 bits -> fails at run time
-        records = sweep([good, bad, good])
-        assert [r.error is None for r in records] == [True, False, True]
-        assert records[1].value is None
-        assert "ValueError" in records[1].error
+
+        def maximin(bits, k):
+            return ExperimentSpec(
+                SystemShape(3, 2), FadingModel(0.8), bits, k,
+                trials=50, seed=1, codebook_kind="maximin", candidates=30,
+            )
+
+        bad = maximin(11.0, 1)  # maximin cap is 10 bits -> fails at run time
+        # the good maximin cells share the bad cell's group and keep their values
+        grid = [good, maximin(1.0, 1), bad, good, maximin(1.0, 2)]
+        records = sweep(grid)
+        assert [r.error is None for r in records] == [True, True, False, True, True]
+        assert records[2].value is None
+        assert "ValueError" in records[2].error and "maximin cap" in records[2].error
+        for i in (1, 4):
+            alone = run_spec(grid[i])
+            assert (records[i].value, records[i].stderr) == (alone.value, alone.stderr)
+
+    def test_grouped_cells_equal_their_runs_alone(self):
+        # cells of one sweep share draws but keep the bits they get alone:
+        # RVQ and maximin, every metric, alpha 0 / 0.8 / 1, zero and saturated
+        # budgets, shared budgets (1 x 3 and 0.5 x 6 are both 3 bits), an
+        # over-cap maximin cell, and 2049 trials (one full chunk, one of 1 row)
+        def cell(kind, alpha, bits, k, metric, seed=71):
+            return ExperimentSpec(
+                SystemShape(3, 2), FadingModel(alpha), bits, k, trials=2049, seed=seed,
+                codebook_kind=kind, metric=metric, candidates=20,
+            )
+
+        grid = [
+            cell("rvq", 0.8, 1.0, 3, "avg_power"),
+            cell("maximin", 0.8, 1.0, 2, "normalized_power"),
+            cell("rvq", 0.8, 1.0, 3, "rate_difference"),
+            cell("rvq", 0.0, 0.5, 6, "avg_rate"),
+            cell("rvq", 1.0, 1.0, 2, "normalized_power"),
+            cell("rvq", 0.8, 0.25, 1, "avg_power"),
+            cell("maximin", 1.0, 1.0, 2, "avg_power"),
+            cell("rvq", 0.8, 1e308, 2, "normalized_power"),
+            cell("maximin", 0.0, 1.0, 3, "rate_difference"),
+            cell("rvq", 0.0, 1e308, 4, "avg_rate"),
+            cell("maximin", 0.8, 0.25, 1, "avg_rate"),
+            cell("maximin", 0.8, 1e308, 2, "avg_power"),
+            cell("rvq", 0.8, 1.0, 3, "avg_power", seed=72),
+        ]
+        rho_db = -3.0
+        grouped = sweep(grid, rho_db)
+        alone = [run_spec(spec, rho_db) for spec in grid]
+        assert grouped == alone
+        for g, a in zip(grouped, alone):
+            if a.error is None:
+                assert g.value.hex() == a.value.hex() and g.stderr.hex() == a.stderr.hex()
+        assert [r.error is None for r in grouped] == [True] * 11 + [False, True]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
