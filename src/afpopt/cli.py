@@ -165,6 +165,7 @@ def _finite_cfg(opts: dict) -> finite.AfpConfig:
 
 def _cmd_analytic(opts: dict) -> list[SweepRecord]:
     cfg = _finite_cfg(opts)
+    finite.prefetch_powers(cfg, range(1, opts["k_max"] + 1))
     curve = finite.scan_interval(lambda k: finite.avg_power(cfg, k), opts["k_max"])
     return [_finite_record(opts, k, "avg_power", value) for k, value in enumerate(curve, 1)]
 
@@ -173,9 +174,12 @@ def _cmd_large_system(opts: dict) -> list[SweepRecord]:
     cfg = largesys.LargeSystemConfig(opts["nr_bar"], opts["b_bar"], opts["alpha"], opts["k_max"])
     result = largesys.optimal_interval(cfg)
     _print_k_star(result)
+    # the search stops at its envelope; the table goes on to k_max
+    rest = range(len(result.curve) + 1, cfg.k_max + 1)
+    curve = result.curve + tuple(largesys.rate_difference(k, cfg) for k in rest)
     return [
         _rate_record(opts["alpha"], opts["b_bar"], k, value, opts["seed"])
-        for k, value in enumerate(result.curve, 1)
+        for k, value in enumerate(curve, 1)
     ]
 
 

@@ -15,9 +15,13 @@ receive antennas the RVQ selection shortfall is homogeneous of degree 1 in
 integral and the average power is a one-dimensional quadrature over s (with
 a nested head quadrature) against the conditional distribution of the
 quantizer output.  The quadratures are adaptive Gauss-Kronrod rules written
-in numpy, vectorised over panels.  The perfect-feedback power E[l1] of any
-shape comes from Khatri's CDF of the largest Wishart eigenvalue, by the same
-quadrature.
+in numpy, vectorised over panels and over bit budgets: many budgets are the
+integrals of one batched pass, each with a result that does not depend on
+the others (:func:`rvq_powers_ntx2`), and a bounded cache keeps the values.
+The interval searches fetch the budgets they will need in such batches,
+cut off by an envelope that bounds every later interval.  The
+perfect-feedback power E[l1] of any shape comes from Khatri's CDF of the
+largest Wishart eigenvalue, by the same quadrature.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import takewhile
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -155,21 +160,44 @@ _GK_GAUSS = np.zeros(15)
 _GK_GAUSS[1::2] = _WG + _WG[2::-1]
 _EPS = float(np.finfo(float).eps)
 
+# nodes per GK15 evaluation step, which bounds the temporaries of a batch
+# of budgets: the nt x 2 integrand reads its tail profile at 15 nodes per
+# node, so a step holds about 15 x 8192 doubles (1 MB) per temporary
+_GK_BLOCK = 1 << 13
+
+# cache caps: nt x 2 powers (past the cap the oldest entry goes) and E[l1]
+# values (the least recently used goes)
+_NTX2_CACHE_SIZE = 4096
+_EIGENVALUE_CACHE_SIZE = 256
+
 
 def _gk15(f, owner, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod estimate and QUADPACK error estimate of int_a^b f, per panel.
 
-    ``f(x, owner)`` gets the (panels, 15) node array and each panel's
-    integral index, and returns the integrand at the nodes.
+    ``f(x, owner)`` gets a (panels, 15) node array and each panel's
+    integral index, and returns the integrand at the nodes.  Panels are
+    evaluated in blocks of at most ``_GK_BLOCK`` nodes, which bounds the
+    temporaries.  Every panel's result depends on its own nodes alone: the
+    weighted sums are row sums, not BLAS products, whose rounding can
+    depend on where a row sits in the stack.
     """
+    step = max(1, _GK_BLOCK // _GK_NODES.size)
+    kronrod, err = zip(*(
+        _gk15_block(f, owner[i : i + step], a[i : i + step], b[i : i + step])
+        for i in range(0, a.size, step)
+    ))
+    return np.concatenate(kronrod), np.concatenate(err)
+
+
+def _gk15_block(f, owner, a, b) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * (b - a)
     y = f((0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES, owner)
-    kronrod = y @ _GK_KRONROD
-    err = np.abs(kronrod - y @ _GK_GAUSS) * half
-    resasc = np.abs(y - 0.5 * kronrod[:, None]) @ _GK_KRONROD * half
+    kronrod = (y * _GK_KRONROD).sum(axis=1)
+    err = np.abs(kronrod - (y * _GK_GAUSS).sum(axis=1)) * half
+    resasc = (np.abs(y - 0.5 * kronrod[:, None]) * _GK_KRONROD).sum(axis=1) * half
     scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
-    err = np.maximum(err, 50.0 * _EPS * (np.abs(y) @ _GK_KRONROD) * half)
+    err = np.maximum(err, 50.0 * _EPS * (np.abs(y) * _GK_KRONROD).sum(axis=1) * half)
     return kronrod * half, err
 
 
@@ -182,10 +210,12 @@ def _adaptive_gk15(f, owner, a, b, count: int, quad: QuadratureSpec):
     until then a panel is kept only if its error is within its length's
     share of that tolerance, and the others are halved.  An integral whose
     halving would pass max_subdivisions panels, or whose panels reach
-    rounding width, stops where it is and is flagged.
+    rounding width, stops where it is and is flagged.  Each integral's
+    panels keep their relative order and are summed in that order, so its
+    result does not depend on the other integrals of the call.
 
     Returns per integral (value, error estimate, flagged) and the kept
-    panels as (a, b, value) arrays.
+    panels as (owner, left end, value) arrays.
     """
     length = np.bincount(owner, b - a, minlength=count)
     panels = np.bincount(owner, minlength=count)
@@ -209,7 +239,7 @@ def _adaptive_gk15(f, owner, a, b, count: int, quad: QuadratureSpec):
         done = ~split
         value += np.bincount(owner[done], k[done], minlength=count)
         error += np.bincount(owner[done], e[done], minlength=count)
-        kept.append((a[done], b[done], k[done]))
+        kept.append((owner[done], a[done], k[done]))
         if not split.any():
             return value, error, flagged, kept
         mid = 0.5 * (a[split] + b[split])
@@ -217,74 +247,144 @@ def _adaptive_gk15(f, owner, a, b, count: int, quad: QuadratureSpec):
         a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
 
 
-def _ntx2_shortfall(nt: int, n_entries: float, quad: QuadratureSpec) -> tuple[float, float, bool]:
-    """E[l1 - selected power] for nt x 2 as (value, error estimate, flagged)."""
+def _ntx2_shortfall(
+    nt: int, sizes: list[float], quad: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E[l1 - selected power] for nt x 2 at each quantizer size N in ``sizes``.
+
+    Returns (values, error estimates, flagged), one entry per size.  The
+    sizes are the owners of one set of adaptive quadratures, and each value
+    depends on its own size alone.
+    """
     p = nt - 1
+    count = len(sizes)
     log_norm = math.lgamma(2 * nt + 1) - math.lgamma(nt) - math.lgamma(nt - 1)
+    # per-size constants, in scalar arithmetic
+    n_entries = np.array(sizes)
+    log_n = np.array([math.log(n) for n in sizes])
+    q_top = np.array([min(n, _NEGLIGIBLE_EXPONENT) ** (1.0 / p) for n in sizes])
+    tail_scale = np.array([n ** (-1.0 / p) for n in sizes])
+    # head branch, x in [0, s]: N (1 - F(s - d)) >= N max(gap, d)^(p-1), so
+    # only d below head_reach and gap with N gap^(p-1) below it contribute
+    head_reach = np.array([(_NEGLIGIBLE_EXPONENT / n) ** (1.0 / (p - 1)) for n in sizes])
 
     # Tail branch of phi(s), x in [s, 1].  With t = 1 - x scaled by the
     # width (gap/N)^(1/p) of F^N's tail mass it is (gap/N)^(1/p) G(Q), where
     # G(Q) = int_0^Q (1 - q^p/N)^N dq and Q = (N gap^(p-1))^(1/p).  G does not
-    # depend on s: it is integrated once, and read off at each Q from the
-    # kept panels.  (1 - q^p/N)^N <= exp(-q^p) bounds the range.
-    def profile(q, _owner):
-        return np.exp(n_entries * np.log1p(-(q**p) / n_entries))
+    # depend on s: it is integrated once per size, and read off at each Q
+    # from that size's kept panels.  (1 - q^p/N)^N <= exp(-q^p) bounds the
+    # range.
+    def profile(q, owner):
+        n = n_entries[owner, None]
+        return np.exp(n * np.log1p(-(q**p) / n))
 
-    q_top = min(n_entries, _NEGLIGIBLE_EXPONENT) ** (1.0 / p)
+    # a size is flagged when any of its integrals is: its profile, its
+    # outer integral or one of its head integrals
     _, _, flagged, kept = _adaptive_gk15(
-        profile, np.zeros(1, dtype=np.intp), np.zeros(1), np.array([q_top]), 1, quad
+        profile, np.arange(count), np.zeros(count), q_top, count, quad
     )
-    left, _, part = (np.concatenate(c) for c in zip(*kept))
-    order = np.argsort(left)
-    left, part = left[order], part[order]
-    below = np.concatenate([[0.0], np.cumsum(part)])
-    tail_scale = n_entries ** (-1.0 / p)
-    # head branch, x in [0, s]: N (1 - F(s - d)) >= N max(gap, d)^(p-1), so
-    # only d below head_reach and gap with N gap^(p-1) below it contribute
-    head_reach = (_NEGLIGIBLE_EXPONENT / n_entries) ** (1.0 / (p - 1))
-    flags = [bool(flagged[0])]
+    owner, left, part = (np.concatenate(c) for c in zip(*kept))
+    order = np.lexsort((left, owner))
+    owner, left, part = owner[order], left[order], part[order]
+    # each size's table, in (size, left end) order: the complex keys sort
+    # lexicographically, so one searchsorted finds a node's panel within
+    # its own size's table; below[j] is the profile integral up to left[j]
+    keys = owner + 1j * left
+    below = np.empty_like(part)
+    starts = np.searchsorted(owner, np.arange(count + 1))
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        below[lo] = 0.0
+        below[lo + 1 : hi] = np.cumsum(part[lo : hi - 1])
 
-    def weighted(s, _owner):
+    def weighted(s, owner):
         # C s^(n-2) (1-s)^2 (1+s)^-(2n+1) phi(s) at the outer nodes
         shape, s = s.shape, s.ravel()
+        size = np.repeat(owner, shape[1])
         gap = 1.0 - s
         # log(N gap^(p-1)), formed in logs: gap^(p-1) alone is subnormal
         # near s = 1 once nt is past about 120
-        log_mass = math.log(n_entries) + (p - 1) * np.log(gap)
-        q = np.minimum(np.exp(log_mass / p), q_top)
-        j = np.searchsorted(left, q, side="right") - 1
+        log_mass = log_n[size] + (p - 1) * np.log(gap)
+        q = np.minimum(np.exp(log_mass / p), q_top[size])
+        j = np.searchsorted(keys, size + 1j * q, side="right") - 1
         half = 0.5 * (q - left[j])
         nodes = left[j, None] + half[:, None] * (_GK_NODES + 1.0)
-        partial = profile(nodes, None) @ _GK_KRONROD * half
-        phi = gap ** (1.0 / p) * tail_scale * (below[j] + partial)
+        partial = (profile(nodes, size) * _GK_KRONROD).sum(axis=1) * half
+        phi = gap ** (1.0 / p) * tail_scale[size] * (below[j] + partial)
         live = np.flatnonzero(log_mass < math.log(_NEGLIGIBLE_EXPONENT))
         if live.size:
-            s_l, gap_l = s[live, None], gap[live, None]
+            s_l, gap_l, n_l = s[live, None], gap[live, None], n_entries[size[live], None]
 
             def head(d, owner):
                 # F^N at x = s - d:  1 - F = ((gap + d)^p - s (d/s)^p) / gap
                 sl, gl = s_l[owner], gap_l[owner]
                 u = ((gl + d) ** p - sl * (d / sl) ** p) / gl
-                return np.exp(n_entries * np.log1p(-np.minimum(u, 1.0)))
+                return np.exp(n_l[owner] * np.log1p(-np.minimum(u, 1.0)))
 
             heads, _, head_flags, _ = _adaptive_gk15(
                 head, np.arange(live.size), np.zeros(live.size),
-                np.minimum(s[live], head_reach), live.size, quad,
+                np.minimum(s[live], head_reach[size[live]]), live.size, quad,
             )
             phi[live] += heads
-            flags.append(bool(head_flags.any()))
+            flagged[size[live[head_flags]]] = True
         log_w = (log_norm + (nt - 2) * np.log(s) + 2.0 * np.log1p(-s)
                  - (2 * nt + 1) * np.log1p(s))
         return (np.exp(log_w) * phi).reshape(shape)
 
     edges = np.linspace(0.0, 1.0, min(4, quad.max_subdivisions) + 1)
-    value, error, flagged, _ = _adaptive_gk15(
-        weighted, np.zeros(edges.size - 1, dtype=np.intp), edges[:-1], edges[1:], 1, quad
+    value, error, outer_flagged, _ = _adaptive_gk15(
+        weighted, np.repeat(np.arange(count), edges.size - 1),
+        np.tile(edges[:-1], count), np.tile(edges[1:], count), count, quad,
     )
-    return float(value[0]), float(error[0]), bool(flagged[0]) or any(flags)
+    return value, error, flagged | outer_flagged
 
 
 _ntx2_cache: dict[tuple, float] = {}
+
+
+def rvq_powers_ntx2(
+    nt: int, budgets: Iterable[float], quad: QuadratureSpec = DEFAULT_QUADRATURE
+) -> list[float]:
+    """:func:`rvq_power_ntx2` at each bit budget of ``budgets``, in one batched pass.
+
+    The budgets that are neither cached nor saturated become the integrals
+    of one set of adaptive quadratures (each budget its own outer integral,
+    profile integral and head integrals), so the pass costs a few numpy
+    rounds instead of a few per budget.  Each value equals the one its
+    budget gets alone, bit for bit.  A budget whose quadrature reaches
+    max_subdivisions warns on its own and is not cached; the others are.
+    """
+    if nt <= 2:
+        raise ValueError("quadrature form requires nt > 2")
+    budgets = list(budgets)
+    if any(bits < 0 for bits in budgets):
+        raise ValueError("total_bits must be nonnegative")
+    top = mean_max_eigenvalue(nt)
+    keys = [(nt, round(bits, 9), quad) for bits in budgets]
+    # read the cached values first: caching this batch's may evict them
+    values = {key: _ntx2_cache[key] for key in keys if key in _ntx2_cache}
+    todo: dict[tuple, float] = {}
+    for key, bits in zip(keys, budgets):
+        if bits < _BITS_SATURATION and key not in values:
+            todo.setdefault(key, bits)
+    if todo:
+        # log1p(-1) = -inf and the 0/0 of an exactly resolved panel are expected
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shortfall, error, flagged = _ntx2_shortfall(
+                nt, [2.0**bits for bits in todo.values()], quad
+            )
+        for (key, bits), short, err, flag in zip(todo.items(), shortfall, error, flagged):
+            values[key] = top - float(short)
+            if flag:  # not cached, so a repeat call warns again
+                warnings.warn(
+                    f"rvq_power_ntx2({nt}, {bits}): quadrature stopped short of its tolerance "
+                    f"(max_subdivisions={quad.max_subdivisions}); error estimate {err:.3g}",
+                    RuntimeWarning, stacklevel=2,
+                )
+                continue
+            if len(_ntx2_cache) >= _NTX2_CACHE_SIZE:
+                del _ntx2_cache[next(iter(_ntx2_cache))]  # the oldest entry
+            _ntx2_cache[key] = values[key]
+    return [top if bits >= _BITS_SATURATION else values[key] for key, bits in zip(keys, budgets)]
 
 
 def rvq_power_ntx2(
@@ -309,32 +409,13 @@ def rvq_power_ntx2(
     incomplete-beta integral; scaled to the width of its mass it becomes one
     profile integral shared by every s.  The head is a nested integral per
     s, dropped where F^N is below exp(-50).  All three are adaptive 15-point
-    Gauss-Kronrod quadratures held to ``quad``; reaching max_subdivisions
-    gives a RuntimeWarning.  Strictly increasing in the bit budget, equal to
-    2 at zero bits.
+    Gauss-Kronrod quadratures held to ``quad``, each round vectorised over
+    its panels; reaching max_subdivisions gives a RuntimeWarning.  Strictly
+    increasing in the bit budget, equal to 2 at zero bits.  This is the
+    one-budget case of :func:`rvq_powers_ntx2`, and shares its cache of at
+    most ``_NTX2_CACHE_SIZE`` values.
     """
-    if nt <= 2:
-        raise ValueError("quadrature form requires nt > 2")
-    if total_bits < 0:
-        raise ValueError("total_bits must be nonnegative")
-    if total_bits >= _BITS_SATURATION:
-        return mean_max_eigenvalue(nt)
-    key = (nt, round(total_bits, 9), quad)
-    if key in _ntx2_cache:
-        return _ntx2_cache[key]
-    # log1p(-1) = -inf and the 0/0 of an exactly resolved panel are expected
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shortfall, error, flagged = _ntx2_shortfall(nt, 2.0**total_bits, quad)
-    value = mean_max_eigenvalue(nt) - shortfall
-    if flagged:  # not cached, so a repeat call warns again
-        warnings.warn(
-            f"rvq_power_ntx2({nt}, {total_bits}): quadrature stopped short of its tolerance "
-            f"(max_subdivisions={quad.max_subdivisions}); error estimate {error:.3g}",
-            RuntimeWarning, stacklevel=2,
-        )
-    else:
-        _ntx2_cache[key] = value
-    return value
+    return rvq_powers_ntx2(nt, [total_bits], quad)[0]
 
 
 # the Khatri integral's quadrature: GK15's error estimate is pessimistic, so
@@ -363,7 +444,7 @@ def _laguerre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, 1.0 / total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_EIGENVALUE_CACHE_SIZE)
 def mean_largest_eigenvalue(shape: SystemShape) -> float:
     """E[l1], the mean largest eigenvalue of H^H H: the power of perfect-CSI beamforming.
 
@@ -457,6 +538,16 @@ def quantized_first_block_power(shape: SystemShape, total_bits: float) -> float:
     return rvq_power_ntx2(shape.nt, total_bits)
 
 
+def prefetch_powers(cfg: AfpConfig, ks: Iterable[int]) -> None:
+    """Compute the quantized first-block powers of the intervals ``ks`` in one pass.
+
+    For an nt x 2 shape this is one :func:`rvq_powers_ntx2` batch, whose
+    cache :func:`avg_power` then reads; the 2 x nr closed form needs none.
+    """
+    if cfg.shape.nt != 2:
+        rvq_powers_ntx2(cfg.shape.nt, [cfg.bits_per_block * k for k in ks])
+
+
 def avg_power(cfg: AfpConfig, num_blocks: int) -> float:
     """Average received power over a feedback interval of ``num_blocks``.
 
@@ -519,21 +610,31 @@ def _search_envelope(cfg: AfpConfig, num_blocks: int) -> float:
     )
 
 
+def _beatable(cfg: AfpConfig, ks: range, target: float) -> Iterable[int]:
+    # the leading K of ks whose envelope still exceeds target
+    return takewhile(lambda k: _search_envelope(cfg, k) > target, ks)
+
+
 def optimal_interval(cfg: AfpConfig) -> IntervalResult:
     """Exhaustive argmax of avg_power over K in [1, k_max]; smallest K wins ties.
 
     For alpha < 1 the scan stops once even perfect feedback could not beat
     the incumbent (a strictly decreasing envelope), which cannot change the
-    argmax.  A maximum sitting at k_max is flagged horizon-limited.
+    argmax.  A maximum sitting at k_max is flagged horizon-limited.  The
+    powers are fetched in windows K in [2^i, 2^(i+1)), each cut off where
+    the envelope falls to the best value so far (:func:`prefetch_powers`).
     """
     if cfg.model.alpha >= 1.0:
         # average power equals the quantized power at K*bits, increasing in K
         return IntervalResult(cfg.k_max, avg_power(cfg, cfg.k_max), True)
-    curve = scan_interval(
-        lambda k: avg_power(cfg, k), cfg.k_max,
-        lambda k, curve: _search_envelope(cfg, k) <= max(curve),
-    )
-    return best_interval(curve, cfg.k_max)
+
+    def stop(k: int, curve: list[float]) -> bool:
+        best = max(curve)
+        if k & (k - 1) == 0:  # K = 2^i opens a window
+            prefetch_powers(cfg, _beatable(cfg, range(k, min(2 * k, cfg.k_max + 1)), best))
+        return _search_envelope(cfg, k) <= best
+
+    return best_interval(scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop), cfg.k_max)
 
 
 @dataclass(frozen=True)
@@ -548,17 +649,22 @@ class AfpMfpComparison:
 def afp_beats_mfp(cfg: AfpConfig) -> AfpMfpComparison:
     """All K in [2, k_max] whose interval-average power exceeds the K = 1 value.
 
-    For alpha < 1 the scan stops once the envelope falls to the K = 1 value.
+    For alpha < 1 the scan stops once the envelope falls to the K = 1 value;
+    after K = 1 that fixes every K the scan reaches, and their powers are
+    fetched in one pass (:func:`prefetch_powers`).
     """
     alpha = cfg.model.alpha
     if alpha >= 1.0:
         # quantized power is strictly increasing in bits, so every K wins
         ks = tuple(range(2, cfg.k_max + 1))
         return AfpMfpComparison(ks, tuple(math.inf for _ in ks), math.inf)
-    curve = scan_interval(
-        lambda k: avg_power(cfg, k), cfg.k_max,
-        lambda k, curve: _search_envelope(cfg, k) <= curve[0],
-    )
+
+    def stop(k: int, curve: list[float]) -> bool:
+        if k == 2:
+            prefetch_powers(cfg, _beatable(cfg, range(2, cfg.k_max + 1), curve[0]))
+        return _search_envelope(cfg, k) <= curve[0]
+
+    curve = scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop)
     ks = intervals_beating_first(curve)
     iso, base = cfg.shape.nr, curve[0]
     large_budget = 1.0 / (1.0 - alpha * alpha)

@@ -125,11 +125,29 @@ def rate_difference(num_blocks: int, cfg: LargeSystemConfig) -> float:
         if cfg.alpha == 0.0:
             return -math.inf
         return (k - 1) * math.log2(cfg.alpha) + gain
-    g = asymptotic_power(cfg.b_bar * k, cfg.nr_bar)
+    return _mean_block_rate(asymptotic_power(cfg.b_bar * k, cfg.nr_bar), k, cfg)
+
+
+def _mean_block_rate(g: float, k: int, cfg: LargeSystemConfig) -> float:
+    # mean over blocks 1..k of log2(nr_bar + a^(2i-2) (g - nr_bar)), nr_bar > 0
     total = 0.0
     for i in range(1, k + 1):
         total += math.log2(cfg.nr_bar + cfg.alpha ** (2 * i - 2) * (g - cfg.nr_bar))
     return total / k
+
+
+def _rate_envelope(k: int, cfg: LargeSystemConfig) -> float:
+    # An upper bound on rate_difference(k), non-increasing in k for
+    # alpha < 1.  For nr_bar > 0 it is the rate difference with the power at
+    # its ceiling (1 + sqrt(nr_bar))^2: each block's term then falls with
+    # the block index, so their mean falls with k.  For nr_bar = 0 it is
+    # (k-1) log2(alpha), -inf at alpha = 0: the MISO form without its
+    # nonpositive quantization term.
+    if cfg.nr_bar > 0.0:
+        return _mean_block_rate((1.0 + math.sqrt(cfg.nr_bar)) ** 2, k, cfg)
+    if k == 1:
+        return 0.0
+    return -math.inf if cfg.alpha == 0.0 else (k - 1) * math.log2(cfg.alpha)
 
 
 def _rate_curve(cfg: LargeSystemConfig) -> tuple[float, ...]:
@@ -138,11 +156,23 @@ def _rate_curve(cfg: LargeSystemConfig) -> tuple[float, ...]:
 
 
 def optimal_interval(cfg: LargeSystemConfig) -> IntervalResult:
-    """Exhaustive argmax of the rate difference over K in [1, k_max], with its curve."""
-    curve = _rate_curve(cfg)
+    """Argmax of the rate difference over K in [1, k_max]; smallest K wins ties.
+
+    For alpha < 1 the scan stops once an upper bound on the rate
+    difference, non-increasing in K, can no longer beat the best value so
+    far: the rate with the power at its ceiling, or (K-1) log2(alpha) for
+    nr_bar = 0.  K*, its value and the horizon flag are those of the full
+    scan; ``curve`` ends where the scan stopped.  At alpha = 1 the rate
+    difference grows with the pooled budget, so K* is k_max by rule, with
+    the whole curve.
+    """
     if cfg.alpha >= 1.0:
-        # no staleness: the rate difference grows with the pooled budget
+        curve = _rate_curve(cfg)
         return IntervalResult(cfg.k_max, curve[-1], True, curve)
+    curve = scan_interval(
+        lambda k: rate_difference(k, cfg), cfg.k_max,
+        lambda k, curve: _rate_envelope(k, cfg) <= max(curve),
+    )
     return best_interval(curve, cfg.k_max)
 
 

@@ -415,11 +415,16 @@ class SweepRecord:
     error: str | None = None
 
 
+def _has_analytic(spec: ExperimentSpec) -> bool:
+    return (
+        finite.has_closed_form(spec.shape) and spec.codebook_kind == "rvq"
+        and spec.bits_per_block > 0 and spec.metric in ("avg_power", "normalized_power")
+    )
+
+
 def _analytic_value(spec: ExperimentSpec) -> float | None:
     shape = spec.shape
-    if not finite.has_closed_form(shape) or spec.codebook_kind != "rvq" or spec.bits_per_block <= 0:
-        return None
-    if spec.metric not in ("avg_power", "normalized_power"):
+    if not _has_analytic(spec):
         return None
     # the closed form at the rounded budget the simulation quantizes with,
     # not at the fractional B * K
@@ -479,4 +484,15 @@ def sweep(specs: list[ExperimentSpec], rho_db: float = 10.0) -> list[SweepRecord
     for members in groups.values():
         for i, outcome in zip(members, _group_trials([specs[i] for i in members], rho_db)):
             outcomes[i] = outcome
+    # the analytic column's nt x 2 powers: one batched pass per nt, whose
+    # cache each record then reads
+    budgets: dict[int, list[int | float]] = {}
+    for spec, outcome in zip(specs, outcomes):
+        if spec.shape.nt != 2 and _has_analytic(spec) and not isinstance(outcome, Exception):
+            budgets.setdefault(spec.shape.nt, []).append(spec.budget_bits)
+    for nt, bits in budgets.items():
+        try:
+            finite.rvq_powers_ntx2(nt, bits)
+        except Exception:  # each record meets the failure again and keeps it
+            pass
     return [_record(spec, outcome) for spec, outcome in zip(specs, outcomes)]

@@ -407,6 +407,28 @@ class TestRepeatedRuns:
         assert forward == backward[::-1]
 
 
+    def test_ntx2_tables_do_not_depend_on_history(self, tmp_path, capfd, monkeypatch):
+        # the same table from a fresh process, after fig7 filled the Nt x 2
+        # cache in this one, and after the cache was cleared
+        monkeypatch.chdir(tmp_path)
+        argv = ["afp-range", "--nt", "4", "--nr", "2", "--bits", "1", "--alpha", "0.9"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from afpopt.cli import run; sys.exit(run(sys.argv[1:]))",
+             *argv, "--output", "fresh.csv"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert invoke(["reproduce-figure", "--id", "fig7", "--output", "fig7.csv"], capfd)[0] == 0
+        after_fig7 = invoke([*argv, "--output", "after_fig7.csv"], capfd)
+        finite._ntx2_cache.clear()
+        cleared = invoke([*argv, "--output", "cleared.csv"], capfd)
+        assert after_fig7[:2] == cleared[:2] == (0, fresh.stdout)
+        tables = [(tmp_path / f"{name}.csv").read_bytes() for name in ("fresh", "after_fig7", "cleared")]
+        assert tables[0] == tables[1] == tables[2]
+
+
 class TestFigurePresets:
     def test_fig1_cardinality(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -2,6 +2,7 @@ import decimal
 import functools
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -424,6 +425,84 @@ class TestPowerNtx2:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+def _cold_ntx2(nt, bits, quad=finite.DEFAULT_QUADRATURE):
+    finite._ntx2_cache.clear()
+    return rvq_power_ntx2(nt, bits, quad)
+
+
+def _warned(call):
+    # the call's value and the texts of the warnings it gave
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call()
+    assert all(w.category is RuntimeWarning for w in caught)
+    return value, [str(w.message) for w in caught]
+
+
+class TestNtx2Batch:
+    @pytest.fixture(autouse=True)
+    def own_cache(self, monkeypatch):
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+
+    def test_batch_values_equal_each_budget_alone(self):
+        # fractional, zero, saturated (>= _BITS_SATURATION) and repeated budgets
+        budgets = [0.0, 0.25, 1.0, 1.0, 1.5, 3.0, 7.75, 12.0, 24.0, 64.0, 399.0, 400.0, 1e4, 0.25]
+        for nt in range(3, 18):
+            finite._ntx2_cache.clear()
+            batch = finite.rvq_powers_ntx2(nt, budgets)
+            for bits, value in zip(budgets, batch):
+                assert value.hex() == _cold_ntx2(nt, bits).hex(), (nt, bits)
+
+    def test_values_do_not_depend_on_the_evaluation_block(self, monkeypatch):
+        budgets = [0.5 * k for k in range(41)]
+        whole = finite.rvq_powers_ntx2(6, budgets)
+        steps = []
+        real = finite._gk15_block
+        monkeypatch.setattr(
+            finite, "_gk15_block", lambda f, owner, a, b: steps.append(a.size) or real(f, owner, a, b)
+        )
+        monkeypatch.setattr(finite, "_GK_BLOCK", 45)  # three panels per step
+        finite._ntx2_cache.clear()
+        split = finite.rvq_powers_ntx2(6, budgets)
+        assert max(steps) == 3
+        assert [v.hex() for v in split] == [v.hex() for v in whole]
+
+    def test_flagged_budgets_warn_on_their_own_and_stay_uncached(self):
+        quad = QuadratureSpec(1e-11, 1e-11, max_subdivisions=4)
+        budgets = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        alone = {bits: _warned(lambda: _cold_ntx2(4, bits, quad)) for bits in budgets}
+        # with this spec only the high budgets reach the cap
+        assert [bits for bits in budgets if alone[bits][1]] == [8.0, 16.0, 32.0, 64.0]
+        finite._ntx2_cache.clear()
+        batch, messages = _warned(lambda: finite.rvq_powers_ntx2(4, budgets, quad))
+        # one warning per flagged budget, each with its own error estimate
+        assert messages == [text for bits in budgets for text in alone[bits][1]]
+        assert all("(max_subdivisions=4); error estimate" in text for text in messages)
+        assert [v.hex() for v in batch] == [alone[bits][0].hex() for bits in budgets]
+        assert sorted(key[1] for key in finite._ntx2_cache) == [1.0, 2.0, 4.0]
+
+    def test_ntx2_cache_is_capped(self, monkeypatch):
+        monkeypatch.setattr(finite, "_NTX2_CACHE_SIZE", 5)
+        budgets = [0.5 * k for k in range(1, 13)]
+        first = finite.rvq_powers_ntx2(3, budgets[:7]) + [rvq_power_ntx2(3, b) for b in budgets[7:]]
+        assert len(finite._ntx2_cache) == 5
+        # a mix of cached and evicted budgets
+        again = finite.rvq_powers_ntx2(3, budgets)
+        assert len(finite._ntx2_cache) == 5
+        cold = [_cold_ntx2(3, b) for b in budgets]
+        assert [v.hex() for v in first] == [v.hex() for v in again] == [v.hex() for v in cold]
+
+    def test_eigenvalue_cache_is_capped(self):
+        cap = finite._EIGENVALUE_CACHE_SIZE
+        cold = mean_largest_eigenvalue.__wrapped__
+        shapes = [SystemShape(3, 3), SystemShape(4, 3)] + [SystemShape(1, n) for n in range(1, cap + 20)]
+        for _ in range(2):  # the second pass recomputes what the cap evicted
+            for shape in shapes:
+                assert mean_largest_eigenvalue(shape) == cold(shape)
+            info = mean_largest_eigenvalue.cache_info()
+            assert info.maxsize == cap and info.currsize == cap
 
 
 def _khatri_orders(m, n):

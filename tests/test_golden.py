@@ -8,7 +8,11 @@ so that wrapping is fixed) are compared byte for byte as well.
 
 Regenerate the files (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+Given names (the keys of EXACT and MONTE_CARLO), it rewrites only those
+tables and their stdout entries; with none, every file, including the Monte
+Carlo tables, whose ``value`` columns follow the local LAPACK.
 """
 
 from __future__ import annotations
@@ -143,17 +147,24 @@ def test_help_and_usage_match(name, recorded_usage, tmp_path):
     assert _usage(USAGE[name], tmp_path) == recorded_usage[name]
 
 
-def _regenerate() -> None:
+def _regenerate(names: list[str]) -> None:
+    """Rewrite the named tables and their stdout entries; with no names, every file."""
+    tables = {**EXACT, **MONTE_CARLO}
+    unknown = sorted(set(names) - set(tables))
+    if unknown:
+        raise SystemExit(f"unknown golden name(s): {', '.join(unknown)}; known: {', '.join(sorted(tables))}")
     GOLDEN.mkdir(exist_ok=True)
-    stdouts = {}
-    for name, invocation in {**EXACT, **MONTE_CARLO}.items():
-        _, stdouts[name] = _run(invocation, GOLDEN / f"{name}.csv")
+    stdouts = json.loads(STDOUT_FILE.read_text()) if names else {}
+    for name in names or tables:
+        _, stdouts[name] = _run(tables[name], GOLDEN / f"{name}.csv")
     STDOUT_FILE.write_text(json.dumps(stdouts, indent=1, sort_keys=True) + "\n")
+    if names:
+        return
     with tempfile.TemporaryDirectory() as workdir:
         usage = {name: _usage(invocation, Path(workdir)) for name, invocation in USAGE.items()}
     USAGE_FILE.write_text(json.dumps(usage, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(sys.argv[1:])
     sys.exit(0)

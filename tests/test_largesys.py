@@ -1,10 +1,13 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import optimize
 
 from afpopt import largesys
+from afpopt.finite import best_interval
 from afpopt.largesys import (
     LargeSystemConfig,
     afp_beats_mfp,
@@ -162,12 +165,34 @@ class TestOptimalInterval:
         monkeypatch.setattr(largesys, "rate_difference", lambda k, cfg: calls.append(k) or real(k, cfg))
         cfg = LargeSystemConfig(1.0, 0.5, 0.9)
         result = optimal_interval(cfg)
-        assert calls == list(range(1, 65))
-        assert result.curve == tuple(real(k, cfg) for k in range(1, 65))
+        # the envelope falls to the best value (at K = 4) before K = 7
+        assert calls == list(range(1, 7))
+        assert result.curve == tuple(real(k, cfg) for k in range(1, 7))
         assert result.k_star == 4 and result.value == max(result.curve)
+        assert largesys._rate_envelope(7, cfg) <= result.value < largesys._rate_envelope(6, cfg)
         calls.clear()
-        assert afp_beats_mfp(cfg) == tuple(k for k in range(2, 65) if result.curve[k - 1] > result.curve[0])
+        # afp_beats_mfp still scans every K
+        full = tuple(real(k, cfg) for k in range(1, 65))
+        assert afp_beats_mfp(cfg) == tuple(k for k in range(2, 65) if full[k - 1] > full[0])
         assert calls == list(range(1, 65))
+
+    def test_envelope_stop_keeps_the_full_scan_answer(self):
+        grid = itertools.product(
+            (0.0, 0.25, 0.5, 1.0, 2.0, 4.0), (0.0625, 0.25, 1.0, 4.0),
+            (0.0, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.9999),
+        )
+        for nr_bar, b_bar, alpha in grid:
+            cfg = LargeSystemConfig(nr_bar, b_bar, alpha, k_max=200)
+            full = tuple(rate_difference(k, cfg) for k in range(1, 201))
+            for k, rate in enumerate(full, 1):
+                assert largesys._rate_envelope(k, cfg) >= rate, (cfg, k)
+            for k_max in (1, 2, 64, 200):
+                got = optimal_interval(replace(cfg, k_max=k_max))
+                want = best_interval(full[:k_max], k_max)
+                assert (got.k_star, got.value, got.horizon_limited) == (
+                    want.k_star, want.value, want.horizon_limited
+                ), (cfg, k_max)
+                assert got.curve == full[: len(got.curve)]
 
     def test_interval_shrinks_with_budget(self):
         k_half = optimal_interval(LargeSystemConfig(1.0, 0.5, 0.8)).k_star

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from afpopt import finite
+from afpopt import finite, simulate
 from afpopt.channel import (
     FadingModel,
     RandomStream,
@@ -424,6 +424,21 @@ class TestSweep:
         assert len(checked) == 60
         hits = sum(abs(r.value - r.analytic) <= 3 * r.stderr for r in checked)
         assert hits / len(checked) >= 0.95
+
+    def test_analytic_column_takes_one_quadrature_pass_per_nt(self, monkeypatch):
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+        passes = []
+        real = finite._ntx2_shortfall
+        monkeypatch.setattr(
+            finite, "_ntx2_shortfall",
+            lambda nt, sizes, quad: passes.append((nt, sizes)) or real(nt, sizes, quad),
+        )
+        records = sweep(self.fig1_specs(trials=20))
+        # the 3x2, 4x2 and 5x2 cells, K = 1..10 bits each
+        assert passes == [(nt, [2.0**k for k in range(1, 11)]) for nt in (3, 4, 5)]
+        for spec, record in zip(self.fig1_specs(trials=20), records):
+            finite._ntx2_cache.clear()
+            assert record.analytic == simulate._analytic_value(spec)
 
     def test_partial_failure_reported_not_raised(self):
         good = spec_2x2(num_blocks=1, trials=50)
