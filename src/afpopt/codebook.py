@@ -4,16 +4,19 @@ An RVQ codebook holds 2**bits i.i.d. isotropic unit vectors; the receiver
 picks the entry maximizing the received power v^H H^H H v.  The maximin
 variant keeps, out of many candidate RVQ codebooks, the one whose minimum
 pairwise chordal distance is largest -- a cheap stand-in for an optimal
-line packing.  Its search scores each candidate's pairwise overlaps a block
-of Gram rows at a time and stops as soon as the candidate can no longer
-beat the best one so far; the pick is exactly that of a full scan.  The
-searches of several budgets share one pass over the candidate stream.
+line packing.  Its search scores each candidate's pairwise overlaps, real
+inner products in R^(nt^2) (:func:`_embed`), a block of Gram rows at a time
+and stops as soon as the candidate can no longer beat the best one so far;
+the pick is exactly that of a full scan.  The searches of several budgets
+share one pass over the candidate stream.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -70,6 +73,22 @@ class Selection:
     power: float
 
 
+def _check_count(name: str, value: object) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_bits(bits: int | float, cap: int, cap_name: str) -> None:
+    """Raise a ValueError unless ``bits`` is an integer in 0 .. ``cap``."""
+    if bits < 0:
+        raise ValueError("bits must be nonnegative")
+    if bits > cap:
+        raise ValueError(f"bits={bits} exceeds the {cap_name} cap ({cap})")
+    if not isinstance(bits, numbers.Integral):
+        raise ValueError(f"bits must be an integer, got {bits!r}")
+
+
 def _unit_vectors(gen: np.random.Generator, count: int, nt: int) -> np.ndarray:
     v = complex_normal(gen, (count, nt))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -78,14 +97,9 @@ def _unit_vectors(gen: np.random.Generator, count: int, nt: int) -> np.ndarray:
 def rvq_codebook(
     nt: int, bits: int, rng: RandomStream | np.random.Generator, kind: str = "rvq"
 ) -> Codebook:
-    """Draw a fresh RVQ codebook of 2**bits isotropic unit vectors."""
-    if bits < 0:
-        raise ValueError("bits must be nonnegative")
-    if bits > MATERIALIZE_CAP_BITS:
-        raise ValueError(
-            f"bits={bits} exceeds the materialization cap ({MATERIALIZE_CAP_BITS}); "
-            "use select_beamformer_streaming"
-        )
+    """Draw a fresh RVQ codebook; larger budgets use :func:`select_beamformer_streaming`."""
+    _check_count("nt", nt)
+    _check_bits(bits, MATERIALIZE_CAP_BITS, "materialization")
     gen = as_generator(rng)
     return Codebook(_unit_vectors(gen, 1 << bits, nt), bits, kind)
 
@@ -129,10 +143,7 @@ def select_beamformer_streaming(
     Given the same stream, the result is identical to drawing the full
     codebook and calling :func:`select_beamformer`.
     """
-    if bits < 0:
-        raise ValueError("bits must be nonnegative")
-    if bits > STREAM_CAP_BITS:
-        raise ValueError(f"bits={bits} exceeds the streaming cap ({STREAM_CAP_BITS})")
+    _check_bits(bits, STREAM_CAP_BITS, "streaming")
     if nt != h.shape[1]:
         raise ValueError(f"entry length {nt} does not match channel nt={h.shape[1]}")
     gen = as_generator(rng)
@@ -184,25 +195,45 @@ def _row_blocks(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     return tuple(blocks)
 
 
-def _batch_winner(vs: np.ndarray, best_dist: float) -> tuple[int, float] | None:
+def _embed(x: np.ndarray) -> np.ndarray:
+    """Columns phi(x) = (|x_k|^2, sqrt2 Re x_i conj(x_j), sqrt2 Im x_i conj(x_j))_{i<j} / ||x||^2.
+
+    One column per row x of ``x``: the real coordinates of xx^H / ||x||^2,
+    so phi(u).phi(v) = |u^H v|^2 / (||u||^2 ||v||^2) (Conway, Hardin &
+    Sloane, "Packing lines, planes, etc.", 1996).  With nt = 1, phi(x) = 1
+    exactly, so every overlap is 1 and every distance 0.
+    """
+    m, nt = x.shape
+    re, im = x.view(np.float64).T.copy().reshape(nt, 2, m).transpose(1, 0, 2)
+    f = np.empty((nt * nt, m))  # coordinate-major: every pass below is contiguous
+    np.add(re * re, im * im, out=f[:nt])
+    r = nt
+    for i in range(nt - 1):  # sqrt2 Re and Im of x_i conj(x_j) for j > i
+        a, b, w = math.sqrt(2.0) * re[i], math.sqrt(2.0) * im[i], nt - 1 - i
+        np.add(re[i + 1 :] * a, im[i + 1 :] * b, out=f[r : r + w])
+        np.subtract(re[i + 1 :] * b, im[i + 1 :] * a, out=f[r + w : r + 2 * w])
+        r += 2 * w
+    f /= f[:nt].sum(axis=0)
+    return f
+
+
+def _batch_winner(f: np.ndarray, best_dist: float) -> tuple[int, float] | None:
     """The batch's best candidate if it beats ``best_dist`` strictly, else None.
 
-    ``vs`` is a (c, n, nt) stack of candidate codebooks with unit-norm
-    entries and n >= 2.  Returns the index and minimum pairwise distance of
-    the first candidate with the largest distance.  The overlaps
-    |c_i^H c_j|^2 are scored a block of Gram rows at a time, and a candidate
-    is dropped as soon as its running distance sqrt(1 - max overlap) is no
-    longer above ``best_dist``.  That distance can only fall as rows are
-    added, so a dropped candidate could not have won, and the result is
-    that of a full scan, ties included.
+    ``f`` is a (c, nt^2, n) stack of candidate codebooks, each with its
+    n >= 2 entries embedded (:func:`_embed`) as columns.  Returns the index
+    and minimum pairwise distance of the first candidate with the largest
+    distance.  The overlaps are scored a block of Gram rows at a time, as a
+    real matmul over the live candidates, and a candidate is dropped as soon
+    as its running distance sqrt(1 - max overlap) is no longer above
+    ``best_dist``.  That distance can only fall as rows are added, so the
+    result is that of a full scan, ties included.
     """
-    live = np.arange(vs.shape[0])
+    live = np.arange(f.shape[0])
     overlap = np.zeros(live.size)
-    vh = vs.conj().transpose(0, 2, 1)
-    for r0, r1, pairs in _row_blocks(vs.shape[1]):
-        # abs()**2 rounds as min_pairwise_distance does; with nt = 1 every
-        # overlap is 1 up to rounding, and that rounding decides the pick
-        g = np.abs(vs[:, r0:r1] @ vh[:, :, r0 + 1 :]) ** 2
+    rows = slice(None)  # every candidate until the first rejection
+    for r0, r1, pairs in _row_blocks(f.shape[2]):
+        g = f[rows, :, r0:r1].transpose(0, 2, 1) @ f[rows, :, r0 + 1 :]
         g *= pairs
         np.maximum(overlap, g.max(axis=(1, 2)), out=overlap)
         dist = np.sqrt(np.maximum(0.0, 1.0 - overlap))
@@ -210,36 +241,34 @@ def _batch_winner(vs: np.ndarray, best_dist: float) -> tuple[int, float] | None:
         if not keep.all():
             if not keep.any():
                 return None
-            live, overlap, dist, vs, vh = live[keep], overlap[keep], dist[keep], vs[keep], vh[keep]
+            live, overlap, dist = live[keep], overlap[keep], dist[keep]
+            rows = live
     j = int(np.argmax(dist))
     return int(live[j]), float(dist[j])
 
 
 def check_maximin_bits(bits: int | float) -> None:
     """Raise ValueError unless a maximin search of ``bits`` bits is allowed."""
-    if bits < 0:
-        raise ValueError("bits must be nonnegative")
-    if bits > MAXIMIN_CAP_BITS:
-        raise ValueError(f"bits={bits} exceeds the maximin cap ({MAXIMIN_CAP_BITS})")
+    _check_bits(bits, MAXIMIN_CAP_BITS, "maximin")
 
 
-def _scan_candidates(
-    vs: np.ndarray, best_dist: float, best: np.ndarray | None
-) -> tuple[float, np.ndarray | None]:
-    """Fold the (c, n, nt) candidate stack ``vs`` into the best codebook so far.
+def _scan_candidates(f: np.ndarray, n: int, best_dist: float) -> tuple[float, int | None]:
+    """Fold the candidates embedded in ``f`` into the best distance so far.
 
-    Candidates are scored in batches of a bounded Gram size, each with early
-    rejection against the best distance so far (:func:`_batch_winner`).
+    Candidate k is columns k n .. (k+1) n - 1 of ``f``.  Returns the new best
+    distance and the index of the first candidate to reach it, or
+    ``best_dist`` and None; batches have a bounded Gram size.
     """
-    n = vs.shape[1]
     if n < 2:  # one entry has no pairs: the first candidate wins
-        return (best_dist, best) if best is not None else (float("inf"), vs[0].copy())
+        return (math.inf, 0) if best_dist < math.inf else (best_dist, None)
+    f = f.reshape(f.shape[0], -1, n).transpose(1, 0, 2)
+    best = None
     batch = max(1, (1 << 18) // (n * n))
-    for start in range(0, vs.shape[0], batch):
-        winner = _batch_winner(vs[start : start + batch], best_dist)
+    for start in range(0, f.shape[0], batch):
+        winner = _batch_winner(f[start : start + batch], best_dist)
         if winner is not None:
             j, best_dist = winner
-            best = vs[start + j].copy()
+            best = start + j
     return best_dist, best
 
 
@@ -252,31 +281,35 @@ def maximin_codebooks(
     """The :func:`maximin_codebook` of every budget, from one pass over the candidate stream.
 
     Candidate i of a ``bits``-bit search is entries i 2**bits .. (i+1)
-    2**bits - 1 of one stream of unit vectors, so the candidates of every
-    smaller budget are a prefix of the largest budget's.  The stream is
-    drawn once, ``_STREAM_ENTRIES`` entries at a time, and each budget's
-    search reads its next candidates from every chunk until it has read
-    ``candidates`` of them.  Each codebook is bit-identical to the one a
-    search of its budget alone returns.
+    2**bits - 1 of one stream of complex normal vectors, so the candidates
+    of every smaller budget are a prefix of the largest budget's.  The
+    stream is drawn and embedded once, ``_STREAM_ENTRIES`` entries at a
+    time, and each budget's search scores its next candidates from every
+    chunk until it has read ``candidates`` of them; only the winners are
+    normalized.  Each codebook is bit-identical to the one a search of its
+    budget alone returns.
     """
     budgets = sorted(set(budgets))
+    _check_count("nt", nt)
     for bits in budgets:
         check_maximin_bits(bits)
-    if candidates < 1:
-        raise ValueError("candidates must be >= 1")
+    _check_count("candidates", candidates)
     gen = as_generator(rng)
     best: dict[int, tuple[float, np.ndarray | None]] = {bits: (-1.0, None) for bits in budgets}
     total = candidates << budgets[-1] if budgets else 0
     for start in range(0, total, _STREAM_ENTRIES):
         chunk = complex_normal(gen, (min(_STREAM_ENTRIES, total - start), nt))
-        chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
+        f = _embed(chunk)
         for bits in budgets:
             # a chunk starts on a candidate boundary of every budget
-            take = min(candidates - (start >> bits), chunk.shape[0] >> bits)
+            n, take = 1 << bits, min(candidates - (start >> bits), chunk.shape[0] >> bits)
             if take > 0:
-                vs = chunk[: take << bits].reshape(take, 1 << bits, nt)
-                best[bits] = _scan_candidates(vs, *best[bits])
-    return {bits: Codebook(entries, bits, "maximin") for bits, (_, entries) in best.items()}
+                dist, j = _scan_candidates(f[:, : take * n], n, best[bits][0])
+                if j is not None:
+                    best[bits] = (dist, chunk[j * n : (j + 1) * n].copy())
+        del f  # two chunks' embeddings are never held at once: it bounds peak memory
+    unit = {bits: x / np.linalg.norm(x, axis=1, keepdims=True) for bits, (_, x) in best.items()}
+    return {bits: Codebook(entries, bits, "maximin") for bits, entries in unit.items()}
 
 
 def maximin_codebook(
@@ -289,7 +322,8 @@ def maximin_codebook(
 
     Approximates a Grassmannian line packing; quality improves with the
     candidate count but the result is by construction suboptimal.  Ties go
-    to the earliest candidate.  Candidates are drawn in batches, and each
+    to the earliest candidate; with nt = 1 every candidate ties at distance
+    0, so the first one wins.  Candidates are drawn in batches, and each
     batch is scored with early rejection against the best distance so far
     (:func:`_batch_winner`); the draws and the pick are those of scoring
     every pair of every candidate.  This is the one-budget case of

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from afpopt import simulate
 from afpopt.channel import RandomStream, SystemShape, complex_normal, sample_channel
 from afpopt.codebook import (
+    _STREAM_ENTRIES,
     Codebook,
     _batch_winner,
+    _embed,
     _row_blocks,
     chordal_distance,
     load_codebook,
@@ -19,6 +23,12 @@ from afpopt.codebook import (
     select_beamformer,
     select_beamformer_streaming,
 )
+
+
+def embedded(vs):
+    """A (c, n, nt) stack of codebooks as the (c, nt^2, n) input of _batch_winner."""
+    c, n, nt = vs.shape
+    return _embed(vs.reshape(c * n, nt)).reshape(-1, c, n).transpose(1, 0, 2)
 
 
 class TestRvqCodebook:
@@ -44,6 +54,11 @@ class TestRvqCodebook:
     def test_entry_count_validated(self):
         with pytest.raises(ValueError):
             Codebook(np.eye(2, dtype=complex), bits=2)
+
+    @pytest.mark.parametrize("nt,bits,name", [(2, 2.5, "bits"), (0, 2, "nt"), (2.0, 2, "nt")])
+    def test_arguments_validated(self, nt, bits, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            rvq_codebook(nt, bits, RandomStream(0))
 
     def test_unit_norm_validated(self):
         entries = np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex)
@@ -177,6 +192,21 @@ class TestMaximin:
         with pytest.raises(ValueError, match="bits must be nonnegative"):
             maximin_codebook(2, -1, candidates=10, rng=RandomStream(0))
 
+    @pytest.mark.parametrize(
+        "nt,bits,candidates,name",
+        [(2, 2.5, 10, "bits"), (2, 2, 2.5, "candidates"), (2, 2, 0, "candidates"), (0, 2, 10, "nt")],
+    )
+    def test_arguments_validated(self, nt, bits, candidates, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            maximin_codebook(nt, bits, candidates=candidates, rng=RandomStream(0))
+
+    @pytest.mark.parametrize("bits", [1, 4])
+    def test_one_antenna_ties_go_to_the_first_candidate(self, bits):
+        # every overlap of a 1-dimensional codebook is exactly 1: all distances tie at 0
+        cb = maximin_codebook(1, bits, candidates=50, rng=RandomStream(48))
+        first = complex_normal(RandomStream(48), (1 << bits, 1))
+        assert np.array_equal(cb.entries, first / np.linalg.norm(first, axis=1, keepdims=True))
+
     # candidates per budget; 4 and 5 bits span several draw batches
     # (1 << 18 >> 2 * bits: 1024 and 256 candidates)
     @pytest.mark.parametrize("nt", [2, 3, 4])
@@ -204,6 +234,26 @@ class TestMaximin:
             assert books[bits].bits == bits and books[bits].kind == "maximin"
             assert np.array_equal(books[bits].entries, alone.entries)
 
+    @pytest.mark.parametrize("nt", [2, 3])
+    def test_every_budget_matches_brute_force_across_chunks(self, nt):
+        candidates, budgets = 600, range(7)
+        assert candidates << budgets[-1] > _STREAM_ENTRIES
+        books = maximin_codebooks(nt, budgets, candidates, RandomStream(49))
+        for bits in budgets:
+            cands = complex_normal(RandomStream(49), (candidates, 1 << bits, nt))
+            cands /= np.linalg.norm(cands, axis=2, keepdims=True)
+            dists = [min_pairwise_distance(cand) for cand in cands]
+            assert np.array_equal(books[bits].entries, cands[int(np.argmax(dists))])
+
+    def test_peak_memory_stays_per_chunk(self):
+        tracemalloc.start()
+        try:
+            maximin_codebooks(2, range(7), 10_000, RandomStream(1, simulate.CODEBOOK_STREAM))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 << 20
+
 
 class TestBatchWinner:
     def test_row_blocks_cover_each_pair_once(self):
@@ -218,15 +268,16 @@ class TestBatchWinner:
         worse = good.copy()
         worse[5] = worse[2]  # a repeated entry: distance 0
         vs = np.stack([worse, good, good, worse])
-        index, dist = _batch_winner(vs, -1.0)
+        index, dist = _batch_winner(embedded(vs), -1.0)
         assert index == 1
-        assert dist == min_pairwise_distance(good) > 0.0
+        assert dist == pytest.approx(min_pairwise_distance(good), abs=1e-13)
+        assert dist > 0.0
 
     def test_incumbent_keeps_a_tie(self):
         good = rvq_codebook(2, 3, RandomStream(61)).entries
         worse = good.copy()
         worse[0] = worse[7]
-        vs = np.stack([worse, good, good])
+        vs = embedded(np.stack([worse, good, good]))
         _, dist = _batch_winner(vs, -1.0)
         assert _batch_winner(vs, dist) is None
         assert _batch_winner(vs, np.nextafter(dist, 0.0))[0] == 1
