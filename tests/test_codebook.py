@@ -245,6 +245,30 @@ class TestMaximin:
             dists = [min_pairwise_distance(cand) for cand in cands]
             assert np.array_equal(books[bits].entries, cands[int(np.argmax(dists))])
 
+    # the candidate each budget's search picks from fig2's codebook stream,
+    # found again in the stream by its entries: a pin that a change of draws
+    # or of the search moves, and a BLAS build's rounding does not
+    @pytest.mark.parametrize("nt,picks", [
+        (2, [0, 8837, 7540, 8664, 3715, 6810, 8259, 3186, 1957]),
+        (3, [0, 4048, 5918, 1145, 5792, 9407, 6496, 6837, 1514]),
+    ])
+    def test_picked_candidates_are_pinned(self, nt, picks):
+        candidates, rng = 10_000, RandomStream(7, simulate.CODEBOOK_STREAM)
+        books = maximin_codebooks(nt, range(9), candidates, rng)
+        found = {bits: [] for bits in books}
+        gen, total = rng.generator(), candidates << 8
+        for start in range(0, total, _STREAM_ENTRIES):
+            chunk = complex_normal(gen, (min(_STREAM_ENTRIES, total - start), nt))
+            unit = chunk / np.linalg.norm(chunk, axis=1, keepdims=True)
+            for bits, book in books.items():
+                n = 1 << bits
+                first = np.abs(unit[::n] - book.entries[0]).max(axis=1) < 1e-12
+                for j in np.flatnonzero(first):
+                    same = np.abs(unit[j * n : (j + 1) * n] - book.entries).max() < 1e-12
+                    if same and (start >> bits) + j < candidates:
+                        found[bits].append(int((start >> bits) + j))
+        assert [found[bits] for bits in range(9)] == [[pick] for pick in picks]
+
     def test_peak_memory_stays_per_chunk(self):
         tracemalloc.start()
         try:

@@ -1,8 +1,10 @@
 """Golden outputs: the CLI's tables and stdout, compared with recorded files.
 
 Commands that run no Monte Carlo are compared byte for byte.  The Monte
-Carlo presets run at two trials and are compared on every column except
-``value`` and ``stderr``, which depend on the platform's LAPACK.  Help
+Carlo tables run at a few trials and are compared byte for byte on every
+column except ``value`` and ``stderr``, whose last digits follow the
+platform's LAPACK; those two are compared to a relative 1e-9.  A moved draw
+shifts a mean of a few trials far past that, LAPACK rounding does not.  Help
 texts and usage errors (stdout, stderr and exit code, at ``COLUMNS=80``
 so that wrapping is fixed) are compared byte for byte as well.
 
@@ -18,6 +20,7 @@ Carlo tables, whose ``value`` columns follow the local LAPACK.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -57,8 +60,14 @@ EXACT = {
 }
 
 MONTE_CARLO = {
-    fig: f"reproduce-figure --id {fig} --trials 2 --seed 7"
-    for fig in ("fig1", "fig2", "fig4", "fig5")
+    **{
+        fig: f"reproduce-figure --id {fig} --trials 2 --seed 7"
+        for fig in ("fig1", "fig2", "fig4", "fig5")
+    },
+    "simulate_3x3_normalized": "simulate --nt 3 --nr 3 --bits 1 --alpha 0.95 --k-max 6 "
+    "--metric normalized_power --trials 20 --seed 7",
+    "compare_codebooks_2x3": "compare-codebooks --nt 2 --nr 3 --bits 1 --alpha 0.95 --k-max 6 "
+    "--trials 20 --seed 7",
 }
 
 # help and usage errors; a relative config and output path keep the
@@ -80,8 +89,9 @@ USAGE = {
 }
 USAGE_CONFIG = {"trials": 5, "id": "fig3"}
 
-# value and stderr: their digits follow the platform's eigensolver
+# value and stderr: their last digits follow the platform's eigensolver
 _NOISY = {CSV_HEADER.split(",").index(name) for name in ("value", "stderr")}
+_NOISY_REL = 1e-9
 
 
 def _run(invocation: str, out: Path) -> tuple[str, str]:
@@ -99,6 +109,20 @@ def _stable_columns(table: str) -> list[list[str]]:
     ]
 
 
+def _noisy_columns(table: str) -> list[list[str]]:
+    return [
+        [cell for i, cell in enumerate(line.split(",")) if i in _NOISY]
+        for line in table.splitlines()[1:]
+    ]
+
+
+@functools.cache
+def _monte_carlo_run(name: str) -> tuple[str, str]:
+    # each Monte Carlo table runs once for both of its tests
+    with tempfile.TemporaryDirectory() as workdir:
+        return _run(MONTE_CARLO[name], Path(workdir) / "table.csv")
+
+
 @pytest.fixture(scope="module")
 def recorded_stdout() -> dict[str, str]:
     return json.loads(STDOUT_FILE.read_text())
@@ -112,10 +136,22 @@ def test_exact_outputs_match(name, recorded_stdout, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(MONTE_CARLO))
-def test_monte_carlo_presets_match_outside_value_and_stderr(name, recorded_stdout, tmp_path):
-    table, stdout = _run(MONTE_CARLO[name], tmp_path / "table.csv")
+def test_monte_carlo_presets_match_outside_value_and_stderr(name, recorded_stdout):
+    table, stdout = _monte_carlo_run(name)
     assert _stable_columns(table) == _stable_columns((GOLDEN / f"{name}.csv").read_text())
     assert stdout == recorded_stdout[name]
+
+
+@pytest.mark.parametrize("name", sorted(MONTE_CARLO))
+def test_monte_carlo_values_match_to_relative_1e9(name):
+    table, _ = _monte_carlo_run(name)
+    recorded = _noisy_columns((GOLDEN / f"{name}.csv").read_text())
+    for row, want in zip(_noisy_columns(table), recorded, strict=True):
+        for cell, want_cell in zip(row, want):
+            if not (cell and want_cell):  # a failed or rate-free cell: both empty
+                assert cell == want_cell, (row, want)
+            else:
+                assert float(cell) == pytest.approx(float(want_cell), rel=_NOISY_REL), (row, want)
 
 
 def _usage(invocation: str, workdir: Path) -> dict:
