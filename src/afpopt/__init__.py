@@ -17,7 +17,7 @@ cli        Command-line front end emitting CSV/JSON tables.
 
 from afpopt.channel import FadingModel, RandomStream, SystemShape
 from afpopt.codebook import Codebook, Selection
-from afpopt.finite import AfpConfig, IntervalResult, QuadratureSpec
+from afpopt.finite import AfpConfig, IntervalResult
 from afpopt.largesys import LargeSystemConfig
 from afpopt.simulate import Estimate, ExperimentSpec, SweepRecord
 
@@ -31,7 +31,6 @@ __all__ = [
     "FadingModel",
     "IntervalResult",
     "LargeSystemConfig",
-    "QuadratureSpec",
     "RandomStream",
     "Selection",
     "SweepRecord",

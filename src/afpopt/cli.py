@@ -165,7 +165,7 @@ def _finite_cfg(opts: dict) -> finite.AfpConfig:
 
 def _cmd_analytic(opts: dict) -> list[SweepRecord]:
     cfg = _finite_cfg(opts)
-    finite.prefetch_powers(cfg, range(1, opts["k_max"] + 1))
+    finite.prefetch_powers(cfg.shape, [cfg.bits_per_block * k for k in range(1, opts["k_max"] + 1)])
     curve = finite.scan_interval(lambda k: finite.avg_power(cfg, k), opts["k_max"])
     return [_finite_record(opts, k, "avg_power", value) for k, value in enumerate(curve, 1)]
 

@@ -15,11 +15,13 @@ receive antennas the RVQ selection shortfall is homogeneous of degree 1 in
 integral and the average power is a one-dimensional quadrature over s (with
 a nested head quadrature) against the conditional distribution of the
 quantizer output.  The quadratures are adaptive Gauss-Kronrod rules written
-in numpy, vectorised over panels and over bit budgets: many budgets are the
-integrals of one batched pass, each with a result that does not depend on
-the others (:func:`rvq_powers_ntx2`), and a bounded cache keeps the values.
-The interval searches fetch the budgets they will need in such batches,
-cut off by an envelope that bounds every later interval.  The
+in numpy, held to fixed tolerances and vectorised over panels and over bit
+budgets: many budgets are the integrals of one batched pass, each with a
+result that does not depend on the others (:func:`rvq_powers_ntx2`), and a
+bounded cache keeps the values.  Every batch is requested through
+:func:`prefetch_powers`: the interval searches fetch the budgets they will
+need, cut off by an envelope that bounds every later interval, and the
+simulator and the CLI fetch the budgets of their tables.  The
 perfect-feedback power E[l1] of any shape comes from Khatri's CDF of the
 largest Wishart eigenvalue, by the same quadrature.
 """
@@ -110,28 +112,14 @@ def interval_average_power(iso_power: float, quantized_power: float, alpha: floa
     )
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the adaptive quadratures behind the nt x 2 form.
-
-    Each integral is refined until its error estimate is at most
-    max(abs_tol, rel_tol * |value|), as QUADPACK does; max_subdivisions caps
-    the panels of each integral.  Reaching the cap returns the best
-    estimate with a RuntimeWarning that states its error estimate.
-    """
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# (abs_tol, rel_tol) of the adaptive quadratures: each integral is refined
+# until its error estimate is at most max(abs_tol, rel_tol |value|), as
+# QUADPACK does.  GK15's error estimate is pessimistic, so the Khatri
+# tolerance holds E[l1] to a few ulp.  Every integral stops at
+# _MAX_SUBDIVISIONS panels, with its best estimate and a RuntimeWarning.
+_NTX2_TOLERANCE = (1e-9, 1e-7)
+_KHATRI_TOLERANCE = (1e-15, 1e-13)
+_MAX_SUBDIVISIONS = 200
 
 # quantizer sizes beyond this leave less than ~1e-120 of the selection gap;
 # treat as perfect feedback instead of exponentiating toward overflow
@@ -201,15 +189,16 @@ def _gk15_block(f, owner, a, b) -> tuple[np.ndarray, np.ndarray]:
     return kronrod * half, err
 
 
-def _adaptive_gk15(f, owner, a, b, count: int, quad: QuadratureSpec):
+def _adaptive_gk15(f, owner, a, b, count: int, tolerance: tuple[float, float]):
     """Integrate ``count`` integrals at once by locally adaptive bisection.
 
     Integral i starts as the panels [a, b] with owner == i.  Every round
     evaluates all live panels in one call of ``f``.  An integral is done
-    once its summed error estimate is within max(abs_tol, rel_tol |value|);
-    until then a panel is kept only if its error is within its length's
-    share of that tolerance, and the others are halved.  An integral whose
-    halving would pass max_subdivisions panels, or whose panels reach
+    once its summed error estimate is within max(abs_tol, rel_tol |value|),
+    with (abs_tol, rel_tol) = ``tolerance``; until then a panel is kept only
+    if its error is within its length's share of that tolerance, and the
+    others are halved.  An integral whose halving would pass
+    ``_MAX_SUBDIVISIONS`` panels, or whose panels reach
     rounding width, stops where it is and is flagged.  Each integral's
     panels keep their relative order and are summed in that order, so its
     result does not depend on the other integrals of the call.
@@ -217,6 +206,7 @@ def _adaptive_gk15(f, owner, a, b, count: int, quad: QuadratureSpec):
     Returns per integral (value, error estimate, flagged) and the kept
     panels as (owner, left end, value) arrays.
     """
+    abs_tol, rel_tol = tolerance
     length = np.bincount(owner, b - a, minlength=count)
     panels = np.bincount(owner, minlength=count)
     value, error = np.zeros(count), np.zeros(count)
@@ -225,13 +215,13 @@ def _adaptive_gk15(f, owner, a, b, count: int, quad: QuadratureSpec):
     while True:
         k, e = _gk15(f, owner, a, b)
         total = value + np.bincount(owner, k, minlength=count)
-        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(total))
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         split = (error + np.bincount(owner, e, minlength=count) > tol)[owner]
         split &= e > tol[owner] * (b - a) / length[owner]
         if split.any():
             stuck = split & (b - a <= 1e4 * _EPS * (np.abs(a) + np.abs(b)))
             halved = np.bincount(owner[split], minlength=count)
-            over = panels + halved > quad.max_subdivisions
+            over = panels + halved > _MAX_SUBDIVISIONS
             over |= np.bincount(owner[stuck], minlength=count) > 0
             flagged |= over & (halved > 0)
             split &= ~over[owner]
@@ -247,16 +237,14 @@ def _adaptive_gk15(f, owner, a, b, count: int, quad: QuadratureSpec):
         a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
 
 
-def _ntx2_shortfall(
-    nt: int, sizes: list[float], quad: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ntx2_shortfall(nt: int, sizes: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E[l1 - selected power] for nt x 2 at each quantizer size N in ``sizes``.
 
     Returns (values, error estimates, flagged), one entry per size.  The
-    sizes are the owners of one set of adaptive quadratures, and each value
-    depends on its own size alone.
+    sizes are the owners of one set of adaptive quadratures, each held to
+    ``_NTX2_TOLERANCE``, and each value depends on its own size alone.
     """
-    p = nt - 1
+    p, tol = nt - 1, _NTX2_TOLERANCE
     count = len(sizes)
     log_norm = math.lgamma(2 * nt + 1) - math.lgamma(nt) - math.lgamma(nt - 1)
     # per-size constants, in scalar arithmetic
@@ -280,9 +268,7 @@ def _ntx2_shortfall(
 
     # a size is flagged when any of its integrals is: its profile, its
     # outer integral or one of its head integrals
-    _, _, flagged, kept = _adaptive_gk15(
-        profile, np.arange(count), np.zeros(count), q_top, count, quad
-    )
+    _, _, flagged, kept = _adaptive_gk15(profile, np.arange(count), np.zeros(count), q_top, count, tol)
     owner, left, part = (np.concatenate(c) for c in zip(*kept))
     order = np.lexsort((left, owner))
     owner, left, part = owner[order], left[order], part[order]
@@ -322,7 +308,7 @@ def _ntx2_shortfall(
 
             heads, _, head_flags, _ = _adaptive_gk15(
                 head, np.arange(live.size), np.zeros(live.size),
-                np.minimum(s[live], head_reach[size[live]]), live.size, quad,
+                np.minimum(s[live], head_reach[size[live]]), live.size, tol,
             )
             phi[live] += heads
             flagged[size[live[head_flags]]] = True
@@ -330,10 +316,10 @@ def _ntx2_shortfall(
                  - (2 * nt + 1) * np.log1p(s))
         return (np.exp(log_w) * phi).reshape(shape)
 
-    edges = np.linspace(0.0, 1.0, min(4, quad.max_subdivisions) + 1)
+    edges = np.linspace(0.0, 1.0, min(4, _MAX_SUBDIVISIONS) + 1)
     value, error, outer_flagged, _ = _adaptive_gk15(
         weighted, np.repeat(np.arange(count), edges.size - 1),
-        np.tile(edges[:-1], count), np.tile(edges[1:], count), count, quad,
+        np.tile(edges[:-1], count), np.tile(edges[1:], count), count, tol,
     )
     return value, error, flagged | outer_flagged
 
@@ -341,9 +327,7 @@ def _ntx2_shortfall(
 _ntx2_cache: dict[tuple, float] = {}
 
 
-def rvq_powers_ntx2(
-    nt: int, budgets: Iterable[float], quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> list[float]:
+def rvq_powers_ntx2(nt: int, budgets: Iterable[float]) -> list[float]:
     """:func:`rvq_power_ntx2` at each bit budget of ``budgets``, in one batched pass.
 
     The budgets that are neither cached nor saturated become the integrals
@@ -351,7 +335,7 @@ def rvq_powers_ntx2(
     profile integral and head integrals), so the pass costs a few numpy
     rounds instead of a few per budget.  Each value equals the one its
     budget gets alone, bit for bit.  A budget whose quadrature reaches
-    max_subdivisions warns on its own and is not cached; the others are.
+    ``_MAX_SUBDIVISIONS`` warns on its own and is not cached; the others are.
     """
     if nt <= 2:
         raise ValueError("quadrature form requires nt > 2")
@@ -359,7 +343,7 @@ def rvq_powers_ntx2(
     if any(bits < 0 for bits in budgets):
         raise ValueError("total_bits must be nonnegative")
     top = mean_max_eigenvalue(nt)
-    keys = [(nt, round(bits, 9), quad) for bits in budgets]
+    keys = [(nt, round(bits, 9)) for bits in budgets]
     # read the cached values first: caching this batch's may evict them
     values = {key: _ntx2_cache[key] for key in keys if key in _ntx2_cache}
     todo: dict[tuple, float] = {}
@@ -369,15 +353,13 @@ def rvq_powers_ntx2(
     if todo:
         # log1p(-1) = -inf and the 0/0 of an exactly resolved panel are expected
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            shortfall, error, flagged = _ntx2_shortfall(
-                nt, [2.0**bits for bits in todo.values()], quad
-            )
+            shortfall, error, flagged = _ntx2_shortfall(nt, [2.0**bits for bits in todo.values()])
         for (key, bits), short, err, flag in zip(todo.items(), shortfall, error, flagged):
             values[key] = top - float(short)
             if flag:  # not cached, so a repeat call warns again
                 warnings.warn(
                     f"rvq_power_ntx2({nt}, {bits}): quadrature stopped short of its tolerance "
-                    f"(max_subdivisions={quad.max_subdivisions}); error estimate {err:.3g}",
+                    f"(max_subdivisions={_MAX_SUBDIVISIONS}); error estimate {err:.3g}",
                     RuntimeWarning, stacklevel=2,
                 )
                 continue
@@ -387,9 +369,7 @@ def rvq_powers_ntx2(
     return [top if bits >= _BITS_SATURATION else values[key] for key, bits in zip(keys, budgets)]
 
 
-def rvq_power_ntx2(
-    nt: int, total_bits: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def rvq_power_ntx2(nt: int, total_bits: float) -> float:
     """Mean selected power for an nt x 2 channel (nt > 2), RVQ quantized.
 
     E[l1] minus the expected selection shortfall int_0^l1 F(x)^N dx, the
@@ -409,18 +389,15 @@ def rvq_power_ntx2(
     incomplete-beta integral; scaled to the width of its mass it becomes one
     profile integral shared by every s.  The head is a nested integral per
     s, dropped where F^N is below exp(-50).  All three are adaptive 15-point
-    Gauss-Kronrod quadratures held to ``quad``, each round vectorised over
-    its panels; reaching max_subdivisions gives a RuntimeWarning.  Strictly
+    Gauss-Kronrod quadratures held to ``_NTX2_TOLERANCE``, each round
+    vectorised over its panels; reaching ``_MAX_SUBDIVISIONS`` gives a
+    RuntimeWarning.  Strictly
     increasing in the bit budget, equal to 2 at zero bits.  This is the
     one-budget case of :func:`rvq_powers_ntx2`, and shares its cache of at
     most ``_NTX2_CACHE_SIZE`` values.
     """
-    return rvq_powers_ntx2(nt, [total_bits], quad)[0]
+    return rvq_powers_ntx2(nt, [total_bits])[0]
 
-
-# the Khatri integral's quadrature: GK15's error estimate is pessimistic, so
-# this holds E[l1] to a few ulp
-_KHATRI_QUADRATURE = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-13)
 
 # the Khatri integral stops where 1 - F drops below this; its remaining tail
 # is far below the rounding of E[l1] >= 1
@@ -493,7 +470,7 @@ def mean_largest_eigenvalue(shape: SystemShape) -> float:
         negligible = tail(grid, None) < _KHATRI_TAIL
         edges = np.linspace(0.0, grid[negligible.argmax()] if negligible.any() else grid[-1], 5)
         value, error, flagged, _ = _adaptive_gk15(
-            tail, np.zeros(4, dtype=np.intp), edges[:-1], edges[1:], 1, _KHATRI_QUADRATURE
+            tail, np.zeros(4, dtype=np.intp), edges[:-1], edges[1:], 1, _KHATRI_TOLERANCE
         )
     if flagged[0]:
         warnings.warn(
@@ -538,14 +515,16 @@ def quantized_first_block_power(shape: SystemShape, total_bits: float) -> float:
     return rvq_power_ntx2(shape.nt, total_bits)
 
 
-def prefetch_powers(cfg: AfpConfig, ks: Iterable[int]) -> None:
-    """Compute the quantized first-block powers of the intervals ``ks`` in one pass.
+def prefetch_powers(shape: SystemShape, budgets: Iterable[float]) -> None:
+    """Compute the quantized first-block powers of ``shape`` at ``budgets`` in one pass.
 
     For an nt x 2 shape this is one :func:`rvq_powers_ntx2` batch, whose
-    cache :func:`avg_power` then reads; the 2 x nr closed form needs none.
+    cache :func:`quantized_first_block_power` then reads; the 2 x nr closed
+    form needs none, and ``budgets`` is then not read.  Every batch of the
+    package goes through here.
     """
-    if cfg.shape.nt != 2:
-        rvq_powers_ntx2(cfg.shape.nt, [cfg.bits_per_block * k for k in ks])
+    if shape.nt != 2:
+        rvq_powers_ntx2(shape.nt, budgets)
 
 
 def avg_power(cfg: AfpConfig, num_blocks: int) -> float:
@@ -610,9 +589,9 @@ def _search_envelope(cfg: AfpConfig, num_blocks: int) -> float:
     )
 
 
-def _beatable(cfg: AfpConfig, ks: range, target: float) -> Iterable[int]:
-    # the leading K of ks whose envelope still exceeds target
-    return takewhile(lambda k: _search_envelope(cfg, k) > target, ks)
+def _beatable(cfg: AfpConfig, ks: range, target: float) -> Iterable[float]:
+    # the bit budgets of the leading K of ks whose envelope still exceeds target
+    return (cfg.bits_per_block * k for k in takewhile(lambda k: _search_envelope(cfg, k) > target, ks))
 
 
 def optimal_interval(cfg: AfpConfig) -> IntervalResult:
@@ -631,7 +610,7 @@ def optimal_interval(cfg: AfpConfig) -> IntervalResult:
     def stop(k: int, curve: list[float]) -> bool:
         best = max(curve)
         if k & (k - 1) == 0:  # K = 2^i opens a window
-            prefetch_powers(cfg, _beatable(cfg, range(k, min(2 * k, cfg.k_max + 1)), best))
+            prefetch_powers(cfg.shape, _beatable(cfg, range(k, min(2 * k, cfg.k_max + 1)), best))
         return _search_envelope(cfg, k) <= best
 
     return best_interval(scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop), cfg.k_max)
@@ -661,7 +640,7 @@ def afp_beats_mfp(cfg: AfpConfig) -> AfpMfpComparison:
 
     def stop(k: int, curve: list[float]) -> bool:
         if k == 2:
-            prefetch_powers(cfg, _beatable(cfg, range(2, cfg.k_max + 1), curve[0]))
+            prefetch_powers(cfg.shape, _beatable(cfg, range(2, cfg.k_max + 1), curve[0]))
         return _search_envelope(cfg, k) <= curve[0]
 
     curve = scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop)

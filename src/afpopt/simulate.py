@@ -484,15 +484,15 @@ def sweep(specs: list[ExperimentSpec], rho_db: float = 10.0) -> list[SweepRecord
     for members in groups.values():
         for i, outcome in zip(members, _group_trials([specs[i] for i in members], rho_db)):
             outcomes[i] = outcome
-    # the analytic column's nt x 2 powers: one batched pass per nt, whose
-    # cache each record then reads
-    budgets: dict[int, list[int | float]] = {}
+    # the analytic column's powers: one batch per shape, whose cache each
+    # record then reads
+    budgets: dict[SystemShape, list[int | float]] = {}
     for spec, outcome in zip(specs, outcomes):
-        if spec.shape.nt != 2 and _has_analytic(spec) and not isinstance(outcome, Exception):
-            budgets.setdefault(spec.shape.nt, []).append(spec.budget_bits)
-    for nt, bits in budgets.items():
+        if _has_analytic(spec) and not isinstance(outcome, Exception):
+            budgets.setdefault(spec.shape, []).append(spec.budget_bits)
+    for shape, bits in budgets.items():
         try:
-            finite.rvq_powers_ntx2(nt, bits)
+            finite.prefetch_powers(shape, bits)
         except Exception:  # each record meets the failure again and keeps it
             pass
     return [_record(spec, outcome) for spec, outcome in zip(specs, outcomes)]

@@ -22,7 +22,6 @@ from afpopt import finite
 from afpopt.channel import FadingModel, RandomStream, SystemShape, complex_normal
 from afpopt.finite import (
     AfpConfig,
-    QuadratureSpec,
     afp_beats_mfp,
     avg_power,
     best_interval,
@@ -318,7 +317,7 @@ def dblquad_rvq_power_ntx2(nt, total_bits, abs_tol=1e-9):
     return mean_max_eigenvalue(nt) - shortfall
 
 
-def quadpack_rvq_power_ntx2(nt, total_bits, quad=QuadratureSpec()):
+def quadpack_rvq_power_ntx2(nt, total_bits, abs_tol, rel_tol, limit):
     """Independent oracle: the same one-dimensional s = l2/l1 form, by nested
     QUADPACK quads with scipy's incomplete beta for the tail branch."""
     if total_bits >= 400.0:
@@ -328,7 +327,7 @@ def quadpack_rvq_power_ntx2(nt, total_bits, quad=QuadratureSpec()):
     a, b = 1.0 / p, n_entries + 1.0
     beta = math.exp(special.betaln(a, b))
     log_norm = math.lgamma(2 * nt + 1) - math.lgamma(nt) - math.lgamma(nt - 1)
-    tols = dict(epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_subdivisions)
+    tols = dict(epsabs=abs_tol, epsrel=rel_tol, limit=limit)
 
     def unit_shortfall(s):
         # int_0^1 F(x)^N dx at (l1, l2) = (1, s): exact incomplete-beta tail
@@ -363,20 +362,28 @@ class TestPowerNtx2:
         assert rvq_power_ntx2(nt, bits) == pytest.approx(dblquad_rvq_power_ntx2(nt, bits), rel=1e-9)
 
     @pytest.mark.parametrize("nt", [3, 4, 5, 6, 8, 12])
-    def test_matches_quadpack_oracle(self, nt):
+    def test_matches_quadpack_oracle(self, nt, monkeypatch):
         # budgets from fractional bits to the saturation edge; at large
-        # budgets the tail mass sits within (gap/N)^(1/(nt-1)) of x = l1
-        tight = QuadratureSpec(1e-13, 1e-12, 1000)
+        # budgets the tail mass sits within (gap/N)^(1/(nt-1)) of x = l1.
+        # Both sides at tight tolerances, in a cache of their own.
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+        monkeypatch.setattr(finite, "_NTX2_TOLERANCE", (1e-13, 1e-12))
+        monkeypatch.setattr(finite, "_MAX_SUBDIVISIONS", 1000)
         for bits in (0.0, 0.2, 0.5, 1.5, 4.0, 10.0, 24.0, 40.0, 64.0, 120.0, 200.0, 399.0):
-            assert rvq_power_ntx2(nt, bits, tight) == pytest.approx(
-                quadpack_rvq_power_ntx2(nt, bits, tight), rel=1e-9
+            assert rvq_power_ntx2(nt, bits) == pytest.approx(
+                quadpack_rvq_power_ntx2(nt, bits, 1e-13, 1e-12, 1000), rel=1e-9
             ), bits
 
-    def test_subdivision_cap_warns_with_error_estimate(self):
+    def test_subdivision_cap_warns_with_error_estimate(self, monkeypatch):
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+        converged = rvq_power_ntx2(4, 3.0)
+        finite._ntx2_cache.clear()
+        monkeypatch.setattr(finite, "_MAX_SUBDIVISIONS", 1)
         for _ in range(2):  # the unconverged value is not cached
             with pytest.warns(RuntimeWarning, match=r"max_subdivisions=1\); error estimate"):
-                value = rvq_power_ntx2(4, 3.0, QuadratureSpec(max_subdivisions=1))
-        assert value == pytest.approx(rvq_power_ntx2(4, 3.0), rel=1e-2)
+                value = rvq_power_ntx2(4, 3.0)
+        assert not finite._ntx2_cache
+        assert value == pytest.approx(converged, rel=1e-2)
 
     def test_zero_bits_is_isotropic(self):
         for nt in (3, 4, 5):
@@ -420,16 +427,10 @@ class TestPowerNtx2:
         with pytest.raises(ValueError):
             rvq_power_ntx2(2, 1.0)
 
-    def test_quadrature_spec_validated(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
 
-
-def _cold_ntx2(nt, bits, quad=finite.DEFAULT_QUADRATURE):
+def _cold_ntx2(nt, bits):
     finite._ntx2_cache.clear()
-    return rvq_power_ntx2(nt, bits, quad)
+    return rvq_power_ntx2(nt, bits)
 
 
 def _warned(call):
@@ -469,14 +470,15 @@ class TestNtx2Batch:
         assert max(steps) == 3
         assert [v.hex() for v in split] == [v.hex() for v in whole]
 
-    def test_flagged_budgets_warn_on_their_own_and_stay_uncached(self):
-        quad = QuadratureSpec(1e-11, 1e-11, max_subdivisions=4)
+    def test_flagged_budgets_warn_on_their_own_and_stay_uncached(self, monkeypatch):
+        monkeypatch.setattr(finite, "_NTX2_TOLERANCE", (1e-11, 1e-11))
+        monkeypatch.setattr(finite, "_MAX_SUBDIVISIONS", 4)
         budgets = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-        alone = {bits: _warned(lambda: _cold_ntx2(4, bits, quad)) for bits in budgets}
-        # with this spec only the high budgets reach the cap
+        alone = {bits: _warned(lambda: _cold_ntx2(4, bits)) for bits in budgets}
+        # with these settings only the high budgets reach the cap
         assert [bits for bits in budgets if alone[bits][1]] == [8.0, 16.0, 32.0, 64.0]
         finite._ntx2_cache.clear()
-        batch, messages = _warned(lambda: finite.rvq_powers_ntx2(4, budgets, quad))
+        batch, messages = _warned(lambda: finite.rvq_powers_ntx2(4, budgets))
         # one warning per flagged budget, each with its own error estimate
         assert messages == [text for bits in budgets for text in alone[bits][1]]
         assert all("(max_subdivisions=4); error estimate" in text for text in messages)

@@ -262,7 +262,7 @@ class TestBestPowerDraw:
             assert np.max(np.abs(got - hi) / eigs[:, 0]) < 1e-12, bits
 
     @pytest.mark.parametrize("nt,nr", [(2, 3), (4, 2), (8, 2)])
-    def test_large_budget_shortfall_matches_closed_forms(self, nt, nr):
+    def test_large_budget_shortfall_matches_closed_forms(self, nt, nr, monkeypatch):
         # E[l1 - x] against E[l1] - g from the 2 x nr closed form and the
         # nt x 2 quadrature, on the same draws at every budget; each side is
         # resolved only to the double resolution of l1, so a shortfall below
@@ -277,12 +277,14 @@ class TestBestPowerDraw:
             for bits in budgets:
                 shortfalls[bits].append(eigs[:, 0] - rvq_best_power(eigs, nt, bits, u))
         top = finite.mean_largest_eigenvalue(SystemShape(nt, nr))
-        tight = finite.QuadratureSpec(abs_tol=1e-16, rel_tol=1e-10)
+        # the quadrature at tight tolerances, in a cache of its own
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+        monkeypatch.setattr(finite, "_NTX2_TOLERANCE", (1e-16, 1e-10))
         for bits in budgets:
             if nt == 2:
                 g = finite.rvq_power_2xnr(nr, bits)
             else:
-                g = finite.rvq_power_ntx2(nt, bits, tight)
+                g = finite.rvq_power_ntx2(nt, bits)
             sample = np.concatenate(shortfalls[bits])
             se = sample.std(ddof=1) / math.sqrt(trials)
             slack = 2.0 * np.finfo(float).eps * top
@@ -431,7 +433,7 @@ class TestSweep:
         real = finite._ntx2_shortfall
         monkeypatch.setattr(
             finite, "_ntx2_shortfall",
-            lambda nt, sizes, quad: passes.append((nt, sizes)) or real(nt, sizes, quad),
+            lambda nt, sizes: passes.append((nt, sizes)) or real(nt, sizes),
         )
         records = sweep(self.fig1_specs(trials=20))
         # the 3x2, 4x2 and 5x2 cells, K = 1..10 bits each
