@@ -29,8 +29,9 @@ class RandomStream:
 
     Streams with distinct keys are statistically independent, and an
     identical key reproduces the identical value sequence on any platform
-    (Philox is a pure counter cipher).  Monte Carlo code derives one
-    substream per trial so results do not depend on execution order.
+    (Philox is a pure counter cipher).  The Monte Carlo engine draws each
+    chunk of trials from its own stream, so results do not depend on
+    execution order.
     """
 
     seed: int
@@ -43,10 +44,6 @@ class RandomStream:
             dtype=np.uint64,
         )
         return Generator(Philox(key=key))
-
-    def substream(self, index: int) -> "RandomStream":
-        """Derived stream; offsets stream_id by ``index``."""
-        return RandomStream(self.seed, self.stream_id + index)
 
 
 def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator:

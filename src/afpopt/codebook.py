@@ -52,9 +52,15 @@ class Codebook:
     kind: str = "rvq"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bits, numbers.Integral) or self.bits < 0:
+            raise ValueError(f"bits must be an integer >= 0, got {self.bits!r}")
+        if self.kind not in ("rvq", "maximin"):
+            raise ValueError(f"kind must be 'rvq' or 'maximin', got {self.kind!r}")
         n = self.entries.shape[0]
         if n != 1 << self.bits:
             raise ValueError(f"expected {1 << self.bits} entries, got {n}")
+        if not np.isfinite(self.entries).all():
+            raise ValueError("codebook entries must be finite")
         norms = np.linalg.norm(self.entries, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("codebook entries must have unit norm")
@@ -94,14 +100,12 @@ def _unit_vectors(gen: np.random.Generator, count: int, nt: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def rvq_codebook(
-    nt: int, bits: int, rng: RandomStream | np.random.Generator, kind: str = "rvq"
-) -> Codebook:
+def rvq_codebook(nt: int, bits: int, rng: RandomStream | np.random.Generator) -> Codebook:
     """Draw a fresh RVQ codebook; larger budgets use :func:`select_beamformer_streaming`."""
     _check_count("nt", nt)
     _check_bits(bits, MATERIALIZE_CAP_BITS, "materialization")
     gen = as_generator(rng)
-    return Codebook(_unit_vectors(gen, 1 << bits, nt), bits, kind)
+    return Codebook(_unit_vectors(gen, 1 << bits, nt), bits)
 
 
 def _chunk_powers(h: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -347,8 +351,19 @@ def save_codebook(codebook: Codebook, path: str | Path) -> None:
 
 
 def load_codebook(path: str | Path) -> Codebook:
-    """Inverse of :func:`save_codebook`."""
+    """Inverse of :func:`save_codebook`; a malformed file raises a ValueError naming the field."""
     doc = json.loads(Path(path).read_text())
-    flat = np.asarray(doc["entries"], dtype=float)
-    entries = (flat[0::2] + 1j * flat[1::2]).reshape(-1, doc["nt"])
-    return Codebook(entries, doc["bits"], doc["kind"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"a codebook file holds a JSON object, not a {type(doc).__name__}")
+    missing = [key for key in ("nt", "bits", "kind", "entries") if key not in doc]
+    if missing:
+        raise ValueError(f"codebook file lacks {', '.join(missing)}")
+    nt = doc["nt"]
+    _check_count("nt", nt)
+    try:
+        flat = np.asarray(doc["entries"], dtype=float)
+        if flat.ndim != 1 or flat.size % (2 * nt):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError("entries must be a flat [re, im, ...] list of nt values per entry") from None
+    return Codebook((flat[0::2] + 1j * flat[1::2]).reshape(-1, nt), doc["bits"], doc["kind"])

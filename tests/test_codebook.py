@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -64,6 +65,16 @@ class TestRvqCodebook:
         entries = np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
             Codebook(entries, bits=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # a NaN norm is not > 1e-9 away from 1, so the unit-norm check alone passes it
+        with pytest.raises(ValueError, match="must be finite"):
+            Codebook(np.array([[bad, 0.0]], dtype=complex), bits=0)
+
+    def test_kind_validated(self):
+        with pytest.raises(ValueError, match="^kind must be 'rvq' or 'maximin'"):
+            Codebook(np.array([[1.0, 0.0]], dtype=complex), bits=0, kind="grassmannian")
 
 
 class TestSelection:
@@ -318,8 +329,6 @@ class TestSerialization:
         assert np.array_equal(back.entries, cb.entries)
 
     def test_interleaved_layout(self, tmp_path):
-        import json
-
         cb = rvq_codebook(2, 1, RandomStream(51))
         path = tmp_path / "cb.json"
         save_codebook(cb, path)
@@ -328,3 +337,27 @@ class TestSerialization:
         assert len(flat) == 2 * cb.entries.size
         assert flat[0] == cb.entries[0, 0].real
         assert flat[1] == cb.entries[0, 0].imag
+
+    # a valid saved 1-bit codebook of nt = 1, then each field broken in turn
+    GOOD = {"nt": 1, "bits": 1, "kind": "rvq", "entries": [1.0, 0.0, 0.0, 1.0]}
+
+    def test_saved_layout_loads(self, tmp_path):
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps(self.GOOD))
+        assert np.array_equal(load_codebook(path).entries, [[1.0], [1j]])
+
+    @pytest.mark.parametrize("doc,message", [
+        ([GOOD], "JSON object, not a list"),
+        ({k: v for k, v in GOOD.items() if k != "entries"}, "lacks entries"),
+        ({**GOOD, "bits": "1"}, "^bits must be an integer"),
+        ({**GOOD, "kind": "grassmannian"}, "^kind must be 'rvq' or 'maximin'"),
+        ({**GOOD, "nt": "1"}, "^nt must be an integer"),
+        ({**GOOD, "entries": [[1.0, 0.0], [0.0, 1.0]]}, "^entries must be a flat"),
+        ({**GOOD, "entries": [1.0, 0.0, "x", 1.0]}, "^entries must be a flat"),
+        ({**GOOD, "entries": [float("nan"), 0.0, 0.0, 1.0]}, "must be finite"),
+    ])
+    def test_malformed_file_raises_value_error_naming_the_field(self, tmp_path, doc, message):
+        path = tmp_path / "cb.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_codebook(path)
