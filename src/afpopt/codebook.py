@@ -57,8 +57,8 @@ class Codebook:
         if self.kind not in ("rvq", "maximin"):
             raise ValueError(f"kind must be 'rvq' or 'maximin', got {self.kind!r}")
         n = self.entries.shape[0]
-        if n != 1 << self.bits:
-            raise ValueError(f"expected {1 << self.bits} entries, got {n}")
+        if n != 1 << min(self.bits, 64):  # a file's bits may be huge; no array has 2^64 rows
+            raise ValueError(f"expected 2^{self.bits} entries, got {n}")
         if not np.isfinite(self.entries).all():
             raise ValueError("codebook entries must be finite")
         norms = np.linalg.norm(self.entries, axis=1)

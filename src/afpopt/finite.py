@@ -391,10 +391,9 @@ def rvq_power_ntx2(nt: int, total_bits: float) -> float:
     s, dropped where F^N is below exp(-50).  All three are adaptive 15-point
     Gauss-Kronrod quadratures held to ``_NTX2_TOLERANCE``, each round
     vectorised over its panels; reaching ``_MAX_SUBDIVISIONS`` gives a
-    RuntimeWarning.  Strictly
-    increasing in the bit budget, equal to 2 at zero bits.  This is the
-    one-budget case of :func:`rvq_powers_ntx2`, and shares its cache of at
-    most ``_NTX2_CACHE_SIZE`` values.
+    RuntimeWarning.  Strictly increasing in the bit budget, equal to 2 at
+    zero bits.  This is the one-budget case of :func:`rvq_powers_ntx2`, and
+    shares its cache of at most ``_NTX2_CACHE_SIZE`` values.
     """
     return rvq_powers_ntx2(nt, [total_bits])[0]
 

@@ -350,6 +350,7 @@ class TestSerialization:
         ([GOOD], "JSON object, not a list"),
         ({k: v for k, v in GOOD.items() if k != "entries"}, "lacks entries"),
         ({**GOOD, "bits": "1"}, "^bits must be an integer"),
+        ({**GOOD, "bits": 10**12}, r"^expected 2\^1000000000000 entries, got 2"),
         ({**GOOD, "kind": "grassmannian"}, "^kind must be 'rvq' or 'maximin'"),
         ({**GOOD, "nt": "1"}, "^nt must be an integer"),
         ({**GOOD, "entries": [[1.0, 0.0], [0.0, 1.0]]}, "^entries must be a flat"),
