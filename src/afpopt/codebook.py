@@ -52,7 +52,7 @@ class Codebook:
     kind: str = "rvq"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, numbers.Integral) or self.bits < 0:
+        if isinstance(self.bits, bool) or not isinstance(self.bits, numbers.Integral) or self.bits < 0:
             raise ValueError(f"bits must be an integer >= 0, got {self.bits!r}")
         if self.kind not in ("rvq", "maximin"):
             raise ValueError(f"kind must be 'rvq' or 'maximin', got {self.kind!r}")
@@ -80,8 +80,8 @@ class Selection:
 
 
 def _check_count(name: str, value: object) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1."""
-    if not isinstance(value, numbers.Integral) or value < 1:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 

@@ -353,6 +353,8 @@ class TestSerialization:
         ({**GOOD, "bits": 10**12}, r"^expected 2\^1000000000000 entries, got 2"),
         ({**GOOD, "kind": "grassmannian"}, "^kind must be 'rvq' or 'maximin'"),
         ({**GOOD, "nt": "1"}, "^nt must be an integer"),
+        ({**GOOD, "nt": True}, "^nt must be an integer"),
+        ({**GOOD, "bits": True}, "^bits must be an integer"),
         ({**GOOD, "entries": [[1.0, 0.0], [0.0, 1.0]]}, "^entries must be a flat"),
         ({**GOOD, "entries": [1.0, 0.0, "x", 1.0]}, "^entries must be a flat"),
         ({**GOOD, "entries": [float("nan"), 0.0, 0.0, 1.0]}, "must be finite"),
