@@ -12,9 +12,10 @@ Regenerate the files (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
-Given names (the keys of EXACT and MONTE_CARLO), it rewrites only those
-tables and their stdout entries; with none, every file, including the Monte
-Carlo tables, whose ``value`` columns follow the local LAPACK.
+Given names (the keys of EXACT, MONTE_CARLO and USAGE), it rewrites only
+those tables, their stdout entries and those usage entries; with none, every
+file, including the Monte Carlo tables, whose ``value`` columns follow the
+local LAPACK.
 """
 
 from __future__ import annotations
@@ -86,6 +87,9 @@ USAGE = {
     "flag_before_command": "--nt 2 simulate",
     "joined_flag_before_command": "--seed=1 reproduce-figure",
     "config_key_of_another_command": "simulate --config cfg.json",
+    "stray_positional": "simulate --k-max 1 stray",
+    "short_help": "optimal-k -h",
+    "missing_config": "simulate --config missing.json",
 }
 USAGE_CONFIG = {"trials": 5, "id": "fig3"}
 
@@ -184,21 +188,26 @@ def test_help_and_usage_match(name, recorded_usage, tmp_path):
 
 
 def _regenerate(names: list[str]) -> None:
-    """Rewrite the named tables and their stdout entries; with no names, every file."""
+    """Rewrite the named tables, stdout and usage entries; with no names, every file."""
     tables = {**EXACT, **MONTE_CARLO}
-    unknown = sorted(set(names) - set(tables))
+    unknown = sorted(set(names) - set(tables) - set(USAGE))
     if unknown:
-        raise SystemExit(f"unknown golden name(s): {', '.join(unknown)}; known: {', '.join(sorted(tables))}")
+        known = ", ".join(sorted({*tables, *USAGE}))
+        raise SystemExit(f"unknown golden name(s): {', '.join(unknown)}; known: {known}")
     GOLDEN.mkdir(exist_ok=True)
-    stdouts = json.loads(STDOUT_FILE.read_text()) if names else {}
-    for name in names or tables:
-        _, stdouts[name] = _run(tables[name], GOLDEN / f"{name}.csv")
-    STDOUT_FILE.write_text(json.dumps(stdouts, indent=1, sort_keys=True) + "\n")
-    if names:
-        return
-    with tempfile.TemporaryDirectory() as workdir:
-        usage = {name: _usage(invocation, Path(workdir)) for name, invocation in USAGE.items()}
-    USAGE_FILE.write_text(json.dumps(usage, indent=1, sort_keys=True) + "\n")
+    table_names = [name for name in names if name in tables] if names else list(tables)
+    usage_names = [name for name in names if name in USAGE] if names else list(USAGE)
+    if table_names:
+        stdouts = json.loads(STDOUT_FILE.read_text()) if names else {}
+        for name in table_names:
+            _, stdouts[name] = _run(tables[name], GOLDEN / f"{name}.csv")
+        STDOUT_FILE.write_text(json.dumps(stdouts, indent=1, sort_keys=True) + "\n")
+    if usage_names:
+        usage = json.loads(USAGE_FILE.read_text()) if names else {}
+        with tempfile.TemporaryDirectory() as workdir:
+            for name in usage_names:
+                usage[name] = _usage(USAGE[name], Path(workdir))
+        USAGE_FILE.write_text(json.dumps(usage, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
