@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from afpopt import finite, largesys, simulate
 from afpopt.channel import FadingModel, SystemShape
@@ -86,11 +87,15 @@ def emit_table(records: list[SweepRecord], fmt: str, path: Path) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-class _Parser(argparse.ArgumentParser):
+def _usage_error(prog: str, message: str) -> NoReturn:
     # single-line diagnostics, exit status 2
-    def error(self, message: str) -> None:  # type: ignore[override]
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(2)
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # type: ignore[override]
+        _usage_error(self.prog, message)
 
 
 def _alpha(text: str) -> float:
@@ -355,51 +360,79 @@ _OPTIONS: dict[str, tuple[tuple[str, ...], object, dict]] = {
 }
 
 
+def _add_flags(parser: _Parser, command: str) -> None:
+    for option, (commands, default, kwargs) in _OPTIONS.items():
+        if command in commands:
+            parser.add_argument(f"--{option.replace('_', '-')}", default=default, **kwargs)
+
+
+def _command_parser(command: str) -> _Parser:
+    """The parser of ``command`` alone, as ``build_parser(command)`` holds it.
+
+    Its namespaces name the command, as the full parser's do.
+    """
+    parser = _Parser(prog=f"afpopt {command}")
+    _add_flags(parser, command)
+    parser.set_defaults(command=command)
+    return parser
+
+
 def build_parser(command: str | None) -> _Parser:
-    """The parser for one run of ``command``.
+    """The full parser: prints the top-level help and the errors of a whole command line.
 
     Every subcommand is listed with its help text, so the top-level help
     and its errors are the same for any ``command``; only ``command``
     gets its flags (None, for no command or an unknown one: none).
+    :func:`_parse_args` builds it only for a command line that the
+    parser of its leading command cannot take alone.
     """
     parser = _Parser(prog="afpopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != command:
-            continue
-        for option, (commands, default, kwargs) in _OPTIONS.items():
-            if command in commands:
-                p.add_argument(f"--{option.replace('_', '-')}", default=default, **kwargs)
+        if name == command:
+            _add_flags(p, command)
     return parser
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """Parse the flags, with ``--config`` values checked exactly like flags."""
+    """Parse the flags, with ``--config`` values checked exactly like flags.
+
+    A command line that starts with a command is parsed by that command's
+    own parser (:func:`_command_parser`), the one the full parser would
+    hand the same arguments to.  Anything else (no leading command, or
+    arguments the command does not take) goes to :func:`build_parser`,
+    which prints the help or the error, worded as it always was.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser has no flags of its own, so argparse reads the
-    # first token that is not a flag as the command
-    command = next((token for token in argv if not token.startswith("-")), None)
-    parser = build_parser(command if command in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    command = argv[0] if argv else None
+    if command in _COMMANDS:
+        parser = _command_parser(command)
+        args, rest = parser.parse_known_args(argv[1:])
+    if command not in _COMMANDS or rest:
+        # the top-level parser has no flags of its own, so argparse reads
+        # the first token that is not a flag as the command
+        named = next((token for token in argv if not token.startswith("-")), None)
+        build_parser(named if named in _COMMANDS else None).parse_args(argv)
+        raise AssertionError(f"the full parser took {argv}, which the command parser refused")
     if not args.config:
         return args
     try:
         loaded = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"bad config file {args.config}: {exc}")
+        _usage_error("afpopt", f"bad config file {args.config}: {exc}")
     if not isinstance(loaded, dict):
-        parser.error(f"bad config file {args.config}: expected a JSON object")
+        _usage_error("afpopt", f"bad config file {args.config}: expected a JSON object")
     # each value becomes its flag, placed before the command line's own
     # flags: it passes the same type and choice checks, and a flag still
     # wins; a null value counts as not given, so the default applies
     tokens = [
         f"--{key.replace('_', '-')}={value}" for key, value in loaded.items() if value is not None
     ]
-    args, unknown = parser.parse_known_args([argv[0], *tokens, *argv[1:]])
+    args, unknown = parser.parse_known_args([*tokens, *argv[1:]])
     if unknown:
         keys = ", ".join(token.split("=", 1)[0].lstrip("-") for token in unknown)
-        parser.error(f"bad config file {args.config}: unknown key(s) for {args.command}: {keys}")
+        _usage_error("afpopt", f"bad config file {args.config}: unknown key(s) for {command}: {keys}")
     return args
 
 

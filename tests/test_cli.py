@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afpopt import finite, simulate
+from afpopt import cli, finite, simulate
 from afpopt.channel import FadingModel, SystemShape
 from afpopt.cli import CSV_HEADER, FIGURE_IDS, run
 
@@ -115,6 +116,33 @@ class TestParsing:
         ):
             assert cmd in out
 
+
+    @pytest.mark.parametrize("argv", [
+        ["optimal-k", "--k-max", "4"],
+        ["simulate", "--k-max", "1", "--trials", "2"],
+        ["reproduce-figure", "--id", "fig6"],
+    ])
+    def test_a_run_builds_one_parser(self, argv, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        assert invoke(argv, capfd)[0] == 0
+        assert built == [f"afpopt {argv[0]}"]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_parser_help_is_the_full_parsers(self, command, monkeypatch):
+        # a run parses with the command's own parser; its help and errors
+        # must stay those of the subparser inside the full parser
+        monkeypatch.setenv("COLUMNS", "80")
+        full = cli.build_parser(command)
+        sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+        assert cli._command_parser(command).format_help() == sub.choices[command].format_help()
 
 class TestHeadlines:
     def test_optimal_k_prints_interval(self, tmp_path, capfd, monkeypatch):
