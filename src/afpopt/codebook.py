@@ -34,9 +34,11 @@ MAXIMIN_CAP_BITS = 10
 # selection perform bit-identical arithmetic
 _CHUNK = 1 << 16
 
-# unit vectors per chunk of the maximin candidate stream; a multiple of
-# 2**MAXIMIN_CAP_BITS, so every chunk holds whole candidates of every budget
+# most vectors per chunk of the maximin candidate stream, and the embedded
+# doubles (nt^2 per vector) a chunk may hold: up to nt = 3 every chunk is
+# _STREAM_ENTRIES long, wider vectors get shorter chunks (_stream_entries)
 _STREAM_ENTRIES = 1 << 15
+_STREAM_DOUBLES = 9 * _STREAM_ENTRIES
 
 # Gram rows in the maximin search's first scoring block; each later block
 # doubles, so a full scan of 2**bits rows takes about bits - 1 blocks
@@ -276,6 +278,16 @@ def _scan_candidates(f: np.ndarray, n: int, best_dist: float) -> tuple[float, in
     return best_dist, best
 
 
+def _stream_entries(nt: int) -> int:
+    """Vectors per chunk of the maximin candidate stream of ``nt``-vectors.
+
+    A multiple of 2**MAXIMIN_CAP_BITS, so every chunk holds whole
+    candidates of every budget.
+    """
+    whole = _STREAM_DOUBLES // (nt * nt) >> MAXIMIN_CAP_BITS << MAXIMIN_CAP_BITS
+    return min(_STREAM_ENTRIES, max(1 << MAXIMIN_CAP_BITS, whole))
+
+
 def maximin_codebooks(
     nt: int,
     budgets: Iterable[int],
@@ -287,8 +299,8 @@ def maximin_codebooks(
     Candidate i of a ``bits``-bit search is entries i 2**bits .. (i+1)
     2**bits - 1 of one stream of complex normal vectors, so the candidates
     of every smaller budget are a prefix of the largest budget's.  The
-    stream is drawn and embedded once, ``_STREAM_ENTRIES`` entries at a
-    time, and each budget's search scores its next candidates from every
+    stream is drawn and embedded once, :func:`_stream_entries` entries at
+    a time, and each budget's search scores its next candidates from every
     chunk until it has read ``candidates`` of them; only the winners are
     normalized.  Each codebook is bit-identical to the one a search of its
     budget alone returns.
@@ -300,9 +312,9 @@ def maximin_codebooks(
     _check_count("candidates", candidates)
     gen = as_generator(rng)
     best: dict[int, tuple[float, np.ndarray | None]] = {bits: (-1.0, None) for bits in budgets}
-    total = candidates << budgets[-1] if budgets else 0
-    for start in range(0, total, _STREAM_ENTRIES):
-        chunk = complex_normal(gen, (min(_STREAM_ENTRIES, total - start), nt))
+    total, step = (candidates << budgets[-1] if budgets else 0), _stream_entries(nt)
+    for start in range(0, total, step):
+        chunk = complex_normal(gen, (min(step, total - start), nt))
         f = _embed(chunk)
         for bits in budgets:
             # a chunk starts on a candidate boundary of every budget

@@ -10,6 +10,7 @@ from afpopt import simulate
 from afpopt.channel import RandomStream, SystemShape, complex_normal, sample_channel
 from afpopt.codebook import (
     _STREAM_ENTRIES,
+    _stream_entries,
     Codebook,
     _batch_winner,
     _embed,
@@ -245,10 +246,10 @@ class TestMaximin:
             assert books[bits].bits == bits and books[bits].kind == "maximin"
             assert np.array_equal(books[bits].entries, alone.entries)
 
-    @pytest.mark.parametrize("nt", [2, 3])
+    @pytest.mark.parametrize("nt", [2, 3, 8])
     def test_every_budget_matches_brute_force_across_chunks(self, nt):
         candidates, budgets = 600, range(7)
-        assert candidates << budgets[-1] > _STREAM_ENTRIES
+        assert candidates << budgets[-1] > _stream_entries(nt)
         books = maximin_codebooks(nt, budgets, candidates, RandomStream(49))
         for bits in budgets:
             cands = complex_normal(RandomStream(49), (candidates, 1 << bits, nt))
@@ -280,10 +281,11 @@ class TestMaximin:
                         found[bits].append(int((start >> bits) + j))
         assert [found[bits] for bits in range(9)] == [[pick] for pick in picks]
 
-    def test_peak_memory_stays_per_chunk(self):
+    @pytest.mark.parametrize("nt,budgets,candidates", [(2, range(7), 10_000), (8, range(1, 6), 3000)])
+    def test_peak_memory_stays_per_chunk(self, nt, budgets, candidates):
         tracemalloc.start()
         try:
-            maximin_codebooks(2, range(7), 10_000, RandomStream(1, simulate.CODEBOOK_STREAM))
+            maximin_codebooks(nt, budgets, candidates, RandomStream(1, simulate.CODEBOOK_STREAM))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
