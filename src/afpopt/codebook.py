@@ -34,9 +34,10 @@ MAXIMIN_CAP_BITS = 10
 # selection perform bit-identical arithmetic
 _CHUNK = 1 << 16
 
-# most vectors per chunk of the maximin candidate stream, and the embedded
-# doubles (nt^2 per vector) a chunk may hold: up to nt = 3 every chunk is
-# _STREAM_ENTRIES long, wider vectors get shorter chunks (_stream_entries)
+# the maximin candidate stream is read in chunks of at most _STREAM_ENTRIES
+# vectors and _STREAM_DOUBLES embedded doubles (nt^2 per vector): up to
+# nt = 3 every chunk is _STREAM_ENTRIES long; wider vectors get shorter
+# chunks, down to 2**MAXIMIN_CAP_BITS vectors
 _STREAM_ENTRIES = 1 << 15
 _STREAM_DOUBLES = 9 * _STREAM_ENTRIES
 

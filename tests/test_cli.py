@@ -116,7 +116,6 @@ class TestParsing:
         ):
             assert cmd in out
 
-
     @pytest.mark.parametrize("argv", [
         ["optimal-k", "--k-max", "4"],
         ["simulate", "--k-max", "1", "--trials", "2"],
@@ -143,6 +142,7 @@ class TestParsing:
         full = cli.build_parser(command)
         sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
         assert cli._command_parser(command).format_help() == sub.choices[command].format_help()
+
 
 class TestHeadlines:
     def test_optimal_k_prints_interval(self, tmp_path, capfd, monkeypatch):

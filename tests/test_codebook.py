@@ -10,11 +10,11 @@ from afpopt import simulate
 from afpopt.channel import RandomStream, SystemShape, complex_normal, sample_channel
 from afpopt.codebook import (
     _STREAM_ENTRIES,
-    _stream_entries,
     Codebook,
     _batch_winner,
     _embed,
     _row_blocks,
+    _stream_entries,
     chordal_distance,
     load_codebook,
     maximin_codebook,
