@@ -81,15 +81,19 @@ class FadingModel:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
-def complex_normal(rng: RandomStream | np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def complex_normal(
+    rng: RandomStream | np.random.Generator, shape: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """i.i.d. CN(0, 1) array; real/imag parts drawn interleaved per entry.
 
     The interleaved normals are scaled in place and viewed as complex, which
     is bit-identical to (re + 1j im) / sqrt(2): numpy divides a complex
-    array by a real scalar by multiplying with its reciprocal.
+    array by a real scalar by multiplying with its reciprocal.  ``out``, a
+    C-contiguous float array of shape ``shape + (2,)``, takes the same draws
+    in place of a new array.
     """
     gen = as_generator(rng)
-    z = gen.standard_normal(shape + (2,))
+    z = gen.standard_normal(shape + (2,), out=out)
     z *= 1.0 / _SQRT2
     return z.view(np.complex128)[..., 0]
 

@@ -251,9 +251,8 @@ def _save_maximin_codebook(opts: dict) -> None:
         raise RuntimeError(f"cannot write {opts['save_codebook']}: {exc}") from exc
 
 
-def _finite_k(nt, nr, alpha, bits, seed) -> SweepRecord:
-    cfg = finite.AfpConfig(SystemShape(nt, nr), bits, FadingModel(alpha))
-    return _optimal_k_record(nt, nr, alpha, bits, finite.optimal_interval(cfg).k_star, "finite", seed)
+def _finite_k(nt, nr, alpha, bits) -> finite.AfpConfig:
+    return finite.AfpConfig(SystemShape(nt, nr), bits, FadingModel(alpha))
 
 
 def _large_k(nr_bar, b_bar, alpha, seed) -> SweepRecord:
@@ -271,9 +270,10 @@ _FIG4_B_BARS = (0.0625, 0.125, 0.25, 0.5)
 _FIG5_ALPHAS = (0.5, 0.8, 0.9, 0.95, 1.0)
 
 # the figure presets, as parameters: per figure id, the analytic rows (a
-# record maker and its arguments, less the seed) and the Monte Carlo cells
-# (nt, nr, alpha, bits, K, codebook, metric); a table lists the analytic
-# rows first, then the simulated ones, each in the order given here
+# record maker and its arguments, less the seed; _finite_k rows are finite
+# K* searches) and the Monte Carlo cells (nt, nr, alpha, bits, K, codebook,
+# metric); a table lists the analytic rows first, then the simulated ones,
+# each in the order given here
 _PRESETS: dict[str, tuple[tuple, tuple]] = {
     "fig1": ((), tuple(
         (nt, nr, 0.8, 1.0, k, "rvq", "normalized_power")
@@ -311,8 +311,15 @@ FIGURE_IDS = tuple(_PRESETS)
 
 
 def _cmd_reproduce_figure(opts: dict) -> list[SweepRecord]:
+    """The preset's table; its finite K* searches run in one :func:`finite.optimal_intervals` call."""
     rows, cells = _PRESETS[opts["id"]]
-    records = [make(*args, opts["seed"]) for make, args in rows]
+    searched = [args for make, args in rows if make is _finite_k]
+    results = iter(finite.optimal_intervals(_finite_k(*args) for args in searched))
+    records = [
+        _optimal_k_record(*args, next(results).k_star, "finite", opts["seed"]) if make is _finite_k
+        else make(*args, opts["seed"])
+        for make, args in rows
+    ]
     if cells:
         records.extend(simulate.sweep([_spec(opts, *cell) for cell in cells]))
     return records

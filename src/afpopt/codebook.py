@@ -202,25 +202,37 @@ def _row_blocks(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     return tuple(blocks)
 
 
-def _embed(x: np.ndarray) -> np.ndarray:
+def _embed_work(nt: int, m: int) -> np.ndarray:
+    """A work buffer for :func:`_embed` of m vectors of length nt."""
+    return np.empty((nt * nt + nt + 2) * m)
+
+
+def _embed(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Columns phi(x) = (|x_k|^2, sqrt2 Re x_i conj(x_j), sqrt2 Im x_i conj(x_j))_{i<j} / ||x||^2.
 
     One column per row x of ``x``: the real coordinates of xx^H / ||x||^2,
     so phi(u).phi(v) = |u^H v|^2 / (||u||^2 ||v||^2) (Conway, Hardin &
     Sloane, "Packing lines, planes, etc.", 1996).  With nt = 1, phi(x) = 1
-    exactly, so every overlap is 1 and every distance 0.
+    exactly, so every overlap is 1 and every distance 0.  The result and
+    its temporaries are views of ``work`` (:func:`_embed_work`), so a caller
+    that passes one buffer for every chunk allocates nothing per chunk.
     """
     m, nt = x.shape
-    re, im = x.view(np.float64).T.copy().reshape(nt, 2, m).transpose(1, 0, 2)
-    f = np.empty((nt * nt, m))  # coordinate-major: every pass below is contiguous
-    np.add(re * re, im * im, out=f[:nt])
+    f, t, ab, _ = np.split(_embed_work(nt, m) if work is None else work, np.cumsum([nt * nt, nt, 2]) * m)
+    f, t, ab = f.reshape(nt * nt, m), t.reshape(nt, m), ab.reshape(2, m)
+    planes = x.view(np.float64).reshape(m, nt, 2).T  # Re and Im, each (nt, m), strided
+    re, im = planes
+    # coordinate-major: every pass below writes whole contiguous rows
+    np.add(np.multiply(re, re, out=f[:nt]), np.multiply(im, im, out=t), out=f[:nt])
     r = nt
     for i in range(nt - 1):  # sqrt2 Re and Im of x_i conj(x_j) for j > i
-        a, b, w = math.sqrt(2.0) * re[i], math.sqrt(2.0) * im[i], nt - 1 - i
-        np.add(re[i + 1 :] * a, im[i + 1 :] * b, out=f[r : r + w])
-        np.subtract(re[i + 1 :] * b, im[i + 1 :] * a, out=f[r + w : r + 2 * w])
+        w = nt - 1 - i
+        (a, b), u = np.multiply(planes[:, i], math.sqrt(2.0), out=ab), t[:w]
+        re_part, im_part = f[r : r + w], f[r + w : r + 2 * w]
+        np.add(np.multiply(re[i + 1 :], a, out=re_part), np.multiply(im[i + 1 :], b, out=u), out=re_part)
+        np.subtract(np.multiply(re[i + 1 :], b, out=im_part), np.multiply(im[i + 1 :], a, out=u), out=im_part)
         r += 2 * w
-    f /= f[:nt].sum(axis=0)
+    f /= np.sum(f[:nt], axis=0, out=ab[0])
     return f
 
 
@@ -241,7 +253,8 @@ def _batch_winner(f: np.ndarray, best_dist: float) -> tuple[int, float] | None:
     rows = slice(None)  # every candidate until the first rejection
     for r0, r1, pairs in _row_blocks(f.shape[2]):
         g = f[rows, :, r0:r1].transpose(0, 2, 1) @ f[rows, :, r0 + 1 :]
-        g *= pairs
+        # pairs with j <= i lie in the leading square alone
+        g[:, :, : r1 - r0] *= pairs[:, : r1 - r0]
         np.maximum(overlap, g.max(axis=(1, 2)), out=overlap)
         dist = np.sqrt(np.maximum(0.0, 1.0 - overlap))
         keep = dist > best_dist
@@ -314,9 +327,13 @@ def maximin_codebooks(
     gen = as_generator(rng)
     best: dict[int, tuple[float, np.ndarray | None]] = {bits: (-1.0, None) for bits in budgets}
     total, step = (candidates << budgets[-1] if budgets else 0), _stream_entries(nt)
+    # one draw and one embedding buffer for every chunk; a shorter last
+    # chunk takes a prefix of each, so its arrays keep a whole chunk's layout
+    draw, work = np.empty(2 * nt * step), _embed_work(nt, step)
     for start in range(0, total, step):
-        chunk = complex_normal(gen, (min(step, total - start), nt))
-        f = _embed(chunk)
+        m = min(step, total - start)
+        chunk = complex_normal(gen, (m, nt), draw[: 2 * nt * m].reshape(m, nt, 2))
+        f = _embed(chunk, work)
         for bits in budgets:
             # a chunk starts on a candidate boundary of every budget
             n, take = 1 << bits, min(candidates - (start >> bits), chunk.shape[0] >> bits)
@@ -324,7 +341,6 @@ def maximin_codebooks(
                 dist, j = _scan_candidates(f[:, : take * n], n, best[bits][0])
                 if j is not None:
                     best[bits] = (dist, chunk[j * n : (j + 1) * n].copy())
-        del f  # two chunks' embeddings are never held at once: it bounds peak memory
     unit = {bits: x / np.linalg.norm(x, axis=1, keepdims=True) for bits, (_, x) in best.items()}
     return {bits: Codebook(entries, bits, "maximin") for bits, entries in unit.items()}
 

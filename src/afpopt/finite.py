@@ -19,9 +19,10 @@ in numpy, held to fixed tolerances and vectorised over panels and over bit
 budgets: many budgets are the integrals of one batched pass, each with a
 result that does not depend on the others (:func:`rvq_powers_ntx2`), and a
 bounded cache keeps the values.  Every batch is requested through
-:func:`prefetch_powers`: the interval searches fetch the budgets they will
-need, cut off by an envelope that bounds every later interval, and the
-simulator and the CLI fetch the budgets of their tables.  The
+:func:`prefetch_powers`: the interval searches run in lockstep
+(:func:`optimal_intervals`) and fetch each window of K together, cut off by
+an envelope that bounds every later interval, and the simulator and the
+CLI fetch the budgets of their tables.  The
 perfect-feedback power E[l1] of any shape comes from Khatri's CDF of the
 largest Wishart eigenvalue, by the same quadrature.
 """
@@ -336,6 +337,9 @@ def rvq_powers_ntx2(nt: int, budgets: Iterable[float]) -> list[float]:
     rounds instead of a few per budget.  Each value equals the one its
     budget gets alone, bit for bit.  A budget whose quadrature reaches
     ``_MAX_SUBDIVISIONS`` warns on its own and is not cached; the others are.
+    It warns when it is fetched: a budget that a search fetches in its
+    window, past where its scan stops, warns although no result reads it,
+    and a later read integrates it again and warns again.
     """
     if nt <= 2:
         raise ValueError("quadrature form requires nt > 2")
@@ -520,7 +524,9 @@ def prefetch_powers(shape: SystemShape, budgets: Iterable[float]) -> None:
     For an nt x 2 shape this is one :func:`rvq_powers_ntx2` batch, whose
     cache :func:`quantized_first_block_power` then reads; the 2 x nr closed
     form needs none, and ``budgets`` is then not read.  Every batch of the
-    package goes through here.
+    package goes through here: one per shape and window of the lockstep
+    searches (:func:`optimal_intervals`), one per shape of a sweep's analytic
+    column, and one for the ``analytic`` command's table.
     """
     if shape.nt != 2:
         rvq_powers_ntx2(shape.nt, budgets)
@@ -560,7 +566,11 @@ def scan_interval(
     k_max: int,
     stop: Callable[[int, list[float]], bool] | None = None,
 ) -> tuple[float, ...]:
-    """objective(K) for K = 1, 2, ..., k_max; ``stop(K, curve)`` true ends the scan before K."""
+    """objective(K) for K = 1, 2, ..., k_max; ``stop(K, curve)`` true ends the scan before K.
+
+    It fetches nothing ahead; the finite searches scan this way in windows
+    whose powers are fetched first (:func:`optimal_intervals`).
+    """
     curve = [objective(1)]
     for k in range(2, k_max + 1):
         if stop is not None and stop(k, curve):
@@ -588,9 +598,69 @@ def _search_envelope(cfg: AfpConfig, num_blocks: int) -> float:
     )
 
 
-def _beatable(cfg: AfpConfig, ks: range, target: float) -> Iterable[float]:
-    # the bit budgets of the leading K of ks whose envelope still exceeds target
-    return (cfg.bits_per_block * k for k in takewhile(lambda k: _search_envelope(cfg, k) > target, ks))
+# the searches' windows of K: [1, 16), [16, 128), ...  An nt x 2 pass costs
+# about 1.6 ms plus 0.15-0.2 ms per budget (2-core VM), so budgets fetched
+# past a stop cost less than narrower windows' passes: first windows of 4, 8
+# and 16 took about 35, 32 and 29 ms on the analytic benchmark's searches
+_FIRST_WINDOW = 16
+_WINDOW_GROWTH = 8
+
+
+def _search(cfg: AfpConfig, incumbent: Callable[[list[float]], float]):
+    # one search as a generator: at K = 1 and at each window's first K it
+    # yields the window's budgets up to where the envelope falls to the
+    # incumbent of the curve so far; it returns the curve of scan_interval's
+    # stop rule, or none at alpha = 1, where it needs K = k_max alone
+    if cfg.model.alpha >= 1.0:
+        yield [cfg.bits_per_block * cfg.k_max]
+        return ()
+    curve: list[float] = []
+
+    def beatable(k: int) -> bool:
+        return not curve or _search_envelope(cfg, k) > incumbent(curve)
+
+    end = 1
+    for k in takewhile(beatable, range(1, cfg.k_max + 1)):
+        if k == end:
+            end = k * _WINDOW_GROWTH if k > 1 else _FIRST_WINDOW
+            yield [cfg.bits_per_block * j for j in takewhile(beatable, range(k, min(end, cfg.k_max + 1)))]
+        curve.append(avg_power(cfg, k))
+    return tuple(curve)
+
+
+def _lockstep(cfgs: list[AfpConfig], incumbent: Callable[[list[float]], float]) -> list[tuple[float, ...]]:
+    # the curves of every config's _search, run a window at a time: each
+    # round fetches every live search's next window, one batch per shape
+    searches = {i: _search(cfg, incumbent) for i, cfg in enumerate(cfgs)}
+    curves: list[tuple[float, ...]] = [()] * len(cfgs)
+    while searches:
+        budgets: dict[SystemShape, list[float]] = {}
+        for i, search in list(searches.items()):
+            try:
+                budgets.setdefault(cfgs[i].shape, []).extend(next(search))
+            except StopIteration as stop:
+                curves[i] = stop.value
+                del searches[i]
+        for shape, bits in budgets.items():
+            prefetch_powers(shape, bits)
+    return curves
+
+
+def optimal_intervals(cfgs: Iterable[AfpConfig]) -> list[IntervalResult]:
+    """The :func:`optimal_interval` of every config, its searches run in lockstep.
+
+    The searches scan K in windows [1, 16), [16, 128), ...  Before each
+    window, every live search names its budgets there, cut off where its
+    envelope falls to its best value so far, and each shape's are fetched
+    in one :func:`prefetch_powers` batch: one nt x 2 pass per shape and
+    window.  Each result equals the one its config gets alone.
+    """
+    cfgs = list(cfgs)
+    return [
+        best_interval(curve, cfg.k_max) if cfg.model.alpha < 1.0
+        else IntervalResult(cfg.k_max, avg_power(cfg, cfg.k_max), True)
+        for cfg, curve in zip(cfgs, _lockstep(cfgs, max))
+    ]
 
 
 def optimal_interval(cfg: AfpConfig) -> IntervalResult:
@@ -598,21 +668,12 @@ def optimal_interval(cfg: AfpConfig) -> IntervalResult:
 
     For alpha < 1 the scan stops once even perfect feedback could not beat
     the incumbent (a strictly decreasing envelope), which cannot change the
-    argmax.  A maximum sitting at k_max is flagged horizon-limited.  The
-    powers are fetched in windows K in [2^i, 2^(i+1)), each cut off where
-    the envelope falls to the best value so far (:func:`prefetch_powers`).
+    argmax.  At alpha = 1 the average power is the quantized power at
+    K bits, increasing in K, so K* = k_max.  A maximum sitting at k_max is
+    flagged horizon-limited.  This is the one-config case of
+    :func:`optimal_intervals`.
     """
-    if cfg.model.alpha >= 1.0:
-        # average power equals the quantized power at K*bits, increasing in K
-        return IntervalResult(cfg.k_max, avg_power(cfg, cfg.k_max), True)
-
-    def stop(k: int, curve: list[float]) -> bool:
-        best = max(curve)
-        if k & (k - 1) == 0:  # K = 2^i opens a window
-            prefetch_powers(cfg.shape, _beatable(cfg, range(k, min(2 * k, cfg.k_max + 1)), best))
-        return _search_envelope(cfg, k) <= best
-
-    return best_interval(scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop), cfg.k_max)
+    return optimal_intervals([cfg])[0]
 
 
 @dataclass(frozen=True)
@@ -627,22 +688,16 @@ class AfpMfpComparison:
 def afp_beats_mfp(cfg: AfpConfig) -> AfpMfpComparison:
     """All K in [2, k_max] whose interval-average power exceeds the K = 1 value.
 
-    For alpha < 1 the scan stops once the envelope falls to the K = 1 value;
-    after K = 1 that fixes every K the scan reaches, and their powers are
-    fetched in one pass (:func:`prefetch_powers`).
+    For alpha < 1 the scan stops once the envelope falls to the K = 1 value.
+    It is the one-config case of the :func:`optimal_intervals` driver, with
+    the K = 1 value as the incumbent that cuts off each window's fetch.
     """
     alpha = cfg.model.alpha
     if alpha >= 1.0:
         # quantized power is strictly increasing in bits, so every K wins
         ks = tuple(range(2, cfg.k_max + 1))
         return AfpMfpComparison(ks, tuple(math.inf for _ in ks), math.inf)
-
-    def stop(k: int, curve: list[float]) -> bool:
-        if k == 2:
-            prefetch_powers(cfg.shape, _beatable(cfg, range(2, cfg.k_max + 1), curve[0]))
-        return _search_envelope(cfg, k) <= curve[0]
-
-    curve = scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop)
+    curve = _lockstep([cfg], lambda curve: curve[0])[0]
     ks = intervals_beating_first(curve)
     iso, base = cfg.shape.nr, curve[0]
     large_budget = 1.0 / (1.0 - alpha * alpha)

@@ -196,6 +196,21 @@ class TestHeadlines:
         assert out.strip() == "K in [2,8]"
 
 
+class TestQuadraturePasses:
+    # nt x 2 quadrature passes of one cold command; the searches fetch their
+    # budgets in lockstep windows, one pass per shape and window
+    @pytest.mark.parametrize("args,most", [
+        ("reproduce-figure --id fig7", 8),
+        ("optimal-k --nt 5 --nr 2 --bits 1 --alpha 0.95", 2),
+        ("optimal-k --nt 3 --nr 2 --bits 1e-9 --alpha 0.999", 3),  # the curve runs to K = 64
+        ("afp-range --nt 4 --nr 2 --bits 1 --alpha 0.9", 2),
+    ])
+    def test_command_takes_few_passes(self, args, most, ntx2_passes, tmp_path, capfd):
+        code, _, _ = invoke(args.split() + ["--output", str(tmp_path / "t.csv")], capfd)
+        assert code == 0
+        assert 0 < len(ntx2_passes) <= most
+
+
 class TestTables:
     def test_csv_schema_and_digits(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)

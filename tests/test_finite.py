@@ -730,3 +730,60 @@ class TestIntervalSearch:
     def test_mean_eigen_gap_values(self):
         assert mean_eigen_gap(2) == 3.0
         assert mean_eigen_gap(3) == pytest.approx(3.75, rel=1e-12)
+
+
+def _plain_curve(cfg, incumbent):
+    # scan_interval under the searches' envelope stop, with no prefetch:
+    # every power is its budget's own quadrature
+    def stop(k, curve):
+        return finite._search_envelope(cfg, k) <= incumbent(curve)
+
+    return finite.scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop)
+
+
+def _plain_optimal_interval(cfg):
+    if cfg.model.alpha >= 1.0:
+        return finite.IntervalResult(cfg.k_max, avg_power(cfg, cfg.k_max), True)
+    return best_interval(_plain_curve(cfg, max), cfg.k_max)
+
+
+class TestLockstepSearches:
+    # window edges: the first window is [1, 16), the next [16, 128)
+    SHAPES = [(nt, 2) for nt in range(3, 7)] + [(2, 2), (2, 4)]
+    GRID = [
+        AfpConfig(SystemShape(nt, nr), bits, FadingModel(alpha), k_max)
+        for nt, nr in SHAPES for bits in (0.25, 1.0, 2.0)
+        for alpha in (0.0, 0.5, 0.8, 0.95, 0.999, 1.0) for k_max in (1, 7, 8, 15, 16, 17, 64)
+    ]
+
+    def test_lockstep_equals_plain_scans(self, ntx2_passes):
+        # mixed shapes and a duplicated config, in one call
+        cfgs = self.GRID + [self.GRID[100]]
+        results = finite.optimal_intervals(cfgs)
+        # one pass per nt x 2 shape and window at most: K <= 64 spans two windows
+        assert len(ntx2_passes) <= 4 * 2
+        finite._ntx2_cache.clear()
+        for cfg, got in zip(cfgs, results):
+            want = _plain_optimal_interval(cfg)
+            assert (got.k_star, got.value, got.horizon_limited) == (
+                want.k_star, want.value, want.horizon_limited
+            ), cfg
+            assert got.curve == want.curve, cfg
+
+    def test_afp_beats_mfp_equals_plain_scan(self, ntx2_passes):
+        cfgs = [cfg for cfg in self.GRID if cfg.k_max in (1, 8, 64)]
+        got = [afp_beats_mfp(cfg) for cfg in cfgs]
+        finite._ntx2_cache.clear()
+        for cfg, cmp in zip(cfgs, got):
+            if cfg.model.alpha >= 1.0:
+                assert cmp.winning_k == tuple(range(2, cfg.k_max + 1)), cfg
+                continue
+            curve = _plain_curve(cfg, lambda curve: curve[0])
+            ks = intervals_beating_first(curve)
+            iso, large_budget = cfg.shape.nr, 1.0 / (1.0 - cfg.model.alpha * cfg.model.alpha)
+            bounds = tuple(
+                large_budget * (finite.quantized_first_block_power(cfg.shape, cfg.bits_per_block * k) - iso)
+                / (curve[0] - iso)
+                for k in ks
+            )
+            assert (cmp.winning_k, cmp.pointwise_bound) == (ks, bounds), cfg

@@ -427,17 +427,10 @@ class TestSweep:
         hits = sum(abs(r.value - r.analytic) <= 3 * r.stderr for r in checked)
         assert hits / len(checked) >= 0.95
 
-    def test_analytic_column_takes_one_quadrature_pass_per_nt(self, monkeypatch):
-        monkeypatch.setattr(finite, "_ntx2_cache", {})
-        passes = []
-        real = finite._ntx2_shortfall
-        monkeypatch.setattr(
-            finite, "_ntx2_shortfall",
-            lambda nt, sizes: passes.append((nt, sizes)) or real(nt, sizes),
-        )
+    def test_analytic_column_takes_one_quadrature_pass_per_nt(self, ntx2_passes):
         records = sweep(self.fig1_specs(trials=20))
         # the 3x2, 4x2 and 5x2 cells, K = 1..10 bits each
-        assert passes == [(nt, [2.0**k for k in range(1, 11)]) for nt in (3, 4, 5)]
+        assert ntx2_passes == [(nt, [2.0**k for k in range(1, 11)]) for nt in (3, 4, 5)]
         for spec, record in zip(self.fig1_specs(trials=20), records):
             finite._ntx2_cache.clear()
             assert record.analytic == simulate._analytic_value(spec)
