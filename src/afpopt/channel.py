@@ -12,6 +12,7 @@ law is stationary for any alpha in [0, 1].
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,12 @@ def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator
     return rng
 
 
+def check_count(name: str, value: object) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemShape:
     """Antenna counts: nt transmit, nr receive."""
@@ -61,8 +68,8 @@ class SystemShape:
     nr: int
 
     def __post_init__(self) -> None:
-        if self.nt < 1 or self.nr < 1:
-            raise ValueError(f"antenna counts must be >= 1, got nt={self.nt} nr={self.nr}")
+        check_count("nt", self.nt)
+        check_count("nr", self.nr)
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,7 @@ def trajectory(
     rng: RandomStream | np.random.Generator,
 ) -> np.ndarray:
     """Channel matrices for ``num_blocks`` consecutive blocks, shape (K, nr, nt)."""
-    if num_blocks < 1:
-        raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
+    check_count("num_blocks", num_blocks)
     gen = as_generator(rng)
     out = np.empty((num_blocks, shape.nr, shape.nt), dtype=complex)
     out[0] = sample_channel(shape, gen)

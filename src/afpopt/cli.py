@@ -30,7 +30,7 @@ from typing import NoReturn
 
 from afpopt import finite, largesys, simulate
 from afpopt.channel import FadingModel, SystemShape
-from afpopt.codebook import save_codebook
+from afpopt.codebook import KINDS, save_codebook
 from afpopt.simulate import ExperimentSpec, SweepRecord
 
 CSV_HEADER = "nt,nr,alpha,bits_per_block,K,metric,value,stderr,analytic,source,seed"
@@ -46,20 +46,10 @@ def _fmt(x: object) -> str:
     return str(x)
 
 
-def _record_dict(r: SweepRecord) -> dict:
-    return {
-        "nt": r.nt,
-        "nr": r.nr,
-        "alpha": r.alpha,
-        "bits_per_block": r.bits_per_block,
-        "K": r.num_blocks,
-        "metric": r.metric,
-        "value": r.value,
-        "stderr": r.stderr,
-        "analytic": r.analytic,
-        "source": r.source,
-        "seed": r.seed,
-    }
+def _columns(r: SweepRecord) -> tuple:
+    # the record's values in CSV_HEADER's order; its error is not a column
+    return (r.nt, r.nr, r.alpha, r.bits_per_block, r.num_blocks, r.metric, r.value, r.stderr,
+            r.analytic, r.source, r.seed)
 
 
 def _json_value(x: object) -> object:
@@ -73,13 +63,9 @@ def emit_table(records: list[SweepRecord], fmt: str, path: Path) -> None:
     if not records:
         raise ValueError("refusing to write an empty table")
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            d = _record_dict(r)
-            lines.append(",".join(_fmt(d[k]) for k in _FIELDS))
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([CSV_HEADER] + [",".join(map(_fmt, _columns(r))) for r in records]) + "\n"
     else:
-        rows = [{k: _json_value(v) for k, v in _record_dict(r).items()} for r in records]
+        rows = [dict(zip(_FIELDS, map(_json_value, _columns(r)))) for r in records]
         text = json.dumps(rows, indent=1, allow_nan=False) + "\n"
     try:
         path.write_text(text)
@@ -140,22 +126,14 @@ def _output_path(opts: dict, command: str) -> Path:
     return base / f"{command.replace('-', '_')}.{opts['format']}"
 
 
-def _analytic_record(nt, nr, alpha, bits, k, metric, value, source, seed) -> SweepRecord:
+def _row(nt, nr, alpha, bits, k, metric, value, source, seed) -> SweepRecord:
+    # an analytic row: its value is also its analytic column, with no stderr
     return SweepRecord(nt, nr, alpha, bits, k, metric, value, None, value, source, seed)
 
 
-def _optimal_k_record(nt, nr, alpha, bits, k, source, seed) -> SweepRecord:
-    return _analytic_record(nt, nr, alpha, bits, k, "optimal_k", float(k), source, seed)
-
-
-def _rate_record(alpha, b_bar, k, value, seed) -> SweepRecord:
-    return _analytic_record(0, 0, alpha, b_bar, k, "rate_difference", value, "large-system", seed)
-
-
-def _finite_record(opts: dict, k: int, metric: str, value: float) -> SweepRecord:
-    return _analytic_record(
-        opts["nt"], opts["nr"], opts["alpha"], opts["bits"], k, metric, value, "finite", opts["seed"]
-    )
+def _channel(opts: dict) -> tuple:
+    # the flags of one channel: nt, nr, alpha and bits per block
+    return opts["nt"], opts["nr"], opts["alpha"], opts["bits"]
 
 
 def _print_k_star(result: finite.IntervalResult) -> None:
@@ -164,15 +142,17 @@ def _print_k_star(result: finite.IntervalResult) -> None:
 
 
 def _finite_cfg(opts: dict) -> finite.AfpConfig:
-    shape = SystemShape(opts["nt"], opts["nr"])
-    return finite.AfpConfig(shape, opts["bits"], FadingModel(opts["alpha"]), opts["k_max"])
+    return _finite_k(*_channel(opts), opts["k_max"])
 
 
 def _cmd_analytic(opts: dict) -> list[SweepRecord]:
     cfg = _finite_cfg(opts)
-    finite.prefetch_powers(cfg.shape, [cfg.bits_per_block * k for k in range(1, opts["k_max"] + 1)])
-    curve = finite.scan_interval(lambda k: finite.avg_power(cfg, k), opts["k_max"])
-    return [_finite_record(opts, k, "avg_power", value) for k, value in enumerate(curve, 1)]
+    ks = range(1, cfg.k_max + 1)
+    # one batch for the table, whose cache avg_power then reads
+    finite.quantized_powers(cfg.shape, [cfg.bits_per_block * k for k in ks])
+    return [
+        _row(*_channel(opts), k, "avg_power", finite.avg_power(cfg, k), "finite", opts["seed"]) for k in ks
+    ]
 
 
 def _cmd_large_system(opts: dict) -> list[SweepRecord]:
@@ -183,7 +163,7 @@ def _cmd_large_system(opts: dict) -> list[SweepRecord]:
     rest = range(len(result.curve) + 1, cfg.k_max + 1)
     curve = result.curve + tuple(largesys.rate_difference(k, cfg) for k in rest)
     return [
-        _rate_record(opts["alpha"], opts["b_bar"], k, value, opts["seed"])
+        _row(0, 0, opts["alpha"], opts["b_bar"], k, "rate_difference", value, "large-system", opts["seed"])
         for k, value in enumerate(curve, 1)
     ]
 
@@ -196,22 +176,18 @@ def _spec(opts: dict, nt, nr, alpha, bits, k, kind, metric) -> ExperimentSpec:
     )
 
 
-def _cell_spec(opts: dict, k: int, kind: str, metric: str) -> ExperimentSpec:
-    return _spec(opts, opts["nt"], opts["nr"], opts["alpha"], opts["bits"], k, kind, metric)
-
-
 def _cmd_simulate(opts: dict) -> list[SweepRecord]:
     ks = range(opts["k_min"], opts["k_max"] + 1)
     if not ks:
         raise ValueError(f"empty K range [{opts['k_min']}, {opts['k_max']}]")
-    specs = [_cell_spec(opts, k, opts["codebook"], opts["metric"]) for k in ks]
+    specs = [_spec(opts, *_channel(opts), k, opts["codebook"], opts["metric"]) for k in ks]
     return simulate.sweep(specs, opts["rho_db"])
 
 
 def _cmd_optimal_k(opts: dict) -> list[SweepRecord]:
     result = finite.optimal_interval(_finite_cfg(opts))
     _print_k_star(result)
-    return [_finite_record(opts, result.k_star, "optimal_k", float(result.k_star))]
+    return [_row(*_channel(opts), result.k_star, "optimal_k", float(result.k_star), "finite", opts["seed"])]
 
 
 def _cmd_afp_range(opts: dict) -> list[SweepRecord]:
@@ -226,12 +202,14 @@ def _cmd_afp_range(opts: dict) -> list[SweepRecord]:
         print("K in {" + ",".join(map(str, ks)) + "}")
     # no winning K: one row carrying the large-budget bound
     rows = zip(ks, cmp.pointwise_bound) if ks else [(1, cmp.large_budget_bound)]
-    return [_finite_record(opts, k, "afp_minus_mfp_bound", bound) for k, bound in rows]
+    return [
+        _row(*_channel(opts), k, "afp_minus_mfp_bound", bound, "finite", opts["seed"]) for k, bound in rows
+    ]
 
 
 def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
-    cells = [(kind, k) for kind in ("rvq", "maximin") for k in range(1, opts["k_max"] + 1)]
-    records = simulate.sweep([_cell_spec(opts, k, kind, "normalized_power") for kind, k in cells])
+    cells = [(kind, k) for kind in KINDS for k in range(1, opts["k_max"] + 1)]
+    records = simulate.sweep([_spec(opts, *_channel(opts), k, kind, "normalized_power") for kind, k in cells])
     best: dict[str, tuple[float, int]] = {}
     for (kind, k), rec in zip(cells, records):
         if rec.value is not None and (kind not in best or rec.value > best[kind][0]):
@@ -243,7 +221,7 @@ def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
 
 def _save_maximin_codebook(opts: dict) -> None:
     """Write the codebook the K = k_max maximin cell simulated, rebuilt from the same draws."""
-    spec = _cell_spec(opts, opts["k_max"], "maximin", "normalized_power")
+    spec = _spec(opts, *_channel(opts), opts["k_max"], "maximin", "normalized_power")
     codebook = simulate.fixed_codebook(spec)
     try:
         save_codebook(codebook, opts["save_codebook"])
@@ -251,19 +229,18 @@ def _save_maximin_codebook(opts: dict) -> None:
         raise RuntimeError(f"cannot write {opts['save_codebook']}: {exc}") from exc
 
 
-def _finite_k(nt, nr, alpha, bits) -> finite.AfpConfig:
-    return finite.AfpConfig(SystemShape(nt, nr), bits, FadingModel(alpha))
+def _finite_k(nt, nr, alpha, bits, k_max=finite.AfpConfig.k_max) -> finite.AfpConfig:
+    return finite.AfpConfig(SystemShape(nt, nr), bits, FadingModel(alpha), k_max)
 
 
 def _large_k(nr_bar, b_bar, alpha, seed) -> SweepRecord:
-    cfg = largesys.LargeSystemConfig(nr_bar, b_bar, alpha)
-    k = largesys.optimal_interval(cfg).k_star
-    return _optimal_k_record(0, 0, alpha, b_bar, k, "large-system", seed)
+    k = largesys.optimal_interval(largesys.LargeSystemConfig(nr_bar, b_bar, alpha)).k_star
+    return _row(0, 0, alpha, b_bar, k, "optimal_k", float(k), "large-system", seed)
 
 
 def _large_rate(nr_bar, b_bar, alpha, k, seed) -> SweepRecord:
-    cfg = largesys.LargeSystemConfig(nr_bar, b_bar, alpha)
-    return _rate_record(alpha, b_bar, k, largesys.rate_difference(k, cfg), seed)
+    value = largesys.rate_difference(k, largesys.LargeSystemConfig(nr_bar, b_bar, alpha))
+    return _row(0, 0, alpha, b_bar, k, "rate_difference", value, "large-system", seed)
 
 
 _FIG4_B_BARS = (0.0625, 0.125, 0.25, 0.5)
@@ -316,8 +293,8 @@ def _cmd_reproduce_figure(opts: dict) -> list[SweepRecord]:
     searched = [args for make, args in rows if make is _finite_k]
     results = iter(finite.optimal_intervals(_finite_k(*args) for args in searched))
     records = [
-        _optimal_k_record(*args, next(results).k_star, "finite", opts["seed"]) if make is _finite_k
-        else make(*args, opts["seed"])
+        _row(*args, (k := next(results).k_star), "optimal_k", float(k), "finite", opts["seed"])
+        if make is _finite_k else make(*args, opts["seed"])
         for make, args in rows
     ]
     if cells:
@@ -350,19 +327,20 @@ _OPTIONS: dict[str, tuple[tuple[str, ...], object, dict]] = {
     "nr": (_CHANNEL, 2, {"type": _positive_int}),
     "bits": (_CHANNEL, 1.0, {"type": _positive, "help": "feedback bits per block"}),
     "alpha": ((*_CHANNEL, "large-system"), 0.8, {"type": _alpha}),
-    "k_max": ((*_CHANNEL, "large-system"), 64, {"type": _positive_int}),
+    "k_max": ((*_CHANNEL, "large-system"), finite.AfpConfig.k_max, {"type": _positive_int}),
     "k_min": (("simulate",), 1, {"type": _positive_int}),
-    "trials": (("simulate", "compare-codebooks", "reproduce-figure"), 3000, {"type": _positive_int}),
-    "metric": (("simulate",), "avg_power", {"choices": simulate.METRICS}),
-    "codebook": (("simulate",), "rvq", {"choices": ("rvq", "maximin")}),
-    "rho_db": (("simulate",), 10.0, {"type": _finite, "help": "background SNR in dB"}),
-    "candidates": (("compare-codebooks",), 10_000, {"type": _positive_int}),
+    "trials": (("simulate", "compare-codebooks", "reproduce-figure"), ExperimentSpec.trials,
+               {"type": _positive_int}),
+    "metric": (("simulate",), ExperimentSpec.metric, {"choices": simulate.METRICS}),
+    "codebook": (("simulate",), ExperimentSpec.codebook_kind, {"choices": KINDS}),
+    "rho_db": (("simulate",), simulate.RHO_DB, {"type": _finite, "help": "background SNR in dB"}),
+    "candidates": (("compare-codebooks",), ExperimentSpec.candidates, {"type": _positive_int}),
     "save_codebook": (("compare-codebooks",), None, {
         "help": "also save the maximin codebook of the K = k-max cell (JSON)"}),
     "output": (_ALL, None, {"help": "output table path (default: <command>.<format> "
                                     f"under ${OUTPUT_DIR_ENV} or the working directory)"}),
     "format": (_ALL, "csv", {"choices": ("csv", "json")}),
-    "seed": (_ALL, 0, {"type": int}),
+    "seed": (_ALL, ExperimentSpec.seed, {"type": int}),
     "config": (_ALL, None, {"help": "JSON file with defaults for any flag"}),
 }
 

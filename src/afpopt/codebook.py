@@ -23,12 +23,15 @@ from typing import Iterable
 
 import numpy as np
 
-from afpopt.channel import RandomStream, as_generator, complex_normal
+from afpopt.channel import RandomStream, as_generator, check_count, complex_normal
 
 #: materialized codebooks are capped here; larger budgets must stream
 MATERIALIZE_CAP_BITS = 24
 STREAM_CAP_BITS = 30
 MAXIMIN_CAP_BITS = 10
+
+#: the codebook kinds: fresh RVQ draws, or one fixed maximin codebook
+KINDS = ("rvq", "maximin")
 
 # chunk used by every selection path; shared so streaming and materialized
 # selection perform bit-identical arithmetic
@@ -57,8 +60,8 @@ class Codebook:
     def __post_init__(self) -> None:
         if isinstance(self.bits, bool) or not isinstance(self.bits, numbers.Integral) or self.bits < 0:
             raise ValueError(f"bits must be an integer >= 0, got {self.bits!r}")
-        if self.kind not in ("rvq", "maximin"):
-            raise ValueError(f"kind must be 'rvq' or 'maximin', got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}, got {self.kind!r}")
         n = self.entries.shape[0]
         if n != 1 << min(self.bits, 64):  # a file's bits may be huge; no array has 2^64 rows
             raise ValueError(f"expected 2^{self.bits} entries, got {n}")
@@ -82,12 +85,6 @@ class Selection:
     power: float
 
 
-def _check_count(name: str, value: object) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _check_bits(bits: int | float, cap: int, cap_name: str) -> None:
     """Raise a ValueError unless ``bits`` is an integer in 0 .. ``cap``."""
     if bits < 0:
@@ -105,7 +102,7 @@ def _unit_vectors(gen: np.random.Generator, count: int, nt: int) -> np.ndarray:
 
 def rvq_codebook(nt: int, bits: int, rng: RandomStream | np.random.Generator) -> Codebook:
     """Draw a fresh RVQ codebook; larger budgets use :func:`select_beamformer_streaming`."""
-    _check_count("nt", nt)
+    check_count("nt", nt)
     _check_bits(bits, MATERIALIZE_CAP_BITS, "materialization")
     gen = as_generator(rng)
     return Codebook(_unit_vectors(gen, 1 << bits, nt), bits)
@@ -305,8 +302,8 @@ def _stream_entries(nt: int) -> int:
 def maximin_codebooks(
     nt: int,
     budgets: Iterable[int],
-    candidates: int = 10_000,
-    rng: RandomStream | np.random.Generator = RandomStream(0),
+    candidates: int,
+    rng: RandomStream | np.random.Generator,
 ) -> dict[int, Codebook]:
     """The :func:`maximin_codebook` of every budget, from one pass over the candidate stream.
 
@@ -320,10 +317,10 @@ def maximin_codebooks(
     budget alone returns.
     """
     budgets = sorted(set(budgets))
-    _check_count("nt", nt)
+    check_count("nt", nt)
     for bits in budgets:
         check_maximin_bits(bits)
-    _check_count("candidates", candidates)
+    check_count("candidates", candidates)
     gen = as_generator(rng)
     best: dict[int, tuple[float, np.ndarray | None]] = {bits: (-1.0, None) for bits in budgets}
     total, step = (candidates << budgets[-1] if budgets else 0), _stream_entries(nt)
@@ -348,8 +345,8 @@ def maximin_codebooks(
 def maximin_codebook(
     nt: int,
     bits: int,
-    candidates: int = 10_000,
-    rng: RandomStream | np.random.Generator = RandomStream(0),
+    candidates: int,
+    rng: RandomStream | np.random.Generator,
 ) -> Codebook:
     """Best of ``candidates`` random codebooks by minimum pairwise distance.
 
@@ -388,7 +385,7 @@ def load_codebook(path: str | Path) -> Codebook:
     if missing:
         raise ValueError(f"codebook file lacks {', '.join(missing)}")
     nt = doc["nt"]
-    _check_count("nt", nt)
+    check_count("nt", nt)
     try:
         flat = np.asarray(doc["entries"], dtype=float)
         if flat.ndim != 1 or flat.size % (2 * nt):

@@ -18,8 +18,8 @@ quantizer output.  The quadratures are adaptive Gauss-Kronrod rules written
 in numpy, held to fixed tolerances and vectorised over panels and over bit
 budgets: many budgets are the integrals of one batched pass, each with a
 result that does not depend on the others (:func:`rvq_powers_ntx2`), and a
-bounded cache keeps the values.  Every batch is requested through
-:func:`prefetch_powers`: the interval searches run in lockstep
+bounded cache keeps the values.  Every power, one or a batch, comes
+through :func:`quantized_powers`: the interval searches run in lockstep
 (:func:`optimal_intervals`) and fetch each window of K together, cut off by
 an envelope that bounds every later interval, and the simulator and the
 CLI fetch the budgets of their tables.  The
@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from afpopt.channel import FadingModel, SystemShape
+from afpopt.channel import FadingModel, SystemShape, check_count
 
 _LN2 = math.log(2.0)
 
@@ -89,10 +89,8 @@ def rvq_power_2xnr(nr: int, total_bits: float) -> float:
 
 def block_power_2xnr(nr: int, total_bits: float, alpha: float, k: int) -> float:
     """Expected power at block k under the beamformer quantized at block 1."""
-    if k < 1:
-        raise ValueError("block index starts at 1")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    check_count("k", k)
+    FadingModel(alpha)  # its alpha check
     g = rvq_power_2xnr(nr, total_bits)
     return nr + alpha ** (2 * k - 2) * (g - nr)
 
@@ -489,6 +487,28 @@ def has_closed_form(shape: SystemShape) -> bool:
     return (shape.nt == 2 and shape.nr >= 2) or (shape.nr == 2 and shape.nt > 2)
 
 
+def _check_closed_form(shape: SystemShape) -> None:
+    if not has_closed_form(shape):
+        raise ValueError(f"no closed-form path for a {shape.nt}x{shape.nr} channel")
+
+
+def quantized_powers(shape: SystemShape, budgets: Iterable[float]) -> list[float]:
+    """The quantized first-block power of ``shape`` at each bit budget of ``budgets``.
+
+    The one door to the exact powers: the 2 x nr closed form
+    (:func:`rvq_power_2xnr`) at each budget, or one :func:`rvq_powers_ntx2`
+    batch for an nt x 2 shape, whose values its cache then serves.  A shape
+    that :func:`has_closed_form` rejects raises a ValueError.  Every batch
+    of the package goes through here: one per shape and window of the
+    lockstep searches (:func:`optimal_intervals`), one per shape of a
+    sweep's analytic column, and one for the ``analytic`` command's table.
+    """
+    _check_closed_form(shape)
+    if shape.nt == 2:
+        return [rvq_power_2xnr(shape.nr, bits) for bits in budgets]
+    return rvq_powers_ntx2(shape.nt, budgets)
+
+
 @dataclass(frozen=True)
 class AfpConfig:
     """Configuration for the finite-size interval search.
@@ -503,33 +523,10 @@ class AfpConfig:
     k_max: int = 64
 
     def __post_init__(self) -> None:
-        if not has_closed_form(self.shape):
-            raise ValueError(f"no closed-form path for a {self.shape.nt}x{self.shape.nr} channel")
+        _check_closed_form(self.shape)
         if not 0.0 < self.bits_per_block < math.inf:
             raise ValueError(f"bits_per_block must be finite and positive, got {self.bits_per_block}")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-
-
-def quantized_first_block_power(shape: SystemShape, total_bits: float) -> float:
-    """Dispatch to the 2 x nr closed form or the nt x 2 quadrature."""
-    if shape.nt == 2:
-        return rvq_power_2xnr(shape.nr, total_bits)
-    return rvq_power_ntx2(shape.nt, total_bits)
-
-
-def prefetch_powers(shape: SystemShape, budgets: Iterable[float]) -> None:
-    """Compute the quantized first-block powers of ``shape`` at ``budgets`` in one pass.
-
-    For an nt x 2 shape this is one :func:`rvq_powers_ntx2` batch, whose
-    cache :func:`quantized_first_block_power` then reads; the 2 x nr closed
-    form needs none, and ``budgets`` is then not read.  Every batch of the
-    package goes through here: one per shape and window of the lockstep
-    searches (:func:`optimal_intervals`), one per shape of a sweep's analytic
-    column, and one for the ``analytic`` command's table.
-    """
-    if shape.nt != 2:
-        rvq_powers_ntx2(shape.nt, budgets)
+        check_count("k_max", self.k_max)
 
 
 def avg_power(cfg: AfpConfig, num_blocks: int) -> float:
@@ -540,9 +537,8 @@ def avg_power(cfg: AfpConfig, num_blocks: int) -> float:
     alpha^(2k-2) per block.  At alpha = 1 this reduces to the quantized
     first-block power itself.
     """
-    if num_blocks < 1:
-        raise ValueError("num_blocks must be >= 1")
-    g = quantized_first_block_power(cfg.shape, cfg.bits_per_block * num_blocks)
+    check_count("num_blocks", num_blocks)
+    (g,) = quantized_powers(cfg.shape, [cfg.bits_per_block * num_blocks])
     return interval_average_power(cfg.shape.nr, g, cfg.model.alpha, num_blocks)
 
 
@@ -642,7 +638,7 @@ def _lockstep(cfgs: list[AfpConfig], incumbent: Callable[[list[float]], float]) 
                 curves[i] = stop.value
                 del searches[i]
         for shape, bits in budgets.items():
-            prefetch_powers(shape, bits)
+            quantized_powers(shape, bits)
     return curves
 
 
@@ -652,7 +648,7 @@ def optimal_intervals(cfgs: Iterable[AfpConfig]) -> list[IntervalResult]:
     The searches scan K in windows [1, 16), [16, 128), ...  Before each
     window, every live search names its budgets there, cut off where its
     envelope falls to its best value so far, and each shape's are fetched
-    in one :func:`prefetch_powers` batch: one nt x 2 pass per shape and
+    in one :func:`quantized_powers` batch: one nt x 2 pass per shape and
     window.  Each result equals the one its config gets alone.
     """
     cfgs = list(cfgs)
@@ -701,8 +697,6 @@ def afp_beats_mfp(cfg: AfpConfig) -> AfpMfpComparison:
     ks = intervals_beating_first(curve)
     iso, base = cfg.shape.nr, curve[0]
     large_budget = 1.0 / (1.0 - alpha * alpha)
-    bounds = tuple(
-        large_budget * (quantized_first_block_power(cfg.shape, cfg.bits_per_block * k) - iso) / (base - iso)
-        for k in ks
-    )
+    gains = quantized_powers(cfg.shape, [cfg.bits_per_block * k for k in ks])
+    bounds = tuple(large_budget * (g - iso) / (base - iso) for g in gains)
     return AfpMfpComparison(ks, bounds, large_budget)

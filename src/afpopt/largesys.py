@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from afpopt.finite import IntervalResult, best_interval, intervals_beating_first, scan_interval
+from afpopt.channel import FadingModel, check_count
+from afpopt.finite import AfpConfig, IntervalResult, best_interval, intervals_beating_first, scan_interval
 
 _LN2 = math.log(2.0)
 _EPS = 2.0**-52
@@ -94,17 +95,15 @@ class LargeSystemConfig:
     nr_bar: float
     b_bar: float
     alpha: float
-    k_max: int = 64
+    k_max: int = AfpConfig.k_max
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.nr_bar < math.inf:
             raise ValueError(f"nr_bar must be finite and nonnegative, got {self.nr_bar}")
         if not 0.0 < self.b_bar < math.inf:
             raise ValueError(f"b_bar must be finite and positive, got {self.b_bar}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        FadingModel(self.alpha)  # its alpha check
+        check_count("k_max", self.k_max)
 
 
 def rate_difference(num_blocks: int, cfg: LargeSystemConfig) -> float:
@@ -115,8 +114,7 @@ def rate_difference(num_blocks: int, cfg: LargeSystemConfig) -> float:
     MISO form (K-1) log2(alpha) + log2(1 - 2^-(b_bar K)) applies; it is
     -inf when alpha = 0 and K > 1 (a stale beamformer earns nothing).
     """
-    if num_blocks < 1:
-        raise ValueError("num_blocks must be >= 1")
+    check_count("num_blocks", num_blocks)
     k = num_blocks
     if cfg.nr_bar == 0.0:
         gain = math.log2(-math.expm1(-cfg.b_bar * k * _LN2))

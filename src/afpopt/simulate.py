@@ -37,8 +37,10 @@ from typing import Iterator
 import numpy as np
 
 from afpopt import finite
-from afpopt.channel import FadingModel, RandomStream, SystemShape, complex_normal, gram_eigenvalues
-from afpopt.codebook import Codebook, check_maximin_bits, maximin_codebook, maximin_codebooks
+from afpopt.channel import (
+    FadingModel, RandomStream, SystemShape, check_count, complex_normal, gram_eigenvalues,
+)
+from afpopt.codebook import KINDS, Codebook, check_maximin_bits, maximin_codebook, maximin_codebooks
 
 #: substream reserved for per-configuration codebook construction; chunk
 #: indices stay safely below this
@@ -55,6 +57,9 @@ _SCORE_BLOCK = 1 << 18
 _ROOT_MAX_STEPS = 200
 
 METRICS = ("avg_power", "avg_rate", "rate_difference", "normalized_power")
+
+#: default background SNR of the rate metrics, in dB
+RHO_DB = 10.0
 
 
 _LN2 = math.log(2.0)
@@ -86,16 +91,13 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.bits_per_block < math.inf:
             raise ValueError(f"bits_per_block must be finite and nonnegative, got {self.bits_per_block}")
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.codebook_kind not in ("rvq", "maximin"):
+        check_count("num_blocks", self.num_blocks)
+        check_count("trials", self.trials)
+        check_count("candidates", self.candidates)
+        if self.codebook_kind not in KINDS:
             raise ValueError(f"unknown codebook kind {self.codebook_kind!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.candidates < 1:
-            raise ValueError("candidates must be >= 1")
 
     @property
     def budget_bits(self) -> int | float:
@@ -428,7 +430,7 @@ def _analytic_value(spec: ExperimentSpec) -> float | None:
         return None
     # the closed form at the rounded budget the simulation quantizes with,
     # not at the fractional B * K
-    g = finite.quantized_first_block_power(shape, spec.budget_bits)
+    (g,) = finite.quantized_powers(shape, [spec.budget_bits])
     value = finite.interval_average_power(shape.nr, g, spec.model.alpha, spec.num_blocks)
     if spec.metric == "normalized_power":
         value /= perfect_feedback_mean(shape)
@@ -455,7 +457,7 @@ def _record(spec: ExperimentSpec, outcome: np.ndarray | Exception) -> SweepRecor
     )
 
 
-def run_spec(spec: ExperimentSpec, rho_db: float = 10.0) -> SweepRecord:
+def run_spec(spec: ExperimentSpec, rho_db: float = RHO_DB) -> SweepRecord:
     """Evaluate one grid point, attaching the closed form when one exists.
 
     The rate metrics are taken at an SNR of ``rho_db`` dB.  A grid point
@@ -465,7 +467,7 @@ def run_spec(spec: ExperimentSpec, rho_db: float = 10.0) -> SweepRecord:
     return sweep([spec], rho_db)[0]
 
 
-def sweep(specs: list[ExperimentSpec], rho_db: float = 10.0) -> list[SweepRecord]:
+def sweep(specs: list[ExperimentSpec], rho_db: float = RHO_DB) -> list[SweepRecord]:
     """Evaluate a grid, one record per spec in order; failures are reported, never raised.
 
     Cells with the same shape, seed, trial count and codebook kind (and,
@@ -492,7 +494,7 @@ def sweep(specs: list[ExperimentSpec], rho_db: float = 10.0) -> list[SweepRecord
             budgets.setdefault(spec.shape, []).append(spec.budget_bits)
     for shape, bits in budgets.items():
         try:
-            finite.prefetch_powers(shape, bits)
+            finite.quantized_powers(shape, bits)
         except Exception:  # each record meets the failure again and keeps it
             pass
     return [_record(spec, outcome) for spec, outcome in zip(specs, outcomes)]

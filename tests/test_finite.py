@@ -442,6 +442,46 @@ def _warned(call):
     return value, [str(w.message) for w in caught]
 
 
+class TestQuantizedPowers:
+    # zero, fractional, large, saturated (>= _BITS_SATURATION) and repeated budgets
+    BUDGETS = [0.0, 0.25, 1.0, 3.0, 12.0, 64.0, 400.0, 1.0]
+
+    @pytest.fixture(autouse=True)
+    def own_cache(self, monkeypatch):
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+
+    @pytest.mark.parametrize("nt, nr", [(3, 3), (4, 5), (2, 1), (1, 2)])
+    def test_rejects_shapes_without_a_closed_form(self, nt, nr):
+        with pytest.raises(ValueError, match=f"^no closed-form path for a {nt}x{nr} channel$"):
+            finite.quantized_powers(SystemShape(nt, nr), [1.0])
+
+    def test_admits_exactly_the_closed_form_shapes(self):
+        for nt, nr in itertools.product(range(1, 7), repeat=2):
+            shape = SystemShape(nt, nr)
+            if has_closed_form(shape):
+                assert finite.quantized_powers(shape, []) == []
+            else:
+                with pytest.raises(ValueError, match="no closed-form path"):
+                    finite.quantized_powers(shape, [])
+
+    @pytest.mark.parametrize("nt, nr", [(2, 3), (2, 250), (4, 2), (250, 2)])
+    def test_equals_its_path_bit_for_bit(self, nt, nr):
+        shape = SystemShape(nt, nr)
+
+        def path(bits):
+            return rvq_power_2xnr(nr, bits) if nt == 2 else _cold_ntx2(nt, bits)
+
+        want = [path(bits).hex() for bits in self.BUDGETS]
+        one = []
+        for bits in self.BUDGETS:
+            finite._ntx2_cache.clear()
+            one.append(finite.quantized_powers(shape, [bits])[0].hex())
+        finite._ntx2_cache.clear()
+        batch = [value.hex() for value in finite.quantized_powers(shape, self.BUDGETS)]
+        assert one == want
+        assert batch == want
+
+
 class TestNtx2Batch:
     @pytest.fixture(autouse=True)
     def own_cache(self, monkeypatch):
@@ -782,7 +822,7 @@ class TestLockstepSearches:
             ks = intervals_beating_first(curve)
             iso, large_budget = cfg.shape.nr, 1.0 / (1.0 - cfg.model.alpha * cfg.model.alpha)
             bounds = tuple(
-                large_budget * (finite.quantized_first_block_power(cfg.shape, cfg.bits_per_block * k) - iso)
+                large_budget * (finite.quantized_powers(cfg.shape, [cfg.bits_per_block * k])[0] - iso)
                 / (curve[0] - iso)
                 for k in ks
             )
