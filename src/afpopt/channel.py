@@ -54,10 +54,13 @@ def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator
     return rng
 
 
-def check_count(name: str, value: object) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value: object, least: int = 1) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``least`` (not a bool).
+
+    Counts are at least 1; a bit budget, at least 0.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
-# argparse's gettext imports locale when the first parser is built; load it
-# here, with the rest of start-up
-import locale  # noqa: F401
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -351,25 +349,14 @@ def _add_flags(parser: _Parser, command: str) -> None:
             parser.add_argument(f"--{option.replace('_', '-')}", default=default, **kwargs)
 
 
-def _command_parser(command: str) -> _Parser:
-    """The parser of ``command`` alone, as ``build_parser(command)`` holds it.
-
-    Its namespaces name the command, as the full parser's do.
-    """
-    parser = _Parser(prog=f"afpopt {command}")
-    _add_flags(parser, command)
-    parser.set_defaults(command=command)
-    return parser
-
-
 def build_parser(command: str | None) -> _Parser:
-    """The full parser: prints the top-level help and the errors of a whole command line.
+    """The full parser: takes abbreviated flags and prints the help and the errors of a whole command line.
 
     Every subcommand is listed with its help text, so the top-level help
     and its errors are the same for any ``command``; only ``command``
     gets its flags (None, for no command or an unknown one: none).
-    :func:`_parse_args` builds it only for a command line that the
-    parser of its leading command cannot take alone.
+    :func:`_parse_args` builds it only for a line that :func:`_read_plain`
+    declines.
     """
     parser = _Parser(prog="afpopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -380,26 +367,61 @@ def build_parser(command: str | None) -> _Parser:
     return parser
 
 
+# argparse reads a token that starts with "-" as a flag, not as a value,
+# unless it looks like a negative number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a command followed only by exact ``--flag value`` or ``--flag=value`` pairs.
+
+    Each value passes its flag's type and choice checks, a repeated flag
+    keeps its last value and a flag left out takes its default, as in
+    :func:`build_parser`'s namespace.  Any other line gives None: help,
+    an abbreviated or unknown flag, a value that argparse would read as a
+    flag or that fails its check, a missing required flag.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    names = {f"--{name.replace('_', '-')}": name for name, option in _OPTIONS.items() if command in option[0]}
+    # a required flag has no default: it is in values only once given
+    values = {name: _OPTIONS[name][1] for name in names.values() if not _OPTIONS[name][2].get("required")}
+    for token in tokens:
+        flag, joined, text = token.partition("=")
+        if not joined:
+            text = next(tokens, None)
+        name = names.get(flag)
+        if name is None or text is None or (text.startswith("-") and not _NEGATIVE_NUMBER.match(text)):
+            return None
+        kwargs = _OPTIONS[name][2]
+        try:
+            value = kwargs.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[name] = value
+    if len(values) < len(names):
+        return None
+    return argparse.Namespace(command=command, **values)
+
+
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Parse the flags, with ``--config`` values checked exactly like flags.
 
-    A command line that starts with a command is parsed by that command's
-    own parser (:func:`_command_parser`), the one the full parser would
-    hand the same arguments to.  Anything else (no leading command, or
-    arguments the command does not take) goes to :func:`build_parser`,
-    which prints the help or the error, worded as it always was.
+    A plain line, a command and exact flags of its own with their values,
+    is read straight from the option table (:func:`_read_plain`), with no
+    parser built.  Any other line goes to :func:`build_parser`, which takes
+    abbreviations and prints the help or the error, worded as it always was.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv else None
-    if command in _COMMANDS:
-        parser = _command_parser(command)
-        args, rest = parser.parse_known_args(argv[1:])
-    if command not in _COMMANDS or rest:
+    args = _read_plain(argv)
+    if args is None:
         # the top-level parser has no flags of its own, so argparse reads
         # the first token that is not a flag as the command
         named = next((token for token in argv if not token.startswith("-")), None)
-        build_parser(named if named in _COMMANDS else None).parse_args(argv)
-        raise AssertionError(f"the full parser took {argv}, which the command parser refused")
+        args = build_parser(named).parse_args(argv)
     if not args.config:
         return args
     try:
@@ -414,10 +436,14 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     tokens = [
         f"--{key.replace('_', '-')}={value}" for key, value in loaded.items() if value is not None
     ]
-    args, unknown = parser.parse_known_args([*tokens, *argv[1:]])
-    if unknown:
-        keys = ", ".join(token.split("=", 1)[0].lstrip("-") for token in unknown)
-        _usage_error("afpopt", f"bad config file {args.config}: unknown key(s) for {command}: {keys}")
+    command = args.command
+    line = [command, *tokens, *argv[1:]]
+    args = _read_plain(line)
+    if args is None:
+        args, unknown = build_parser(command).parse_known_args(line)
+        if unknown:
+            keys = ", ".join(token.split("=", 1)[0].lstrip("-") for token in unknown)
+            _usage_error("afpopt", f"bad config file {args.config}: unknown key(s) for {command}: {keys}")
     return args
 
 

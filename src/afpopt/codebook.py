@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -58,8 +57,7 @@ class Codebook:
     kind: str = "rvq"
 
     def __post_init__(self) -> None:
-        if isinstance(self.bits, bool) or not isinstance(self.bits, numbers.Integral) or self.bits < 0:
-            raise ValueError(f"bits must be an integer >= 0, got {self.bits!r}")
+        check_count("bits", self.bits, least=0)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}, got {self.kind!r}")
         n = self.entries.shape[0]
@@ -87,12 +85,9 @@ class Selection:
 
 def _check_bits(bits: int | float, cap: int, cap_name: str) -> None:
     """Raise a ValueError unless ``bits`` is an integer in 0 .. ``cap``."""
-    if bits < 0:
-        raise ValueError("bits must be nonnegative")
     if bits > cap:
         raise ValueError(f"bits={bits} exceeds the {cap_name} cap ({cap})")
-    if not isinstance(bits, numbers.Integral):
-        raise ValueError(f"bits must be an integer, got {bits!r}")
+    check_count("bits", bits, least=0)
 
 
 def _unit_vectors(gen: np.random.Generator, count: int, nt: int) -> np.ndarray:

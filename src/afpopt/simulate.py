@@ -149,16 +149,22 @@ def isotropic_power_tail(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return _tail_and_density(x, nodes)[0]
 
 
-def _tail_and_density(x: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tail_and_density(x: np.ndarray, nodes: np.ndarray, zeros: int = 0) -> tuple[np.ndarray, np.ndarray]:
     # isotropic_power_tail and the density of v^H G v, its negated derivative:
     # (n-1) times the divided difference of (. - x)_+^(n-2) over all n nodes,
-    # formed from the recursion's last two inputs
+    # formed from the recursion's last two inputs.  With the first ``zeros``
+    # nodes padded zeros and x >= 0, a column whose window lies inside them
+    # is exactly 0, so at width w only the columns from max(0, zeros - w) on
+    # are formed, a zero column prepended each time the range widens
     y = nodes - x[:, None]
-    tail = (y > 0).astype(float)
+    tail = (y[:, zeros:] > 0).astype(float)
     density = np.zeros(x.size)
     n = nodes.shape[1]
     for width in range(1, n):
-        lo, hi = y[:, :-width], y[:, width:]
+        start = max(0, zeros - width)
+        if width <= zeros:
+            tail = np.concatenate((np.zeros((x.size, 1)), tail), axis=1)
+        lo, hi = y[:, start : n - width], y[:, start + width :]
         straddle = (lo <= 0) & (hi > 0)
         span = np.where(straddle, hi - lo, 1.0)
         if width == n - 1:
@@ -196,18 +202,18 @@ def rvq_best_power(eigs: np.ndarray, nt: int, bits: float, u: np.ndarray) -> np.
         x = l1 - (t * spread) ** (1.0 / (nt - 1))
     low = np.isinf(spread) | ~(x > second)
     if low.any():
-        x[low] = _invert_tail(nodes[low], t[low], second[low])
+        x[low] = _invert_tail(nodes[low], t[low], second[low], nt - eigs.shape[1])
     return x
 
 
-def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray, zeros: int) -> np.ndarray:
     """Smallest x in [0, hi] with tail(x) <= t, per row; the tail is 1 at 0 and at most t at hi.
 
     Newton steps on tail(x) - t, whose derivative is minus the density,
     start at hi inside the bracket [lo, hi] that every evaluation narrows;
     a step that would leave the bracket halves it instead.  A row stops once
     its Newton step or its bracket is within double resolution of the
-    starting bracket.
+    starting bracket.  The first ``zeros`` nodes of every row are padded zeros.
     """
     out = np.empty_like(hi)
     rows = np.arange(hi.size)
@@ -216,7 +222,7 @@ def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray) -> np.ndarray
     # a zero density, or one so small that the step overflows, halves instead
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ROOT_MAX_STEPS):
-            tail, density = _tail_and_density(x, nodes)
+            tail, density = _tail_and_density(x, nodes, zeros)
             above = tail > t
             lo, hi = np.where(above, x, lo), np.where(above, hi, x)
             step = (tail - t) / density

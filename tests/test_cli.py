@@ -1,7 +1,7 @@
-import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -120,9 +120,11 @@ class TestParsing:
         ["optimal-k", "--k-max", "4"],
         ["simulate", "--k-max", "1", "--trials", "2"],
         ["reproduce-figure", "--id", "fig6"],
+        ["optimal-k", "--config", "cfg.json", "--k-max=4"],
     ])
-    def test_a_run_builds_one_parser(self, argv, tmp_path, capfd, monkeypatch):
+    def test_a_plain_line_builds_no_parser(self, argv, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"nt": 3, "alpha": 0.9}))
         built = []
         init = cli._Parser.__init__
 
@@ -132,16 +134,80 @@ class TestParsing:
 
         monkeypatch.setattr(cli._Parser, "__init__", counted)
         assert invoke(argv, capfd)[0] == 0
-        assert built == [f"afpopt {argv[0]}"]
+        assert built == []
 
+
+# text values that each flag's checks accept, boundary values included,
+# keyed by the flag's type; a flag with choices takes each choice
+_VALID = {
+    cli._alpha: ["0", "1", "0.8", "0.9999", "1.0", "0e0", ".5"],
+    cli._nonneg: ["0", "0.0", "2.5", "1e-300", "1e308"],
+    cli._positive: ["1e-300", "0.25", "1", "3", "1e308"],
+    cli._positive_int: ["1", "2", "16", "+3", "007", " 4"],
+    cli._finite: ["-4000", "-.5", "-0.5", "0", "10", "1e3", "-7"],
+    int: ["-1", "0", "7", "-123456789012345678901", "+2"],
+    None: ["t.csv", "a=b.json", "", "dir/x y.json", "_"],
+}
+
+
+def _values(name):
+    kwargs = cli._OPTIONS[name][2]
+    return kwargs.get("choices") or _VALID[kwargs.get("type")]
+
+
+def _plain_line(rng, command):
+    # a random plain line: exact flags of the command, both value forms,
+    # flags repeated at will, a required flag given at least once
+    names = [name for name, option in cli._OPTIONS.items() if command in option[0]]
+    chosen = rng.choices(names, k=rng.randint(0, 8))
+    chosen += [name for name in names if cli._OPTIONS[name][2].get("required")]
+    rng.shuffle(chosen)
+    tokens = []
+    for name in chosen:
+        flag, value = f"--{name.replace('_', '-')}", rng.choice(_values(name))
+        tokens += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    return chosen, tokens
+
+
+class TestPlainLineReader:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_command_parser_help_is_the_full_parsers(self, command, monkeypatch):
-        # a run parses with the command's own parser; its help and errors
-        # must stay those of the subparser inside the full parser
-        monkeypatch.setenv("COLUMNS", "80")
-        full = cli.build_parser(command)
-        sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
-        assert cli._command_parser(command).format_help() == sub.choices[command].format_help()
+    def test_namespaces_match_the_full_parsers(self, command):
+        rng = random.Random(2021)
+        parser = cli.build_parser(command)
+        seen = set()
+        for _ in range(500):
+            chosen, tokens = _plain_line(rng, command)
+            seen.update(chosen)
+            args = cli._read_plain([command, *tokens])
+            assert args is not None, tokens
+            assert vars(args) == vars(parser.parse_args([command, *tokens])), tokens
+        assert seen == {name for name, option in cli._OPTIONS.items() if command in option[0]}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trial", "5"],
+        ["simulate", "-h"],
+        ["simulate", "--help"],
+        ["simulate", "--seed", "-1e5"],
+        ["simulate", "--seed=-1e5"],
+        ["simulate", "--metric", "power"],
+        ["simulate", "--k", "3"],
+        ["simulate", "--nonsense", "1"],
+        ["simulate", "--k-max", "1", "stray"],
+        ["simulate", "--k-max"],
+        ["simulate", "--output", "--"],
+        ["simulate", "--output=--"],
+        ["simulate", "--", "--k-max", "1"],
+        ["simulate", "--output", "-x"],
+        ["simulate", "--nt", "0"],
+        ["simulate", "--id", "fig1"],
+        ["reproduce-figure"],
+        ["reproduce-figure", "--trials", "2"],
+        ["--seed=1", "reproduce-figure", "--id", "fig1"],
+        ["frobnicate", "--nt", "2"],
+        [],
+    ])
+    def test_other_lines_are_declined(self, argv):
+        assert cli._read_plain(argv) is None
 
 
 class TestHeadlines:

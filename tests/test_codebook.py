@@ -124,6 +124,13 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_beamformer_streaming(h, 2, 31, RandomStream(0))
 
+    def test_bool_bits_rejected_before_any_draw(self):
+        h = sample_channel(SystemShape(2, 2), RandomStream(22))
+        gen = RandomStream(0).generator()
+        with pytest.raises(ValueError, match="^bits must be an integer >= 0, got True$"):
+            select_beamformer_streaming(h, 2, True, gen)
+        assert gen.random() == RandomStream(0).generator().random()  # nothing drawn
+
     def test_nested_prefix_monotonicity(self):
         h = sample_channel(SystemShape(4, 3), RandomStream(23))
         cb = rvq_codebook(4, 8, RandomStream(24))
@@ -201,8 +208,14 @@ class TestMaximin:
             maximin_codebook(2, 11, candidates=10, rng=RandomStream(0))
 
     def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError, match="bits must be nonnegative"):
+        with pytest.raises(ValueError, match="^bits must be an integer >= 0, got -1$"):
             maximin_codebook(2, -1, candidates=10, rng=RandomStream(0))
+
+    def test_bool_bits_rejected_before_any_draw(self):
+        gen = RandomStream(0).generator()
+        with pytest.raises(ValueError, match="^bits must be an integer >= 0, got True$"):
+            maximin_codebooks(2, [True], 50, gen)
+        assert gen.random() == RandomStream(0).generator().random()  # nothing drawn
 
     @pytest.mark.parametrize(
         "nt,bits,candidates,name",

@@ -194,7 +194,43 @@ def _dirichlet_best_power(eigs, nt, bits, draws, gen):
     return (w[..., : len(eigs)] @ np.asarray(eigs)).max(axis=1)
 
 
+def _untrimmed_tail_and_density(x, nodes):
+    # the oracle of simulate._tail_and_density: the Cox-de Boor recursion
+    # over every column, the padded zeros' included
+    y = nodes - x[:, None]
+    tail = (y > 0).astype(float)
+    density = np.zeros(x.size)
+    n = nodes.shape[1]
+    for width in range(1, n):
+        lo, hi = y[:, :-width], y[:, width:]
+        straddle = (lo <= 0) & (hi > 0)
+        span = np.where(straddle, hi - lo, 1.0)
+        if width == n - 1:
+            density = (n - 1) * (tail[:, 1] - tail[:, 0]) / span[:, 0]
+        mix = (hi * tail[:, 1:] - lo * tail[:, :-1]) / span
+        tail = np.where(straddle, mix, lo > 0)
+    return tail[:, 0], density
+
+
 class TestBestPowerDraw:
+    @pytest.mark.parametrize("nt,nr", [(5, 2), (16, 4), (64, 8), (160, 2), (3, 3), (6, 3), (4, 1)])
+    def test_trimmed_recursion_is_bit_identical(self, nt, nr):
+        # the padded zeros' columns are skipped, not rounded away: tail and
+        # density match the full recursion bit for bit, at the nodes too
+        gen = RandomStream(77, nt * 10 + nr).generator()
+        eigs = gram_eigenvalues(complex_normal(gen, (10, nr, nt)))
+        zeros = nt - eigs.shape[1]
+        nodes = np.zeros((eigs.shape[0], nt))
+        nodes[:, zeros:] = eigs[:, ::-1]
+        inside = gen.random((eigs.shape[0], 6)) * eigs[:, :1]
+        xs = np.hstack([inside, nodes, 1.5 * eigs[:, :1]])
+        rows = np.repeat(nodes, xs.shape[1], axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = _untrimmed_tail_and_density(xs.ravel(), rows)
+            got = simulate._tail_and_density(xs.ravel(), rows, zeros)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_tail_matches_divided_difference_sum(self):
         eigs = np.array([5.0, 2.5, 1.0])
         for nt in (3, 4, 6):
