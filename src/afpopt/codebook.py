@@ -8,7 +8,12 @@ line packing.  Its search scores each candidate's pairwise overlaps, real
 inner products in R^(nt^2) (:func:`_embed`), a block of Gram rows at a time
 and stops as soon as the candidate can no longer beat the best one so far;
 the pick is exactly that of a full scan.  The searches of several budgets
-share one pass over the candidate stream.
+share one pass over the candidate stream.  One work budget, ``WORK_DOUBLES``
+doubles, sizes the maximin path: a stream chunk's draws, its first Gram
+block, each later block's sub-batch of survivors with the embedded columns
+it reads, and the blocks in which ``simulate`` scores a fixed codebook.
+Only a one-candidate sub-batch (about 8 budgets at 10 bits) and a chunk's
+embedding (about nt/2 budgets) exceed it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -36,12 +42,8 @@ KINDS = ("rvq", "maximin")
 # selection perform bit-identical arithmetic
 _CHUNK = 1 << 16
 
-# the maximin candidate stream is read in chunks of at most _STREAM_ENTRIES
-# vectors and _STREAM_DOUBLES embedded doubles (nt^2 per vector): up to
-# nt = 3 every chunk is _STREAM_ENTRIES long; wider vectors get shorter
-# chunks, down to 2**MAXIMIN_CAP_BITS vectors
-_STREAM_ENTRIES = 1 << 15
-_STREAM_DOUBLES = 9 * _STREAM_ENTRIES
+#: the work budget of the maximin path, in doubles (see the module docstring)
+WORK_DOUBLES = 1 << 15
 
 # Gram rows in the maximin search's first scoring block; each later block
 # doubles, so a full scan of 2**bits rows takes about bits - 1 blocks
@@ -85,7 +87,7 @@ class Selection:
 
 def _check_bits(bits: int | float, cap: int, cap_name: str) -> None:
     """Raise a ValueError unless ``bits`` is an integer in 0 .. ``cap``."""
-    if bits > cap:
+    if isinstance(bits, numbers.Real) and bits > cap:  # anything else fails the count check
         raise ValueError(f"bits={bits} exceeds the {cap_name} cap ({cap})")
     check_count("bits", bits, least=0)
 
@@ -178,41 +180,50 @@ def min_pairwise_distance(entries: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - gram[iu].max())))
 
 
-@functools.lru_cache(maxsize=None)  # one entry per codebook size, so at most 11
-def _row_blocks(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """Gram row blocks [r0, r1) of an n-entry codebook, doubling in size.
+@functools.lru_cache(maxsize=None)  # one entry per codebook size and nt, at most 11 per nt
+def _row_blocks(n: int, dims: int) -> tuple[tuple[int, int, np.ndarray, int], ...]:
+    """Gram row blocks [r0, r1) of an n-entry codebook embedded in R^dims, doubling in size.
 
     Each block comes with the mask of its pairs j > i over the columns
-    r0 + 1 .. n - 1 that its rows are scored against.
+    r0 + 1 .. n - 1 that its rows are scored against, and with the number
+    of candidates whose block (its Gram rows and the columns of the
+    embedding they read) fits ``WORK_DOUBLES``.
     """
     blocks = []
     r0, rows = 0, _FIRST_ROWS
     while r0 < n - 1:
         r1 = min(r0 + rows, n - 1)
-        blocks.append((r0, r1, ~np.tri(r1 - r0, n - r0 - 1, -1, dtype=bool)))
+        size = (r1 - r0 + dims) * (n - r0 - 1) + dims * (r1 - r0)
+        blocks.append((r0, r1, ~np.tri(r1 - r0, n - r0 - 1, -1, dtype=bool), max(1, WORK_DOUBLES // size)))
         r0, rows = r1, 2 * rows
     return tuple(blocks)
 
 
 def _embed_work(nt: int, m: int) -> np.ndarray:
     """A work buffer for :func:`_embed` of m vectors of length nt."""
-    return np.empty((nt * nt + nt + 2) * m)
+    return np.empty((nt + 1) * (nt + 2) * m)
 
 
-def _embed(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _embed(x: np.ndarray, work: np.ndarray | None = None, unit: bool = True) -> np.ndarray:
     """Columns phi(x) = (|x_k|^2, sqrt2 Re x_i conj(x_j), sqrt2 Im x_i conj(x_j))_{i<j} / ||x||^2.
 
     One column per row x of ``x``: the real coordinates of xx^H / ||x||^2,
     so phi(u).phi(v) = |u^H v|^2 / (||u||^2 ||v||^2) (Conway, Hardin &
     Sloane, "Packing lines, planes, etc.", 1996).  With nt = 1, phi(x) = 1
-    exactly, so every overlap is 1 and every distance 0.  The result and
-    its temporaries are views of ``work`` (:func:`_embed_work`), so a caller
-    that passes one buffer for every chunk allocates nothing per chunk.
+    exactly, so every overlap is 1 and every distance 0.  With ``unit``
+    false the columns are those of xx^H itself, not divided by ||x||^2.  The
+    result and its temporaries are views of ``work`` (:func:`_embed_work`),
+    so a caller that passes one buffer for every chunk allocates nothing per
+    chunk.  The first 2 nt m doubles of ``work`` are left holding the Re and
+    Im planes of ``x``, (2, nt, m); ``x`` may lie in ``work`` past them, as
+    it is read before anything else is written.
     """
     m, nt = x.shape
-    f, t, ab, _ = np.split(_embed_work(nt, m) if work is None else work, np.cumsum([nt * nt, nt, 2]) * m)
-    f, t, ab = f.reshape(nt * nt, m), t.reshape(nt, m), ab.reshape(2, m)
-    planes = x.view(np.float64).reshape(m, nt, 2).T  # Re and Im, each (nt, m), strided
+    work = _embed_work(nt, m) if work is None else work
+    edges = (0, 2 * nt, nt * (nt + 2), nt * (nt + 3), (nt + 1) * (nt + 2))
+    planes, f, t, ab = (work[lo * m : hi * m] for lo, hi in zip(edges, edges[1:]))
+    planes, f, t, ab = planes.reshape(2, nt, m), f.reshape(nt * nt, m), t.reshape(nt, m), ab.reshape(2, m)
+    planes[...] = x.view(np.float64).reshape(m, nt, 2).T  # contiguous rows from here on
     re, im = planes
     # coordinate-major: every pass below writes whole contiguous rows
     np.add(np.multiply(re, re, out=f[:nt]), np.multiply(im, im, out=t), out=f[:nt])
@@ -224,37 +235,50 @@ def _embed(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         np.add(np.multiply(re[i + 1 :], a, out=re_part), np.multiply(im[i + 1 :], b, out=u), out=re_part)
         np.subtract(np.multiply(re[i + 1 :], b, out=im_part), np.multiply(im[i + 1 :], a, out=u), out=im_part)
         r += 2 * w
-    f /= np.sum(f[:nt], axis=0, out=ab[0])
+    if unit:
+        f /= np.sum(f[:nt], axis=0, out=ab[0])
     return f
+
+
+def _block_overlap(f: np.ndarray, rows: slice | np.ndarray, block: tuple) -> np.ndarray:
+    # each candidate's largest overlap over Gram rows r0 .. r1 - 1, pairs j > i
+    r0, r1, pairs, _ = block
+    g = f[rows, :, r0:r1].transpose(0, 2, 1) @ f[rows, :, r0 + 1 :]
+    # pairs with j <= i lie in the leading square alone
+    g[:, :, : r1 - r0] *= pairs[:, : r1 - r0]
+    return g.max(axis=(1, 2))
 
 
 def _batch_winner(f: np.ndarray, best_dist: float) -> tuple[int, float] | None:
     """The batch's best candidate if it beats ``best_dist`` strictly, else None.
 
-    ``f`` is a (c, nt^2, n) stack of candidate codebooks, each with its
-    n >= 2 entries embedded (:func:`_embed`) as columns.  Returns the index
-    and minimum pairwise distance of the first candidate with the largest
-    distance.  The overlaps are scored a block of Gram rows at a time, as a
-    real matmul over the live candidates, and a candidate is dropped as soon
-    as its running distance sqrt(1 - max overlap) is no longer above
-    ``best_dist``.  That distance can only fall as rows are added, so the
-    result is that of a full scan, ties included.
+    ``f`` is a (c, nt^2, n) stack of candidate codebooks, each with its n
+    entries embedded (:func:`_embed`) as columns.  Returns the index and
+    minimum pairwise distance of the first candidate with the largest
+    distance (+inf for n = 1, where the first candidate wins).  The
+    overlaps are scored a block of Gram rows at a time, as a real matmul:
+    the first block for the whole batch at once, each later block for the
+    live candidates in sub-batches that fit ``WORK_DOUBLES``.  A candidate
+    is dropped as soon as its running distance sqrt(1 - max overlap) is no
+    longer above ``best_dist``.  That distance can only fall as rows are
+    added, so the result is that of a full scan, ties included.
     """
-    live = np.arange(f.shape[0])
-    overlap = np.zeros(live.size)
-    rows = slice(None)  # every candidate until the first rejection
-    for r0, r1, pairs in _row_blocks(f.shape[2]):
-        g = f[rows, :, r0:r1].transpose(0, 2, 1) @ f[rows, :, r0 + 1 :]
-        # pairs with j <= i lie in the leading square alone
-        g[:, :, : r1 - r0] *= pairs[:, : r1 - r0]
-        np.maximum(overlap, g.max(axis=(1, 2)), out=overlap)
+    c, dims, n = f.shape
+    if n < 2:  # one entry has no pairs
+        return (0, math.inf) if best_dist < math.inf else None
+    first, *rest = _row_blocks(n, dims)
+    live, overlap = np.arange(c), _block_overlap(f, slice(None), first)
+    for block in (*rest, None):
         dist = np.sqrt(np.maximum(0.0, 1.0 - overlap))
         keep = dist > best_dist
         if not keep.all():
             if not keep.any():
                 return None
             live, overlap, dist = live[keep], overlap[keep], dist[keep]
-            rows = live
+        if block is not None:
+            step = block[3]  # candidates per sub-batch
+            parts = [_block_overlap(f, live[s : s + step], block) for s in range(0, live.size, step)]
+            overlap = np.maximum(overlap, np.concatenate(parts))
     j = int(np.argmax(dist))
     return int(live[j]), float(dist[j])
 
@@ -264,34 +288,16 @@ def check_maximin_bits(bits: int | float) -> None:
     _check_bits(bits, MAXIMIN_CAP_BITS, "maximin")
 
 
-def _scan_candidates(f: np.ndarray, n: int, best_dist: float) -> tuple[float, int | None]:
-    """Fold the candidates embedded in ``f`` into the best distance so far.
-
-    Candidate k is columns k n .. (k+1) n - 1 of ``f``.  Returns the new best
-    distance and the index of the first candidate to reach it, or
-    ``best_dist`` and None; batches have a bounded Gram size.
-    """
-    if n < 2:  # one entry has no pairs: the first candidate wins
-        return (math.inf, 0) if best_dist < math.inf else (best_dist, None)
-    f = f.reshape(f.shape[0], -1, n).transpose(1, 0, 2)
-    best = None
-    batch = max(1, (1 << 18) // (n * n))
-    for start in range(0, f.shape[0], batch):
-        winner = _batch_winner(f[start : start + batch], best_dist)
-        if winner is not None:
-            j, best_dist = winner
-            best = start + j
-    return best_dist, best
-
-
 def _stream_entries(nt: int) -> int:
     """Vectors per chunk of the maximin candidate stream of ``nt``-vectors.
 
     A multiple of 2**MAXIMIN_CAP_BITS, so every chunk holds whole
-    candidates of every budget.
+    candidates of every budget.  Above that floor, the chunk's draws (2 nt
+    doubles a vector) and the first Gram rows of its candidates (fewer than
+    _FIRST_ROWS a vector) fit ``WORK_DOUBLES``.
     """
-    whole = _STREAM_DOUBLES // (nt * nt) >> MAXIMIN_CAP_BITS << MAXIMIN_CAP_BITS
-    return min(_STREAM_ENTRIES, max(1 << MAXIMIN_CAP_BITS, whole))
+    whole = WORK_DOUBLES // max(2 * nt, _FIRST_ROWS) >> MAXIMIN_CAP_BITS << MAXIMIN_CAP_BITS
+    return max(1 << MAXIMIN_CAP_BITS, whole)
 
 
 def maximin_codebooks(
@@ -311,28 +317,35 @@ def maximin_codebooks(
     normalized.  Each codebook is bit-identical to the one a search of its
     budget alone returns.
     """
-    budgets = sorted(set(budgets))
     check_count("nt", nt)
-    for bits in budgets:
+    for bits in (budgets := list(budgets)):  # checked before sorting, which needs numbers
         check_maximin_bits(bits)
     check_count("candidates", candidates)
+    budgets = sorted(set(budgets))
     gen = as_generator(rng)
     best: dict[int, tuple[float, np.ndarray | None]] = {bits: (-1.0, None) for bits in budgets}
     total, step = (candidates << budgets[-1] if budgets else 0), _stream_entries(nt)
-    # one draw and one embedding buffer for every chunk; a shorter last
-    # chunk takes a prefix of each, so its arrays keep a whole chunk's layout
-    draw, work = np.empty(2 * nt * step), _embed_work(nt, step)
+    # one buffer for every chunk: the draws go to its end, and the embedding
+    # leaves their Re and Im planes at its front, where the winners are read
+    work = _embed_work(nt, step)
     for start in range(0, total, step):
         m = min(step, total - start)
-        chunk = complex_normal(gen, (m, nt), draw[: 2 * nt * m].reshape(m, nt, 2))
-        f = _embed(chunk, work)
+        f = _embed(complex_normal(gen, (m, nt), work[work.size - 2 * nt * m :].reshape(m, nt, 2)), work)
+        planes = work[: 2 * nt * m].reshape(2, nt, m)
         for bits in budgets:
             # a chunk starts on a candidate boundary of every budget
-            n, take = 1 << bits, min(candidates - (start >> bits), chunk.shape[0] >> bits)
-            if take > 0:
-                dist, j = _scan_candidates(f[:, : take * n], n, best[bits][0])
-                if j is not None:
-                    best[bits] = (dist, chunk[j * n : (j + 1) * n].copy())
+            n, take = 1 << bits, min(candidates - (start >> bits), m >> bits)
+            # until a budget has a best candidate, a first batch small enough
+            # for a full scan finds one; each later batch is the rest of the chunk
+            split = take if best[bits][1] is not None else min([take] + [b[3] for b in _row_blocks(n, nt * nt)])
+            for lo, hi in ((0, split), (split, take)):
+                if lo < hi:
+                    cands = f[:, lo * n : hi * n].reshape(-1, hi - lo, n).transpose(1, 0, 2)
+                    winner = _batch_winner(cands, best[bits][0])
+                    if winner is not None:
+                        j, dist = winner
+                        vectors = planes[:, :, (lo + j) * n : (lo + j + 1) * n].T
+                        best[bits] = (dist, np.ascontiguousarray(vectors).view(np.complex128)[..., 0])
     unit = {bits: x / np.linalg.norm(x, axis=1, keepdims=True) for bits, (_, x) in best.items()}
     return {bits: Codebook(entries, bits, "maximin") for bits, entries in unit.items()}
 

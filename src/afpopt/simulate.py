@@ -40,7 +40,9 @@ from afpopt import finite
 from afpopt.channel import (
     FadingModel, RandomStream, SystemShape, check_count, complex_normal, gram_eigenvalues,
 )
-from afpopt.codebook import KINDS, Codebook, check_maximin_bits, maximin_codebook, maximin_codebooks
+from afpopt.codebook import (
+    KINDS, WORK_DOUBLES, Codebook, _embed, _embed_work, check_maximin_bits, maximin_codebook, maximin_codebooks,
+)
 
 #: substream reserved for per-configuration codebook construction; chunk
 #: indices stay safely below this
@@ -48,9 +50,6 @@ CODEBOOK_STREAM = 1 << 62
 
 #: trials per random substream; the draws depend on it, so it is fixed
 TRIAL_CHUNK = 2048
-
-# complex products per maximin scoring step, which bounds its temporaries
-_SCORE_BLOCK = 1 << 18
 
 # cap on the safeguarded Newton steps of one tail inversion; halving alone
 # would pin a root in [0, l] down to double precision in 53
@@ -242,14 +241,21 @@ def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray, zeros: int) -
 
 
 def _codebook_best_power(h: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    # max_i ||H c_i||^2 per channel of the stack, scoring a bounded slice of
-    # the codebook at a time
-    m, nr, _ = h.shape
-    step = max(1, _SCORE_BLOCK // (m * nr))
-    best = np.zeros(m)
-    for start in range(0, entries.shape[0], step):
-        hc = h @ entries[start : start + step].T
-        best = np.maximum(best, (hc.real**2 + hc.imag**2).sum(axis=1).max(axis=1))
+    # max_i ||H c_i||^2 per channel of the (m, nr, nt) stack, as real
+    # products: with G = H^H H, c^H G c = psi(G) . phi(c) for a unit c, where
+    # phi is codebook._embed and psi(G) = (G_kk, sqrt2 Re G_ij, sqrt2 Im G_ij)
+    # in phi's coordinate order.  The sum of the unscaled embeddings of H's
+    # rows is psi(conj G), and psi(conj G) . phi(conj c) = psi(G) . phi(c).
+    # Channels go a block at a time, so that the block's embedding work and
+    # its scores each fit WORK_DOUBLES
+    m, nr, nt = h.shape
+    phi = _embed(entries.conj())
+    step = max(1, WORK_DOUBLES // max(phi.shape[1], _embed_work(nt, nr).size))
+    work, best = _embed_work(nt, min(step, m) * nr), np.empty(m)
+    for start in range(0, m, step):
+        rows = h[start : start + step].reshape(-1, nt)
+        psi = _embed(rows, work, unit=False).reshape(nt * nt, -1, nr).sum(axis=2)
+        np.max(psi.T @ phi, axis=1, out=best[start : start + step])
     return best
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -638,6 +639,21 @@ from afpopt.channel import alpha_from_jakes
 assert abs(alpha_from_jakes(1.0, 0.5) + 0.3042421776440938) < 1e-12
 print("ok")
 """
+
+
+def test_compare_codebooks_peak_memory_stays_small(tmp_path, capfd):
+    # the benchmark's compare-codebooks line: the maximin search and the
+    # fixed-codebook scoring work in blocks of codebook.WORK_DOUBLES
+    argv = "compare-codebooks --nt 2 --nr 3 --bits 1 --alpha 0.95 --k-max 6 --trials 500".split()
+    tracemalloc.start()
+    try:
+        code = run([*argv, "--output", str(tmp_path / "table.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capfd.readouterr()
+    assert code == 0
+    assert peak <= 3 << 19
 
 
 def test_commands_never_import_scipy(tmp_path):

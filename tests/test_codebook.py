@@ -9,7 +9,6 @@ from scipy import stats
 from afpopt import simulate
 from afpopt.channel import RandomStream, SystemShape, complex_normal, sample_channel
 from afpopt.codebook import (
-    _STREAM_ENTRIES,
     Codebook,
     _batch_winner,
     _embed,
@@ -217,6 +216,23 @@ class TestMaximin:
             maximin_codebooks(2, [True], 50, gen)
         assert gen.random() == RandomStream(0).generator().random()  # nothing drawn
 
+    # a non-number is rejected as no count, not compared with the cap; an
+    # infinite budget keeps its over-cap message
+    @pytest.mark.parametrize("bits,message", [
+        ("1", "bits must be an integer >= 0, got '1'"),
+        (None, "bits must be an integer >= 0, got None"),
+        (math.inf, "bits=inf exceeds the maximin cap (10)"),
+    ])
+    def test_bad_bits_rejected_before_any_draw(self, bits, message):
+        gen = RandomStream(0).generator()
+        with pytest.raises(ValueError) as e:
+            maximin_codebook(2, bits, candidates=5, rng=gen)
+        assert str(e.value) == message
+        with pytest.raises(ValueError) as e:
+            maximin_codebooks(2, [1, bits], 5, gen)
+        assert str(e.value) == message
+        assert gen.random() == RandomStream(0).generator().random()  # nothing drawn
+
     @pytest.mark.parametrize(
         "nt,bits,candidates,name",
         [(2, 2.5, 10, "bits"), (2, 2, 2.5, "candidates"), (2, 2, 0, "candidates"), (0, 2, 10, "nt")],
@@ -232,8 +248,8 @@ class TestMaximin:
         first = complex_normal(RandomStream(48), (1 << bits, 1))
         assert np.array_equal(cb.entries, first / np.linalg.norm(first, axis=1, keepdims=True))
 
-    # candidates per budget; 4 and 5 bits span several draw batches
-    # (1 << 18 >> 2 * bits: 1024 and 256 candidates)
+    # candidates per budget; 4 and 5 bits span several stream chunks, and
+    # so several batches
     @pytest.mark.parametrize("nt", [2, 3, 4])
     @pytest.mark.parametrize("bits,candidates", [(0, 5), (1, 60), (2, 60), (3, 60), (4, 2100), (5, 600)])
     def test_matches_brute_force_argmax(self, nt, bits, candidates):
@@ -281,9 +297,11 @@ class TestMaximin:
         candidates, rng = 10_000, RandomStream(7, simulate.CODEBOOK_STREAM)
         books = maximin_codebooks(nt, range(9), candidates, rng)
         found = {bits: [] for bits in books}
-        gen, total = rng.generator(), candidates << 8
-        for start in range(0, total, _STREAM_ENTRIES):
-            chunk = complex_normal(gen, (min(_STREAM_ENTRIES, total - start), nt))
+        # the draws do not depend on the chunk size; this walk's chunks are
+        # whole candidates of every budget
+        gen, total, step = rng.generator(), candidates << 8, 1 << 15
+        for start in range(0, total, step):
+            chunk = complex_normal(gen, (min(step, total - start), nt))
             unit = chunk / np.linalg.norm(chunk, axis=1, keepdims=True)
             for bits, book in books.items():
                 n = 1 << bits
@@ -303,20 +321,22 @@ class TestMaximin:
         finally:
             tracemalloc.stop()
 
+    # one chunk of draws, its embedding and the scoring blocks, all sized by
+    # codebook.WORK_DOUBLES: 1.2 MiB for nt = 2 and 1.7 MiB for nt = 8
     def test_peak_memory_stays_per_chunk(self):
-        assert self._peak_bytes(2, range(7), 10_000) <= 5 << 20
+        assert self._peak_bytes(2, range(7), 10_000) <= 3 << 19
 
     def test_peak_memory_stays_per_chunk_for_wide_vectors(self):
-        assert self._peak_bytes(8, range(1, 6), 3000) <= 5 << 20
+        assert self._peak_bytes(8, range(1, 6), 3000) <= 2 << 20
 
 
 class TestBatchWinner:
     def test_row_blocks_cover_each_pair_once(self):
         for n in range(2, 70):
-            blocks = _row_blocks(n)
+            blocks = _row_blocks(n, 4)
             assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
             assert blocks[0][0] == 0 and blocks[-1][1] == n - 1
-            assert sum(int(mask.sum()) for _, _, mask in blocks) == n * (n - 1) // 2
+            assert sum(int(mask.sum()) for _, _, mask, _ in blocks) == n * (n - 1) // 2
 
     def test_earlier_duplicate_wins(self):
         good = rvq_codebook(2, 3, RandomStream(60)).entries

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import literal_engine as literal
 import numpy as np
@@ -15,7 +16,7 @@ from afpopt.channel import (
     gram_eigenvalues,
     sample_channel,
 )
-from afpopt.codebook import select_beamformer_streaming
+from afpopt.codebook import rvq_codebook, select_beamformer_streaming
 from afpopt.simulate import (
     TRIAL_CHUNK,
     ExperimentSpec,
@@ -330,6 +331,49 @@ class TestBestPowerDraw:
         eigs = np.array([[4.0, 1.0, 0.5]])
         gaps = [4.0 - rvq_best_power(eigs, 3, bits, np.array([0.5]))[0] for bits in (10, 20, 30)]
         assert 0.0 < gaps[2] < gaps[1] < gaps[0] < 0.1
+
+
+def _complex_best_power(h, entries):
+    # the oracle of simulate._codebook_best_power: max_i ||H c_i||^2 from
+    # the complex products H c_i
+    hc = h @ entries.T
+    return (hc.real**2 + hc.imag**2).sum(axis=1).max(axis=1)
+
+
+class TestCodebookBestPower:
+    @pytest.mark.parametrize("nt", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nr", [1, 2, 3, 4])
+    def test_matches_complex_products(self, nt, nr):
+        gen = RandomStream(91, 10 * nt + nr).generator()
+        for bits in range(9):
+            h = complex_normal(gen, (300, nr, nt))
+            entries = rvq_codebook(nt, bits, gen).entries
+            got, want = simulate._codebook_best_power(h, entries), _complex_best_power(h, entries)
+            # one entry can nearly miss a one-row channel; the real products
+            # then cancel, with an error relative to ||H||_F^2, not to the power
+            scale = (h.real**2 + h.imag**2).sum(axis=(1, 2)) if bits == 0 and nr == 1 else want
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), bits
+
+    @pytest.mark.parametrize("nr", [1, 2, 3, 4])
+    def test_one_antenna_gives_the_channel_norm(self, nr):
+        gen = RandomStream(92, nr).generator()
+        h = complex_normal(gen, (500, nr, 1))
+        for bits in range(5):
+            got = simulate._codebook_best_power(h, rvq_codebook(1, bits, gen).entries)
+            assert np.array_equal(got, (h.real**2 + h.imag**2).sum(axis=(1, 2)))
+
+    @pytest.mark.parametrize("nt,nr", [(3, 2), (4, 4)])
+    def test_peak_memory_at_a_full_trial_chunk(self, nt, nr):
+        gen = RandomStream(93).generator()
+        h = complex_normal(gen, (TRIAL_CHUNK, nr, nt))
+        entries = rvq_codebook(nt, 10, gen).entries
+        tracemalloc.start()
+        try:
+            simulate._codebook_best_power(h, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestAgainstClosedForms:
