@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from afpopt import finite, largesys, simulate
-from afpopt.channel import FadingModel, SystemShape
-from afpopt.codebook import KINDS, save_codebook
+from afpopt.channel import FadingModel, RandomStream, SystemShape
+from afpopt.codebook import KINDS, maximin_codebook, save_codebook
 from afpopt.simulate import ExperimentSpec, SweepRecord
 
 CSV_HEADER = "nt,nr,alpha,bits_per_block,K,metric,value,stderr,analytic,source,seed"
@@ -220,7 +220,8 @@ def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
 def _save_maximin_codebook(opts: dict) -> None:
     """Write the codebook the K = k_max maximin cell simulated, rebuilt from the same draws."""
     spec = _spec(opts, *_channel(opts), opts["k_max"], "maximin", "normalized_power")
-    codebook = simulate.fixed_codebook(spec)
+    rng = RandomStream(spec.seed, simulate.CODEBOOK_STREAM)
+    codebook = maximin_codebook(spec.shape.nt, spec.budget_bits, spec.candidates, rng)
     try:
         save_codebook(codebook, opts["save_codebook"])
     except OSError as exc:
@@ -343,27 +344,15 @@ _OPTIONS: dict[str, tuple[tuple[str, ...], object, dict]] = {
 }
 
 
-def _add_flags(parser: _Parser, command: str) -> None:
-    for option, (commands, default, kwargs) in _OPTIONS.items():
-        if command in commands:
-            parser.add_argument(f"--{option.replace('_', '-')}", default=default, **kwargs)
-
-
-def build_parser(command: str | None) -> _Parser:
-    """The full parser: takes abbreviated flags and prints the help and the errors of a whole command line.
-
-    Every subcommand is listed with its help text, so the top-level help
-    and its errors are the same for any ``command``; only ``command``
-    gets its flags (None, for no command or an unknown one: none).
-    :func:`_parse_args` builds it only for a line that :func:`_read_plain`
-    declines.
-    """
+def build_parser() -> _Parser:
+    """The full parser, built only for a line that :func:`_read_plain` declines: abbreviations, help, errors."""
     parser = _Parser(prog="afpopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == command:
-            _add_flags(p, command)
+        for option, (commands, default, kwargs) in _OPTIONS.items():
+            if name in commands:
+                p.add_argument(f"--{option.replace('_', '-')}", default=default, **kwargs)
     return parser
 
 
@@ -418,10 +407,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_plain(argv)
     if args is None:
-        # the top-level parser has no flags of its own, so argparse reads
-        # the first token that is not a flag as the command
-        named = next((token for token in argv if not token.startswith("-")), None)
-        args = build_parser(named).parse_args(argv)
+        args = build_parser().parse_args(argv)
     if not args.config:
         return args
     try:
@@ -440,7 +426,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     line = [command, *tokens, *argv[1:]]
     args = _read_plain(line)
     if args is None:
-        args, unknown = build_parser(command).parse_known_args(line)
+        args, unknown = build_parser().parse_known_args(line)
         if unknown:
             keys = ", ".join(token.split("=", 1)[0].lstrip("-") for token in unknown)
             _usage_error("afpopt", f"bad config file {args.config}: unknown key(s) for {command}: {keys}")

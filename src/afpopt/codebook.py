@@ -11,9 +11,9 @@ the pick is exactly that of a full scan.  The searches of several budgets
 share one pass over the candidate stream.  One work budget, ``WORK_DOUBLES``
 doubles, sizes the maximin path: a stream chunk's draws, its first Gram
 block, each later block's sub-batch of survivors with the embedded columns
-it reads, and the blocks in which ``simulate`` scores a fixed codebook.
-Only a one-candidate sub-batch (about 8 budgets at 10 bits) and a chunk's
-embedding (about nt/2 budgets) exceed it.
+it reads, and the blocks of channels in which :func:`best_powers` scores
+fixed codebooks.  Only a one-candidate sub-batch (about 8 budgets at 10
+bits) and a chunk's embedding (about nt/2 budgets) exceed it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,22 +117,25 @@ def _vector_power(h: np.ndarray, v: np.ndarray) -> float:
     return float(np.vdot(hv, hv).real)
 
 
+def _select(h: np.ndarray, chunks: Iterable[np.ndarray]) -> Selection:
+    # the running argmax of one codebook's power over its entries, read in
+    # chunks of _CHUNK (the last may be shorter); ties go to the lowest index
+    best: tuple[float, int, np.ndarray] | None = None
+    for i, chunk in enumerate(chunks):
+        powers = _chunk_powers(h, chunk)
+        j = int(np.argmax(powers))
+        if best is None or powers[j] > best[0]:
+            best = (float(powers[j]), i * _CHUNK + j, chunk[j].copy())
+    assert best is not None
+    return Selection(best[1], best[2], _vector_power(h, best[2]))
+
+
 def select_beamformer(h: np.ndarray, codebook: Codebook) -> Selection:
     """Entry of ``codebook`` maximizing received power; ties go to the lowest index."""
     if codebook.nt != h.shape[1]:
         raise ValueError(f"codebook is {codebook.nt}-dimensional, channel has nt={h.shape[1]}")
-    best_power = -1.0
-    best_index = 0
-    n = codebook.entries.shape[0]
-    for start in range(0, n, _CHUNK):
-        chunk = codebook.entries[start : start + _CHUNK]
-        powers = _chunk_powers(h, chunk)
-        j = int(np.argmax(powers))
-        if powers[j] > best_power:
-            best_power = float(powers[j])
-            best_index = start + j
-    vec = codebook.entries[best_index].copy()
-    return Selection(best_index, vec, _vector_power(h, vec))
+    entries = codebook.entries
+    return _select(h, (entries[start : start + _CHUNK] for start in range(0, entries.shape[0], _CHUNK)))
 
 
 def select_beamformer_streaming(
@@ -147,37 +150,8 @@ def select_beamformer_streaming(
     _check_bits(bits, STREAM_CAP_BITS, "streaming")
     if nt != h.shape[1]:
         raise ValueError(f"entry length {nt} does not match channel nt={h.shape[1]}")
-    gen = as_generator(rng)
-    n = 1 << bits
-    best_power = -1.0
-    best_index = 0
-    best_vector: np.ndarray | None = None
-    for start in range(0, n, _CHUNK):
-        chunk = _unit_vectors(gen, min(_CHUNK, n - start), nt)
-        powers = _chunk_powers(h, chunk)
-        j = int(np.argmax(powers))
-        if powers[j] > best_power:
-            best_power = float(powers[j])
-            best_index = start + j
-            best_vector = chunk[j].copy()
-    assert best_vector is not None
-    return Selection(best_index, best_vector, _vector_power(h, best_vector))
-
-
-def chordal_distance(v1: np.ndarray, v2: np.ndarray) -> float:
-    """sqrt(1 - |v1^H v2|^2); invariant to per-vector phase rotation."""
-    overlap = abs(np.vdot(v1, v2)) ** 2
-    return float(np.sqrt(max(0.0, 1.0 - overlap)))
-
-
-def min_pairwise_distance(entries: np.ndarray) -> float:
-    """Smallest chordal distance among all entry pairs (+inf for one entry)."""
-    n = entries.shape[0]
-    if n < 2:
-        return float("inf")
-    gram = np.abs(entries @ entries.conj().T) ** 2
-    iu = np.triu_indices(n, 1)
-    return float(np.sqrt(max(0.0, 1.0 - gram[iu].max())))
+    gen, n = as_generator(rng), 1 << bits
+    return _select(h, (_unit_vectors(gen, min(_CHUNK, n - start), nt) for start in range(0, n, _CHUNK)))
 
 
 @functools.lru_cache(maxsize=None)  # one entry per codebook size and nt, at most 11 per nt
@@ -238,6 +212,28 @@ def _embed(x: np.ndarray, work: np.ndarray | None = None, unit: bool = True) -> 
     if unit:
         f /= np.sum(f[:nt], axis=0, out=ab[0])
     return f
+
+
+def best_powers(h: np.ndarray, codebooks: Sequence[Codebook]) -> list[np.ndarray]:
+    """max_i ||H c_i||^2 of each fixed codebook, per channel of the (m, nr, nt) stack ``h``.
+
+    With G = H^H H, c^H G c = psi(G) . phi(c) for a unit c, where phi is
+    :func:`_embed` and psi(G) = (G_kk, sqrt2 Re G_ij, sqrt2 Im G_ij); the sum
+    of the unscaled embeddings of H's rows is psi(conj G), and
+    psi(conj G) . phi(conj c) = psi(G) . phi(c).  psi is formed once per
+    block of channels, whose embedding work and widest scores fit
+    ``WORK_DOUBLES``, then each codebook costs one matmul and a row max.
+    """
+    m, nr, nt = h.shape
+    phis = [_embed(book.entries.conj()) for book in codebooks]
+    step = max(1, WORK_DOUBLES // max([_embed_work(nt, nr).size] + [phi.shape[1] for phi in phis]))
+    work, best = _embed_work(nt, min(step, m) * nr), [np.empty(m) for _ in phis]
+    for start in range(0, m, step):
+        rows = h[start : start + step].reshape(-1, nt)
+        psi = _embed(rows, work, unit=False).reshape(nt * nt, -1, nr).sum(axis=2).T
+        for phi, out in zip(phis, best):
+            np.max(psi @ phi, axis=1, out=out[start : start + step])
+    return best
 
 
 def _block_overlap(f: np.ndarray, rows: slice | np.ndarray, block: tuple) -> np.ndarray:

@@ -187,13 +187,6 @@ def miso_interval_approx(b_bar: float, alpha: float) -> float:
     return math.log2(1.0 + b_bar * _LN2 / math.log(1.0 / alpha)) / b_bar
 
 
-def miso_interval_small_budget(alpha: float) -> float:
-    """Vanishing-budget limit of :func:`miso_interval_approx`."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("limit requires 0 < alpha < 1")
-    return _LN2 / math.log(1.0 / alpha)
-
-
 def afp_beats_mfp(cfg: LargeSystemConfig) -> tuple[int, ...]:
     """All K in [2, k_max] whose rate difference beats per-block feedback."""
     return intervals_beating_first(_rate_curve(cfg))

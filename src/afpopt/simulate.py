@@ -9,7 +9,8 @@ statistic, which is exact, not an approximation:
   F_H(x)^N, where F_H depends on H only through its Gram eigenvalues (the
   RVQ order statistic of Au-Yeung & Love, IEEE TWC 2007).  It is drawn from
   one uniform u as x = F_H^-1(u^(1/N)).  A maximin codebook is fixed, so
-  its x = max_i ||H c_i||^2 is computed directly.
+  its x = max_i ||H c_i||^2 is computed directly, for every budget of a
+  group at once (:func:`afpopt.codebook.best_powers`).
 * Block k's power is ||a_k||^2 with a_k = H_k v in C^nr, and
   a_k = alpha a_(k-1) + sqrt(1 - alpha^2) n_k with n_k ~ CN(0, I) drawn
   independently of v.  Its law depends on a_1 only through ||a_1||^2 = x.
@@ -40,9 +41,7 @@ from afpopt import finite
 from afpopt.channel import (
     FadingModel, RandomStream, SystemShape, check_count, complex_normal, gram_eigenvalues,
 )
-from afpopt.codebook import (
-    KINDS, WORK_DOUBLES, Codebook, _embed, _embed_work, check_maximin_bits, maximin_codebook, maximin_codebooks,
-)
+from afpopt.codebook import KINDS, best_powers, check_maximin_bits, maximin_codebooks
 
 #: substream reserved for per-configuration codebook construction; chunk
 #: indices stay safely below this
@@ -126,32 +125,14 @@ def _trial_chunks(seed: int, trials: int) -> Iterator[tuple[slice, np.random.Gen
         yield slice(start, min(start + TRIAL_CHUNK, trials)), RandomStream(seed, index).generator()
 
 
-def fixed_codebook(spec: ExperimentSpec) -> Codebook | None:
-    """The configuration's maximin codebook, built afresh; None for RVQ."""
-    if spec.codebook_kind != "maximin":
-        return None
-    return maximin_codebook(
-        spec.shape.nt, spec.budget_bits, spec.candidates, RandomStream(spec.seed, CODEBOOK_STREAM)
-    )
-
-
-def isotropic_power_tail(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """P(v^H G v > x) for an isotropic unit v in C^n, per row.
-
-    ``nodes`` holds each row's Gram spectrum padded with zeros to n values,
-    ascending, shape (m, n).  The tail is the divided difference of
-    (. - x)_+^(n-1) over the nodes, i.e. sum_i (l_i - x)_+^(n-1) /
-    prod_(j != i) (l_i - l_j).  It is evaluated by the Cox-de Boor
-    recursion: every level is a convex combination of the one below, so
-    nearly coincident eigenvalues cost no precision.
-    """
-    return _tail_and_density(x, nodes)[0]
-
-
 def _tail_and_density(x: np.ndarray, nodes: np.ndarray, zeros: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    # isotropic_power_tail and the density of v^H G v, its negated derivative:
-    # (n-1) times the divided difference of (. - x)_+^(n-2) over all n nodes,
-    # formed from the recursion's last two inputs.  With the first ``zeros``
+    # P(v^H G v > x) for an isotropic unit v in C^n per row, and its density.
+    # ``nodes`` holds each row's Gram spectrum padded with zeros to n values,
+    # ascending.  The tail is the divided difference of (. - x)_+^(n-1) over
+    # the nodes, by the Cox-de Boor recursion, whose every level is a convex
+    # combination of the one below: nearly coincident eigenvalues cost no
+    # precision.  The density is (n-1) times that of (. - x)_+^(n-2), formed
+    # from the recursion's last two inputs.  With the first ``zeros``
     # nodes padded zeros and x >= 0, a column whose window lies inside them
     # is exactly 0, so at width w only the columns from max(0, zeros - w) on
     # are formed, a zero column prepended each time the range widens
@@ -184,7 +165,7 @@ def rvq_best_power(eigs: np.ndarray, nt: int, bits: float, u: np.ndarray) -> np.
     Above the second-largest node the tail is the single term
     (l1 - x)^(nt-1) / prod_j (l1 - l_j) and inverts in closed form (for
     nt = 2 that covers every draw); below it safeguarded Newton steps on
-    :func:`isotropic_power_tail` find x.
+    that tail (:func:`_tail_and_density`) find x.
     """
     l1 = eigs[:, 0]
     if nt == 1:
@@ -238,25 +219,6 @@ def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray, zeros: int) -
             )
     out[rows] = x
     return out
-
-
-def _codebook_best_power(h: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    # max_i ||H c_i||^2 per channel of the (m, nr, nt) stack, as real
-    # products: with G = H^H H, c^H G c = psi(G) . phi(c) for a unit c, where
-    # phi is codebook._embed and psi(G) = (G_kk, sqrt2 Re G_ij, sqrt2 Im G_ij)
-    # in phi's coordinate order.  The sum of the unscaled embeddings of H's
-    # rows is psi(conj G), and psi(conj G) . phi(conj c) = psi(G) . phi(c).
-    # Channels go a block at a time, so that the block's embedding work and
-    # its scores each fit WORK_DOUBLES
-    m, nr, nt = h.shape
-    phi = _embed(entries.conj())
-    step = max(1, WORK_DOUBLES // max(phi.shape[1], _embed_work(nt, nr).size))
-    work, best = _embed_work(nt, min(step, m) * nr), np.empty(m)
-    for start in range(0, m, step):
-        rows = h[start : start + step].reshape(-1, nt)
-        psi = _embed(rows, work, unit=False).reshape(nt * nt, -1, nr).sum(axis=2)
-        np.max(psi.T @ phi, axis=1, out=best[start : start + step])
-    return best
 
 
 def _stale_block_powers(x: np.ndarray, spec: ExperimentSpec, noise: np.ndarray) -> np.ndarray:
@@ -313,7 +275,7 @@ def _group_trials(
                 eigs, u = gram_eigenvalues(h), 1.0 - gen.random(count)
                 best = {}
             else:
-                best = {bits: _codebook_best_power(h, book.entries) for bits, book in books.items()}
+                best = dict(zip(books, best_powers(h, list(books.values()))))
             noise = gen.standard_normal((max(stale, default=1) - 1, count, nr, 2))
             for i in live:
                 spec, bits = specs[i], specs[i].budget_bits
@@ -354,12 +316,15 @@ def block_power_trials(spec: ExperimentSpec) -> np.ndarray:
 def _metric_values(powers: np.ndarray, spec: ExperimentSpec, rho_db: float) -> np.ndarray:
     # per-trial value of the cell's metric from (rows, K) block powers (the
     # caller scales normalized_power); the rate metrics work in the log
-    # domain, so every finite rho_db gives finite rates
+    # domain, so every finite rho_db gives finite rates; ln rho divides first
+    # only where rho_db ln 10 overflows (|rho_db| > 7.8e307), keeping all other bits
     if spec.metric in ("avg_power", "normalized_power"):
         return powers.mean(axis=1)
     if not math.isfinite(rho_db):
         raise ValueError(f"rho_db must be finite, got {rho_db}")
     log_rho, log_power = rho_db * math.log(10.0) / 10.0, np.log(powers)
+    if not math.isfinite(log_rho):
+        log_rho = rho_db / 10.0 * math.log(10.0)
     if spec.metric == "avg_rate":
         rate = np.logaddexp(0.0, log_rho + log_power)
     else:

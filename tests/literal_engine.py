@@ -18,8 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from afpopt.codebook import Selection, select_beamformer, select_beamformer_streaming
-from afpopt.simulate import ExperimentSpec, fixed_codebook
+from afpopt.channel import RandomStream
+from afpopt.codebook import Selection, maximin_codebook, select_beamformer, select_beamformer_streaming
+from afpopt.simulate import CODEBOOK_STREAM, ExperimentSpec
 
 
 class _TrialStreams:
@@ -60,7 +61,10 @@ def block_power_trials(
     """
     nt, nr = spec.shape.nt, spec.shape.nr
     count = spec.trials if num_trials is None else num_trials
-    fixed = fixed_codebook(spec)
+    fixed = None
+    if spec.codebook_kind == "maximin":
+        rng = RandomStream(spec.seed, CODEBOOK_STREAM)
+        fixed = maximin_codebook(nt, spec.budget_bits, spec.candidates, rng)
     streams = _TrialStreams(spec.seed)
     alpha = spec.model.alpha
     decay = math.sqrt(max(0.0, 1.0 - alpha * alpha))

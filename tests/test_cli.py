@@ -54,12 +54,14 @@ class TestParsing:
         assert flag in err and "finite" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("metric", ["avg_rate", "rate_difference"])
-    @pytest.mark.parametrize("db", ["4000", "-4000"])
+    @pytest.mark.parametrize("db", ["4000", "-4000", "1e308", "-1e308"])
     def test_rho_db_beyond_double_range_runs(self, db, metric, tmp_path, capfd, monkeypatch):
         # 10 ** 400 overflows and 10 ** -400 underflows to 0, but the rates
         # are computed from ln rho, so any finite dB value gives finite rates,
-        # from a flag or from a config file
+        # from a flag or from a config file, with no warning; past 7.8e307,
+        # rho_db ln 10 itself overflows, so ln rho is formed dividing first
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps({"rho_db": float(db)}))
         for snr in ([f"--rho-db={db}"], ["--config", "cfg.json"]):
@@ -69,7 +71,7 @@ class TestParsing:
             assert code == 0
             rows = (tmp_path / "simulate.csv").read_text().splitlines()[1:]
             assert len(rows) == 2
-            assert all(math.isfinite(float(row.split(",")[6])) for row in rows)
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[6:8])
 
     def test_extreme_but_finite_rho_db_runs(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -174,7 +176,7 @@ class TestPlainLineReader:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_namespaces_match_the_full_parsers(self, command):
         rng = random.Random(2021)
-        parser = cli.build_parser(command)
+        parser = cli.build_parser()
         seen = set()
         for _ in range(500):
             chosen, tokens = _plain_line(rng, command)

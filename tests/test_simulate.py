@@ -16,12 +16,12 @@ from afpopt.channel import (
     gram_eigenvalues,
     sample_channel,
 )
-from afpopt.codebook import rvq_codebook, select_beamformer_streaming
+from afpopt import codebook
+from afpopt.codebook import WORK_DOUBLES, _embed, _embed_work, rvq_codebook, select_beamformer_streaming
 from afpopt.simulate import (
     TRIAL_CHUNK,
     ExperimentSpec,
     block_power_trials,
-    isotropic_power_tail,
     perfect_feedback_mean,
     perfect_feedback_power,
     round_half_up,
@@ -32,6 +32,11 @@ from afpopt.simulate import (
     simulate_rate_difference,
     sweep,
 )
+
+
+def isotropic_power_tail(x, nodes):
+    """P(v^H G v > x) for an isotropic unit v, per row: the tail of simulate._tail_and_density."""
+    return simulate._tail_and_density(x, nodes)[0]
 
 
 def spec_2x2(**kw):
@@ -334,42 +339,83 @@ class TestBestPowerDraw:
 
 
 def _complex_best_power(h, entries):
-    # the oracle of simulate._codebook_best_power: max_i ||H c_i||^2 from
-    # the complex products H c_i
+    # the oracle of codebook.best_powers: max_i ||H c_i||^2 from the complex
+    # products H c_i
     hc = h @ entries.T
     return (hc.real**2 + hc.imag**2).sum(axis=1).max(axis=1)
+
+
+def _one_codebook_best_power(h, entries):
+    # codebook.best_powers of one codebook alone, with blocks of channels
+    # sized by that codebook; the Monte Carlo pins were made with it
+    m, nr, nt = h.shape
+    phi = _embed(entries.conj())
+    step = max(1, WORK_DOUBLES // max(phi.shape[1], _embed_work(nt, nr).size))
+    work, best = _embed_work(nt, min(step, m) * nr), np.empty(m)
+    for start in range(0, m, step):
+        rows = h[start : start + step].reshape(-1, nt)
+        psi = _embed(rows, work, unit=False).reshape(nt * nt, -1, nr).sum(axis=2)
+        np.max(psi.T @ phi, axis=1, out=best[start : start + step])
+    return best
 
 
 class TestCodebookBestPower:
     @pytest.mark.parametrize("nt", [1, 2, 3, 4])
     @pytest.mark.parametrize("nr", [1, 2, 3, 4])
     def test_matches_complex_products(self, nt, nr):
+        # one call scores every budget 0 .. 8 together
         gen = RandomStream(91, 10 * nt + nr).generator()
-        for bits in range(9):
-            h = complex_normal(gen, (300, nr, nt))
-            entries = rvq_codebook(nt, bits, gen).entries
-            got, want = simulate._codebook_best_power(h, entries), _complex_best_power(h, entries)
+        h = complex_normal(gen, (300, nr, nt))
+        books = [rvq_codebook(nt, bits, gen) for bits in range(9)]
+        for bits, (book, got) in enumerate(zip(books, codebook.best_powers(h, books))):
+            want = _complex_best_power(h, book.entries)
             # one entry can nearly miss a one-row channel; the real products
             # then cancel, with an error relative to ||H||_F^2, not to the power
             scale = (h.real**2 + h.imag**2).sum(axis=(1, 2)) if bits == 0 and nr == 1 else want
             assert np.all(np.abs(got - want) <= 1e-13 * scale), bits
 
+    @pytest.mark.parametrize("nt,nr,rows", [(3, 2, TRIAL_CHUNK), (2, 3, 1000), (4, 4, 777)])
+    def test_bit_identical_to_one_codebook_at_a_time(self, nt, nr, rows):
+        gen = RandomStream(94, nt).generator()
+        h = complex_normal(gen, (rows, nr, nt))
+        books = [rvq_codebook(nt, bits, gen) for bits in range(1, 9)]
+        for book, got in zip(books, codebook.best_powers(h, books)):
+            assert np.array_equal(got, _one_codebook_best_power(h, book.entries)), book.bits
+
+    def test_one_channel_embedding_per_block(self, monkeypatch):
+        # psi is formed once per block of channels, whatever the number of
+        # codebooks; only the codebooks' own embeddings are unit ones
+        calls = []
+
+        def counted(x, work=None, unit=True):
+            calls.append(unit)
+            return _embed(x, work, unit)
+
+        monkeypatch.setattr(codebook, "_embed", counted)
+        gen = RandomStream(95).generator()
+        h = complex_normal(gen, (TRIAL_CHUNK, 2, 3))
+        blocks = -(-TRIAL_CHUNK // (WORK_DOUBLES // (1 << 8)))  # 256 columns, the widest
+        for budgets in ([8], [1, 8], range(9)):
+            calls.clear()
+            codebook.best_powers(h, [rvq_codebook(3, bits, gen) for bits in budgets])
+            assert calls.count(False) == blocks
+            assert calls.count(True) == len(budgets)
+
     @pytest.mark.parametrize("nr", [1, 2, 3, 4])
     def test_one_antenna_gives_the_channel_norm(self, nr):
         gen = RandomStream(92, nr).generator()
         h = complex_normal(gen, (500, nr, 1))
-        for bits in range(5):
-            got = simulate._codebook_best_power(h, rvq_codebook(1, bits, gen).entries)
+        for got in codebook.best_powers(h, [rvq_codebook(1, bits, gen) for bits in range(5)]):
             assert np.array_equal(got, (h.real**2 + h.imag**2).sum(axis=(1, 2)))
 
     @pytest.mark.parametrize("nt,nr", [(3, 2), (4, 4)])
     def test_peak_memory_at_a_full_trial_chunk(self, nt, nr):
         gen = RandomStream(93).generator()
         h = complex_normal(gen, (TRIAL_CHUNK, nr, nt))
-        entries = rvq_codebook(nt, 10, gen).entries
+        book = rvq_codebook(nt, 10, gen)
         tracemalloc.start()
         try:
-            simulate._codebook_best_power(h, entries)
+            codebook.best_powers(h, [book])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
