@@ -158,17 +158,20 @@ def select_beamformer_streaming(
 def _row_blocks(n: int, dims: int) -> tuple[tuple[int, int, np.ndarray, int], ...]:
     """Gram row blocks [r0, r1) of an n-entry codebook embedded in R^dims, doubling in size.
 
-    Each block comes with the mask of its pairs j > i over the columns
-    r0 + 1 .. n - 1 that its rows are scored against, and with the number
-    of candidates whose block (its Gram rows and the columns of the
-    embedding they read) fits ``WORK_DOUBLES``.
+    A block's rows are scored against the columns r0 + 1 .. n - 1, so its
+    scores form an (r1 - r0, n - r0 - 1) matrix.  Each block comes with the
+    flat indices in that matrix of its pairs j <= i, which all lie in its
+    leading square, and with the number of candidates whose block (its
+    Gram rows and the columns of the embedding they read) fits
+    ``WORK_DOUBLES``.
     """
     blocks = []
     r0, rows = 0, _FIRST_ROWS
     while r0 < n - 1:
         r1 = min(r0 + rows, n - 1)
         size = (r1 - r0 + dims) * (n - r0 - 1) + dims * (r1 - r0)
-        blocks.append((r0, r1, ~np.tri(r1 - r0, n - r0 - 1, -1, dtype=bool), max(1, WORK_DOUBLES // size)))
+        below = np.flatnonzero(np.tri(r1 - r0, n - r0 - 1, -1, dtype=bool))
+        blocks.append((r0, r1, below, max(1, WORK_DOUBLES // size)))
         r0, rows = r1, 2 * rows
     return tuple(blocks)
 
@@ -238,11 +241,11 @@ def best_powers(h: np.ndarray, codebooks: Sequence[Codebook]) -> list[np.ndarray
 
 def _block_overlap(f: np.ndarray, rows: slice | np.ndarray, block: tuple) -> np.ndarray:
     # each candidate's largest overlap over Gram rows r0 .. r1 - 1, pairs j > i
-    r0, r1, pairs, _ = block
+    r0, r1, below, _ = block
     g = f[rows, :, r0:r1].transpose(0, 2, 1) @ f[rows, :, r0 + 1 :]
-    # pairs with j <= i lie in the leading square alone
-    g[:, :, : r1 - r0] *= pairs[:, : r1 - r0]
-    return g.max(axis=(1, 2))
+    g = g.reshape(g.shape[0], -1)
+    g[:, below] = 0.0  # the pairs j <= i
+    return g.max(axis=1)
 
 
 def _batch_winner(f: np.ndarray, best_dist: float) -> tuple[int, float] | None:
@@ -254,10 +257,12 @@ def _batch_winner(f: np.ndarray, best_dist: float) -> tuple[int, float] | None:
     distance (+inf for n = 1, where the first candidate wins).  The
     overlaps are scored a block of Gram rows at a time, as a real matmul:
     the first block for the whole batch at once, each later block for the
-    live candidates in sub-batches that fit ``WORK_DOUBLES``.  A candidate
-    is dropped as soon as its running distance sqrt(1 - max overlap) is no
-    longer above ``best_dist``.  That distance can only fall as rows are
-    added, so the result is that of a full scan, ties included.
+    live candidates in sub-batches that fit ``WORK_DOUBLES`` (one call when
+    they all fit one), each folded into the running overlaps in place.  A
+    candidate is dropped as soon as its running distance
+    sqrt(1 - max overlap) is no longer above ``best_dist``.  That distance
+    can only fall as rows are added, so the result is that of a full scan,
+    ties included.
     """
     c, dims, n = f.shape
     if n < 2:  # one entry has no pairs
@@ -273,8 +278,9 @@ def _batch_winner(f: np.ndarray, best_dist: float) -> tuple[int, float] | None:
             live, overlap, dist = live[keep], overlap[keep], dist[keep]
         if block is not None:
             step = block[3]  # candidates per sub-batch
-            parts = [_block_overlap(f, live[s : s + step], block) for s in range(0, live.size, step)]
-            overlap = np.maximum(overlap, np.concatenate(parts))
+            for s in range(0, live.size, step):
+                part = overlap[s : s + step]
+                np.maximum(part, _block_overlap(f, live[s : s + step], block), out=part)
     j = int(np.argmax(dist))
     return int(live[j]), float(dist[j])
 

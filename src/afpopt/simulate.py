@@ -24,16 +24,18 @@ Estimates are therefore reproducible and reruns are bit-identical.
 Cells of a sweep that share shape, seed, trial count and codebook kind
 (and, for maximin, candidate count) draw the same chunks, so :func:`sweep`
 draws them once per group: the channels, eigenvalues and uniforms, and the
-innovations of the group's longest stale interval.  Each cell runs only
-its own budget's draw (shared by cells of the same budget) and its own
-recursion, and gets the same bits as it does alone.
+innovations of the group's longest stale interval.  The best powers of
+all the group's budgets come from one batched draw per chunk, and cells
+of the same budget and alpha share one recursion, each taking its first K
+blocks; every step is elementwise per row, so each cell gets the same bits
+as it does alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -154,23 +156,28 @@ def _tail_and_density(x: np.ndarray, nodes: np.ndarray, zeros: int = 0) -> tuple
     return tail[:, 0], density
 
 
-def rvq_best_power(eigs: np.ndarray, nt: int, bits: float, u: np.ndarray) -> np.ndarray:
-    """Power of the best of 2**bits isotropic entries, one draw per row by inversion.
+def rvq_best_power(eigs: np.ndarray, nt: int, budgets: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """Power of the best of 2**bits isotropic entries per budget, one draw per row by inversion.
 
     ``eigs`` holds each row's min(nt, nr) Gram eigenvalues in descending
-    order and ``u`` one uniform in (0, 1] per row.  The best power has the
-    CDF F^N, so the draw solves P(q > x) = 1 - u^(1/N), with the right side
-    computed as -expm1(log(u) 2^-bits).  Past about 1075 bits (or at an
-    infinite budget) 2^-bits is 0 and every draw is x = l1, the exact limit.
-    Above the second-largest node the tail is the single term
+    order and ``u`` one uniform in (0, 1] per row; the result holds one row
+    of draws per budget, (len(budgets), rows), every budget from the same
+    uniforms.  The best power has the CDF F^N, so the draw solves
+    P(q > x) = 1 - u^(1/N), with the right side computed as
+    -expm1(log(u) 2^-bits).  Past about 1075 bits (or at an infinite
+    budget) 2^-bits is 0 and every draw is x = l1, the exact limit.  Above
+    the second-largest node the tail is the single term
     (l1 - x)^(nt-1) / prod_j (l1 - l_j) and inverts in closed form (for
     nt = 2 that covers every draw); below it safeguarded Newton steps on
-    that tail (:func:`_tail_and_density`) find x.
+    that tail (:func:`_tail_and_density`) find x.  The budgets' rows are
+    stacked budget-major, so the closed form and the Newton steps run once
+    for all of them; every step is elementwise per row, so each budget gets
+    the bits it gets alone.
     """
     l1 = eigs[:, 0]
     if nt == 1:
-        return l1  # a unit phase cannot change the power
-    t = -np.expm1(np.log(u) * 2.0**-bits)
+        return np.broadcast_to(l1, (len(budgets), l1.size))  # a unit phase cannot change the power
+    t = -np.expm1(np.log(u) * np.array([2.0**-bits for bits in budgets])[:, None])
     nodes = np.zeros((l1.size, nt))
     nodes[:, nt - eigs.shape[1] :] = eigs[:, ::-1]
     second = nodes[:, -2]
@@ -182,7 +189,8 @@ def rvq_best_power(eigs: np.ndarray, nt: int, bits: float, u: np.ndarray) -> np.
         x = l1 - (t * spread) ** (1.0 / (nt - 1))
     low = np.isinf(spread) | ~(x > second)
     if low.any():
-        x[low] = _invert_tail(nodes[low], t[low], second[low], nt - eigs.shape[1])
+        row = np.nonzero(low)[1]
+        x[low] = _invert_tail(nodes[row], t[low], second[row], nt - eigs.shape[1])
     return x
 
 
@@ -221,11 +229,12 @@ def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray, zeros: int) -
     return out
 
 
-def _stale_block_powers(x: np.ndarray, spec: ExperimentSpec, noise: np.ndarray) -> np.ndarray:
+def _stale_block_powers(x: np.ndarray, alpha: float, num_blocks: int, noise: np.ndarray) -> np.ndarray:
     # ||a_k||^2 with a_1 = (sqrt(x), 0, ..., 0); a_k is kept as real and
     # imaginary parts, so a CN(0, 1) innovation has variance 1/2 per part;
-    # noise[k - 1] is block k's (rows, nr, 2) standard normal innovation
-    alpha, num_blocks = spec.model.alpha, spec.num_blocks
+    # noise[k - 1] is block k's (rows, nr, 2) standard normal innovation.
+    # Block k reads only noise[:k - 1], so the first K columns are the run
+    # for K blocks
     out = np.empty((x.size, num_blocks))
     out[:, 0] = x
     if alpha >= 1.0:
@@ -240,15 +249,29 @@ def _stale_block_powers(x: np.ndarray, spec: ExperimentSpec, noise: np.ndarray) 
     return out
 
 
+def _rvq_draws(eigs: np.ndarray, nt: int, budgets: list, u: np.ndarray) -> dict:
+    # each budget's best power, or the exception its draw raised: one batched
+    # draw, redone one budget at a time if it raises
+    try:
+        return dict(zip(budgets, rvq_best_power(eigs, nt, budgets, u)))
+    except Exception as exc:
+        if len(budgets) == 1:
+            return {budgets[0]: exc}
+        return {bits: _rvq_draws(eigs, nt, [bits], u)[bits] for bits in budgets}
+
+
 def _group_trials(
     specs: list[ExperimentSpec], rho_db: float, raw: bool = False
 ) -> list[np.ndarray | Exception]:
     """Per-trial metric values of each cell of a group that shares every draw.
 
-    One draw pass serves the group (see the module docstring); the best
-    power is found once per budget.  With ``raw`` a cell keeps its
-    (trials, K) block powers instead.  A cell that fails gets its exception
-    instead; the others keep their values.
+    One draw pass serves the group (see the module docstring).  Per trial
+    chunk one :func:`rvq_best_power` call draws every budget of the group
+    (or one :func:`afpopt.codebook.best_powers` call scores every maximin
+    codebook), and cells of the same budget and ``alpha`` take the first K
+    columns of one stale-block recursion run for the longest of their K.
+    With ``raw`` a cell keeps its (trials, K) block powers instead.  A cell
+    that fails gets its exception instead; the others keep their values.
     """
     first = specs[0]
     nt, nr = first.shape.nt, first.shape.nr
@@ -260,7 +283,9 @@ def _group_trials(
             check_maximin_bits(spec.budget_bits)
         except ValueError as exc:  # an over-cap budget fails only its own cells
             errors[i] = exc
-    live = [i for i, error in enumerate(errors) if error is None]
+    # longest K first: the first cell of each budget and alpha runs the
+    # recursion that the others take prefixes of
+    live = sorted((i for i, error in enumerate(errors) if error is None), key=lambda i: -specs[i].num_blocks)
     try:
         if not rvq:
             books = maximin_codebooks(
@@ -272,17 +297,21 @@ def _group_trials(
             count = rows.stop - rows.start
             h = complex_normal(gen, (count, nr, nt))
             if rvq:
-                eigs, u = gram_eigenvalues(h), 1.0 - gen.random(count)
-                best = {}
+                budgets = list(dict.fromkeys(specs[i].budget_bits for i in live))
+                best = _rvq_draws(gram_eigenvalues(h), nt, budgets, 1.0 - gen.random(count))
             else:
                 best = dict(zip(books, best_powers(h, list(books.values()))))
             noise = gen.standard_normal((max(stale, default=1) - 1, count, nr, 2))
+            blocks: dict[tuple, np.ndarray] = {}
             for i in live:
                 spec, bits = specs[i], specs[i].budget_bits
+                key = (bits, spec.model.alpha)
                 try:
-                    if bits not in best:
-                        best[bits] = rvq_best_power(eigs, nt, bits, u)
-                    powers = _stale_block_powers(best[bits], spec, noise)
+                    if isinstance(best[bits], Exception):
+                        raise best[bits]
+                    if key not in blocks:
+                        blocks[key] = _stale_block_powers(best[bits], key[1], spec.num_blocks, noise)
+                    powers = blocks[key][:, : spec.num_blocks]
                     outputs[i][rows] = powers if raw else _metric_values(powers, spec, rho_db)
                 except Exception as exc:
                     errors[i] = exc

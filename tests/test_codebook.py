@@ -11,6 +11,7 @@ from afpopt.channel import RandomStream, SystemShape, complex_normal, sample_cha
 from afpopt.codebook import (
     Codebook,
     _batch_winner,
+    _block_overlap,
     _embed,
     _row_blocks,
     _stream_entries,
@@ -346,11 +347,36 @@ class TestMaximin:
 
 class TestBatchWinner:
     def test_row_blocks_cover_each_pair_once(self):
+        # a block scores rows r0 .. r1 - 1 against columns r0 + 1 .. n - 1
+        # and zeroes the flat positions it lists; every other position is
+        # a scored pair (i, j), and each j > i must be scored exactly once
         for n in range(2, 70):
             blocks = _row_blocks(n, 4)
             assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
             assert blocks[0][0] == 0 and blocks[-1][1] == n - 1
-            assert sum(int(mask.sum()) for _, _, mask, _ in blocks) == n * (n - 1) // 2
+            scored = np.zeros((n, n), dtype=int)
+            for r0, r1, below, _ in blocks:
+                kept = np.ones((r1 - r0) * (n - r0 - 1), dtype=bool)
+                kept[below] = False
+                a, b = np.divmod(np.flatnonzero(kept), n - r0 - 1)
+                np.add.at(scored, (r0 + a, r0 + 1 + b), 1)
+            assert np.array_equal(scored, np.triu(np.ones((n, n), dtype=int), 1))
+
+    @pytest.mark.parametrize("nt,bits", [(2, 3), (2, 6), (3, 5), (4, 4), (1, 3)])
+    def test_block_overlap_matches_mask_multiply(self, nt, bits):
+        # oracle: the leading square of each block multiplied by the bool
+        # mask of its pairs j > i, as the scoring was first written
+        c, n = 9, 1 << bits
+        f = embedded(complex_normal(RandomStream(64, nt).generator(), (c, n, nt)))
+        for block in _row_blocks(n, nt * nt):
+            r0, r1 = block[:2]
+            pairs = ~np.tri(r1 - r0, n - r0 - 1, -1, dtype=bool)
+            g = f[:, :, r0:r1].transpose(0, 2, 1) @ f[:, :, r0 + 1 :]
+            g[:, :, : r1 - r0] *= pairs[:, : r1 - r0]
+            expected = g.max(axis=(1, 2))
+            assert np.array_equal(_block_overlap(f, slice(None), block), expected)
+            rows = np.array([0, 4, 8])
+            assert np.array_equal(_block_overlap(f, rows, block), expected[rows])
 
     def test_earlier_duplicate_wins(self):
         good = rvq_codebook(2, 3, RandomStream(60)).entries

@@ -219,6 +219,21 @@ def _untrimmed_tail_and_density(x, nodes):
 
 
 class TestBestPowerDraw:
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (2, 4), (4, 4), (3, 3), (6, 3), (4, 1), (1, 3)])
+    def test_batched_budgets_equal_one_call_per_budget(self, nt, nr):
+        # the budgets' rows are stacked budget-major and every step is
+        # elementwise per row, so each budget's draws are bit for bit those
+        # of a call with that budget alone
+        gen = RandomStream(78, nt * 10 + nr).generator()
+        eigs = gram_eigenvalues(complex_normal(gen, (3000, nr, nt)))
+        u = 1.0 - gen.random(eigs.shape[0])
+        budgets = [0, *range(1, 11), 1100, math.inf]
+        batched = rvq_best_power(eigs, nt, budgets, u)
+        assert batched.shape == (len(budgets), eigs.shape[0])
+        for bits, got in zip(budgets, batched):
+            (alone,) = rvq_best_power(eigs, nt, [bits], u)
+            assert np.array_equal(got, alone), bits
+
     @pytest.mark.parametrize("nt,nr", [(5, 2), (16, 4), (64, 8), (160, 2), (3, 3), (6, 3), (4, 1)])
     def test_trimmed_recursion_is_bit_identical(self, nt, nr):
         # the padded zeros' columns are skipped, not rounded away: tail and
@@ -263,7 +278,7 @@ class TestBestPowerDraw:
     def test_nearly_coincident_eigenvalues(self, eigs, nt, bits):
         gen = RandomStream(71).generator()
         u = 1.0 - gen.random(20_000)
-        got = rvq_best_power(np.tile(eigs, (u.size, 1)), nt, bits, u)
+        (got,) = rvq_best_power(np.tile(eigs, (u.size, 1)), nt, [bits], u)
         assert np.all((got >= 0.0) & (got <= eigs[0]))
         direct = _dirichlet_best_power(eigs, nt, bits, 20_000, gen)
         assert stats.ks_2samp(got, direct).pvalue > 1e-3
@@ -300,7 +315,7 @@ class TestBestPowerDraw:
                 mid = 0.5 * (lo + hi)
                 above = isotropic_power_tail(mid, nodes) > t
                 lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-            got = rvq_best_power(eigs, nt, bits, u)
+            (got,) = rvq_best_power(eigs, nt, [bits], u)
             assert np.max(np.abs(got - hi) / eigs[:, 0]) < 1e-12, bits
 
     @pytest.mark.parametrize("nt,nr", [(2, 3), (4, 2), (8, 2)])
@@ -316,8 +331,8 @@ class TestBestPowerDraw:
             gen = RandomStream(5, c).generator()
             eigs = gram_eigenvalues(complex_normal(gen, (chunk, nr, nt)))
             u = 1.0 - gen.random(chunk)
-            for bits in budgets:
-                shortfalls[bits].append(eigs[:, 0] - rvq_best_power(eigs, nt, bits, u))
+            for bits, x in zip(budgets, rvq_best_power(eigs, nt, budgets, u)):
+                shortfalls[bits].append(eigs[:, 0] - x)
         top = finite.mean_largest_eigenvalue(SystemShape(nt, nr))
         # the quadrature at tight tolerances, in a cache of its own
         monkeypatch.setattr(finite, "_ntx2_cache", {})
@@ -334,7 +349,7 @@ class TestBestPowerDraw:
 
     def test_large_budget_closes_on_top_eigenvalue(self):
         eigs = np.array([[4.0, 1.0, 0.5]])
-        gaps = [4.0 - rvq_best_power(eigs, 3, bits, np.array([0.5]))[0] for bits in (10, 20, 30)]
+        gaps = 4.0 - rvq_best_power(eigs, 3, (10, 20, 30), np.array([0.5]))[:, 0]
         assert 0.0 < gaps[2] < gaps[1] < gaps[0] < 0.1
 
 
@@ -615,6 +630,63 @@ class TestSweep:
             if a.error is None:
                 assert g.value.hex() == a.value.hex() and g.stderr.hex() == a.stderr.hex()
         assert [r.error is None for r in grouped] == [True] * 11 + [False, True]
+
+    @staticmethod
+    def shared_budget_group(metric):
+        # B = 0.5 pools 1, 1, 2, 2, 3, 3, 4 bits over K = 1 .. 7, so budgets
+        # repeat within an alpha, and each (budget, alpha) has cells of
+        # several K; 2049 trials are one full chunk and one of 1 row
+        return [
+            ExperimentSpec(SystemShape(3, 2), FadingModel(alpha), 0.5, k, trials=2049, seed=73, metric=metric)
+            for alpha in (0.0, 0.8, 1.0)
+            for k in range(1, 8)
+        ]
+
+    @pytest.mark.parametrize("metric", ["avg_power", "avg_rate", "rate_difference", None])
+    def test_shared_budget_cells_equal_each_cell_alone(self, metric):
+        # metric None is raw mode: each cell's (trials, K) block powers
+        raw = metric is None
+        group = self.shared_budget_group(metric or "avg_power")
+        for spec, got in zip(group, simulate._group_trials(group, -3.0, raw)):
+            (alone,) = simulate._group_trials([spec], -3.0, raw)
+            assert np.array_equal(got, alone)
+
+    def test_one_batched_draw_per_trial_chunk(self, monkeypatch):
+        calls = []
+
+        def counted(eigs, nt, budgets, u):
+            calls.append(sorted(budgets))
+            return rvq_best_power(eigs, nt, budgets, u)
+
+        monkeypatch.setattr(simulate, "rvq_best_power", counted)
+        simulate._group_trials(self.shared_budget_group("avg_power"), -3.0)
+        assert calls == [[1, 2, 3, 4]] * 2  # 2049 trials are two chunks
+
+    def test_failing_budget_fails_only_its_cells(self, monkeypatch):
+        # the Newton inversion raises on the rows of the 2-bit draw, so the
+        # batched draw fails; redone one budget at a time, only the 2-bit
+        # cells carry the error and the others keep the values they get alone
+        group = self.shared_budget_group("avg_power")
+        alone = [simulate._group_trials([spec], -3.0)[0] for spec in group]
+        draw, invert, two_bit_tails = simulate.rvq_best_power, simulate._invert_tail, []
+
+        def noting_two_bit_tails(eigs, nt, budgets, u):
+            two_bit_tails.append(-np.expm1(np.log(u) * 0.25))
+            return draw(eigs, nt, budgets, u)
+
+        def failing_at_two_bits(nodes, t, hi, zeros):
+            if np.isin(t, two_bit_tails[-1]).any():
+                raise FloatingPointError("no 2-bit draw")
+            return invert(nodes, t, hi, zeros)
+
+        monkeypatch.setattr(simulate, "rvq_best_power", noting_two_bit_tails)
+        monkeypatch.setattr(simulate, "_invert_tail", failing_at_two_bits)
+        outcomes = simulate._group_trials(group, -3.0)
+        assert [spec.budget_bits for spec, o in zip(group, outcomes) if isinstance(o, Exception)] == [2, 2] * 3
+        for outcome, want in zip(outcomes, alone):
+            if not isinstance(outcome, Exception):
+                assert np.array_equal(outcome, want)
+        assert all(isinstance(o, FloatingPointError) for o in outcomes if isinstance(o, Exception))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
