@@ -146,11 +146,9 @@ def _finite_cfg(opts: dict) -> finite.AfpConfig:
 def _cmd_analytic(opts: dict) -> list[SweepRecord]:
     cfg = _finite_cfg(opts)
     ks = range(1, cfg.k_max + 1)
-    # one batch for the table, whose cache avg_power then reads
-    finite.quantized_powers(cfg.shape, [cfg.bits_per_block * k for k in ks])
-    return [
-        _row(*_channel(opts), k, "avg_power", finite.avg_power(cfg, k), "finite", opts["seed"]) for k in ks
-    ]
+    powers = finite.quantized_powers(cfg.shape, [cfg.bits_per_block * k for k in ks])
+    values = (finite.interval_average_power(cfg.shape.nr, g, cfg.model.alpha, k) for k, g in zip(ks, powers))
+    return [_row(*_channel(opts), k, "avg_power", value, "finite", opts["seed"]) for k, value in zip(ks, values)]
 
 
 def _cmd_large_system(opts: dict) -> list[SweepRecord]:

@@ -18,13 +18,13 @@ quantizer output.  The quadratures are adaptive Gauss-Kronrod rules written
 in numpy, held to fixed tolerances and vectorised over panels and over bit
 budgets: many budgets are the integrals of one batched pass, each with a
 result that does not depend on the others (:func:`rvq_powers_ntx2`), and a
-bounded cache keeps the values.  Every power, one or a batch, comes
-through :func:`quantized_powers`: the interval searches run in lockstep
-(:func:`optimal_intervals`) and fetch each window of K together, cut off by
-an envelope that bounds every later interval, and the simulator and the
-CLI fetch the budgets of their tables.  The
-perfect-feedback power E[l1] of any shape comes from Khatri's CDF of the
-largest Wishart eigenvalue, by the same quadrature.
+bounded cache keeps the values for later calls.  Every power, one or a
+batch, comes through :func:`quantized_powers` to the caller that fetched
+it: the interval searches run in lockstep (:func:`optimal_intervals`) and
+fetch each window of K together, cut off by an envelope that bounds every
+later interval, and the simulator and the CLI fetch their tables' budgets.
+The perfect-feedback power E[l1] of any shape comes from Khatri's CDF of
+the largest Wishart eigenvalue, by the same quadrature.
 """
 
 from __future__ import annotations
@@ -327,17 +327,36 @@ _ntx2_cache: dict[tuple, float] = {}
 
 
 def rvq_powers_ntx2(nt: int, budgets: Iterable[float]) -> list[float]:
-    """:func:`rvq_power_ntx2` at each bit budget of ``budgets``, in one batched pass.
+    """Mean selected power of an nt x 2 channel (nt > 2), RVQ quantized, at each bit budget.
+
+    E[l1] minus the expected selection shortfall int_0^l1 F(x)^N dx, the
+    gap between l1 and the best of N = 2^bits isotropic entries.  F is the
+    CDF of v^H diag(l1, l2, 0, ..., 0) v for an isotropic unit v in C^nt:
+    1 - (l1 - x)^(nt-1) / ((l1 - l2) l1^(nt-2)) above l2, and
+    1 - (l1 (1 - x/l1)^(nt-1) - l2 (1 - x/l2)^(nt-1)) / (l1 - l2) below it.
+    The shortfall is homogeneous of degree 1 in
+    (l1, l2), so it equals l1 phi(s) with s = l2 / l1.  Substituting
+    l2 = s l1 in the joint eigenvalue density turns the l1 integral into
+    int l1^(2n) e^(-l1 (1+s)) dl1 = (2n)! / (1+s)^(2n+1), which leaves
+
+        E[shortfall] = (2n)! / ((n-1)!(n-2)!)
+                       int_0^1 s^(n-2) (1-s)^2 (1+s)^-(2n+1) phi(s) ds,  n = nt.
+
+    phi(s) is a tail over [s, 1] plus a head over [0, s].  The tail is an
+    incomplete-beta integral; scaled to the width of its mass it becomes one
+    profile integral shared by every s.  The head is a nested integral per
+    s, dropped where F^N is below exp(-50).  All three are adaptive 15-point
+    Gauss-Kronrod quadratures held to ``_NTX2_TOLERANCE``, each round
+    vectorised over its panels.  The power is strictly increasing in the bit
+    budget, equal to 2 at zero bits.
 
     The budgets that are neither cached nor saturated become the integrals
-    of one set of adaptive quadratures (each budget its own outer integral,
-    profile integral and head integrals), so the pass costs a few numpy
-    rounds instead of a few per budget.  Each value equals the one its
-    budget gets alone, bit for bit.  A budget whose quadrature reaches
-    ``_MAX_SUBDIVISIONS`` warns on its own and is not cached; the others are.
-    It warns when it is fetched: a budget that a search fetches in its
-    window, past where its scan stops, warns although no result reads it,
-    and a later read integrates it again and warns again.
+    of one set of quadratures (each budget its own outer, profile and head
+    integrals), a few numpy rounds in all, and each value equals the one
+    its budget gets alone, bit for bit.  A budget whose quadrature reaches
+    ``_MAX_SUBDIVISIONS`` warns on its own when it is fetched, even past
+    where a search's scan stops, and is not cached; the others are, in a
+    cache of at most ``_NTX2_CACHE_SIZE`` values.
     """
     if nt <= 2:
         raise ValueError("quadrature form requires nt > 2")
@@ -372,31 +391,7 @@ def rvq_powers_ntx2(nt: int, budgets: Iterable[float]) -> list[float]:
 
 
 def rvq_power_ntx2(nt: int, total_bits: float) -> float:
-    """Mean selected power for an nt x 2 channel (nt > 2), RVQ quantized.
-
-    E[l1] minus the expected selection shortfall int_0^l1 F(x)^N dx, the
-    gap between l1 and the best of N = 2^bits isotropic entries.  F is the
-    CDF of v^H diag(l1, l2, 0, ..., 0) v for an isotropic unit v in C^nt:
-    1 - (l1 - x)^(nt-1) / ((l1 - l2) l1^(nt-2)) above l2, and
-    1 - (l1 (1 - x/l1)^(nt-1) - l2 (1 - x/l2)^(nt-1)) / (l1 - l2) below it.
-    The shortfall is homogeneous of degree 1 in
-    (l1, l2), so it equals l1 phi(s) with s = l2 / l1.  Substituting
-    l2 = s l1 in the joint eigenvalue density turns the l1 integral into
-    int l1^(2n) e^(-l1 (1+s)) dl1 = (2n)! / (1+s)^(2n+1), which leaves
-
-        E[shortfall] = (2n)! / ((n-1)!(n-2)!)
-                       int_0^1 s^(n-2) (1-s)^2 (1+s)^-(2n+1) phi(s) ds,  n = nt.
-
-    phi(s) is a tail over [s, 1] plus a head over [0, s].  The tail is an
-    incomplete-beta integral; scaled to the width of its mass it becomes one
-    profile integral shared by every s.  The head is a nested integral per
-    s, dropped where F^N is below exp(-50).  All three are adaptive 15-point
-    Gauss-Kronrod quadratures held to ``_NTX2_TOLERANCE``, each round
-    vectorised over its panels; reaching ``_MAX_SUBDIVISIONS`` gives a
-    RuntimeWarning.  Strictly increasing in the bit budget, equal to 2 at
-    zero bits.  This is the one-budget case of :func:`rvq_powers_ntx2`, and
-    shares its cache of at most ``_NTX2_CACHE_SIZE`` values.
-    """
+    """The RVQ-quantized power of an nt x 2 channel (nt > 2) at one budget: see :func:`rvq_powers_ntx2`."""
     return rvq_powers_ntx2(nt, [total_bits])[0]
 
 
@@ -497,9 +492,9 @@ def quantized_powers(shape: SystemShape, budgets: Iterable[float]) -> list[float
 
     The one door to the exact powers: the 2 x nr closed form
     (:func:`rvq_power_2xnr`) at each budget, or one :func:`rvq_powers_ntx2`
-    batch for an nt x 2 shape, whose values its cache then serves.  A shape
-    that :func:`has_closed_form` rejects raises a ValueError.  Every batch
-    of the package goes through here: one per shape and window of the
+    batch for an nt x 2 shape.  A shape that :func:`has_closed_form`
+    rejects raises a ValueError.  Every batch of the package comes from
+    here to the caller that reads it: one per shape and window of the
     lockstep searches (:func:`optimal_intervals`), one per shape of a
     sweep's analytic column, and one for the ``analytic`` command's table.
     """
@@ -557,24 +552,6 @@ class IntervalResult:
     curve: tuple[float, ...] = ()
 
 
-def scan_interval(
-    objective: Callable[[int], float],
-    k_max: int,
-    stop: Callable[[int, list[float]], bool] | None = None,
-) -> tuple[float, ...]:
-    """objective(K) for K = 1, 2, ..., k_max; ``stop(K, curve)`` true ends the scan before K.
-
-    It fetches nothing ahead; the finite searches scan this way in windows
-    whose powers are fetched first (:func:`optimal_intervals`).
-    """
-    curve = [objective(1)]
-    for k in range(2, k_max + 1):
-        if stop is not None and stop(k, curve):
-            break
-        curve.append(objective(k))
-    return tuple(curve)
-
-
 def best_interval(curve: tuple[float, ...], k_max: int) -> IntervalResult:
     """First argmax of a scanned curve (smallest K wins ties); flagged when it is k_max."""
     best = max(range(len(curve)), key=curve.__getitem__)
@@ -602,60 +579,74 @@ _FIRST_WINDOW = 16
 _WINDOW_GROWTH = 8
 
 
-def _search(cfg: AfpConfig, incumbent: Callable[[list[float]], float]):
-    # one search as a generator: at K = 1 and at each window's first K it
-    # yields the window's budgets up to where the envelope falls to the
-    # incumbent of the curve so far; it returns the curve of scan_interval's
-    # stop rule, or none at alpha = 1, where it needs K = k_max alone
-    if cfg.model.alpha >= 1.0:
-        yield [cfg.bits_per_block * cfg.k_max]
-        return ()
+def _search(k_max: int, value: Callable[[int], float], envelope: Callable[[int], float],
+            incumbent: Callable[[float, float], float]):
+    """One interval search over K = 1, 2, ..., k_max, as a generator that returns its curve.
+
+    Before each window of K it yields the window's Ks, as an iterator to
+    read before the search resumes, then evaluates ``value`` at them, up to
+    where ``envelope(K)``, an upper bound on ``value(K)`` that does not grow
+    with K, falls to the incumbent: the fold of ``incumbent(best, v)`` over
+    the values so far (``max``: the best).
+    """
     curve: list[float] = []
 
     def beatable(k: int) -> bool:
-        return not curve or _search_envelope(cfg, k) > incumbent(curve)
+        return not curve or envelope(k) > best
 
     end = 1
-    for k in takewhile(beatable, range(1, cfg.k_max + 1)):
+    for k in takewhile(beatable, range(1, k_max + 1)):
         if k == end:
             end = k * _WINDOW_GROWTH if k > 1 else _FIRST_WINDOW
-            yield [cfg.bits_per_block * j for j in takewhile(beatable, range(k, min(end, cfg.k_max + 1)))]
-        curve.append(avg_power(cfg, k))
+            yield takewhile(beatable, range(k, min(end, k_max + 1)))
+        v = value(k)
+        best = incumbent(best, v) if curve else v
+        curve.append(v)
     return tuple(curve)
 
 
-def _lockstep(cfgs: list[AfpConfig], incumbent: Callable[[list[float]], float]) -> list[tuple[float, ...]]:
-    # the curves of every config's _search, run a window at a time: each
-    # round fetches every live search's next window, one batch per shape
-    searches = {i: _search(cfg, incumbent) for i, cfg in enumerate(cfgs)}
+def _lockstep(cfgs: list[AfpConfig], incumbent: Callable[[float, float], float]) -> list[tuple[tuple, dict]]:
+    # every config's _search, a window at a time: each round fetches every
+    # live search's next window in one batch per shape, which the searches
+    # then read; returns each config's curve and powers by K.  At alpha = 1
+    # a search needs K = k_max alone, and its curve is that one value.
+    powers: list[dict[int, float]] = [{} for _ in cfgs]
+
+    def search(cfg: AfpConfig, fetched: dict[int, float]):
+        def value(k: int) -> float:
+            return interval_average_power(cfg.shape.nr, fetched[k], cfg.model.alpha, k)
+
+        if cfg.model.alpha >= 1.0:
+            yield [cfg.k_max]
+            return (value(cfg.k_max),)
+        return (yield from _search(cfg.k_max, value, lambda k: _search_envelope(cfg, k), incumbent))
+
+    searches = {i: search(cfg, fetched) for i, (cfg, fetched) in enumerate(zip(cfgs, powers))}
     curves: list[tuple[float, ...]] = [()] * len(cfgs)
     while searches:
-        budgets: dict[SystemShape, list[float]] = {}
-        for i, search in list(searches.items()):
+        wanted: dict[SystemShape, list[tuple[int, int]]] = {}
+        for i, live in list(searches.items()):
             try:
-                budgets.setdefault(cfgs[i].shape, []).extend(next(search))
+                wanted.setdefault(cfgs[i].shape, []).extend((i, k) for k in next(live))
             except StopIteration as stop:
                 curves[i] = stop.value
                 del searches[i]
-        for shape, bits in budgets.items():
-            quantized_powers(shape, bits)
-    return curves
+        for shape, want in wanted.items():
+            for (i, k), g in zip(want, quantized_powers(shape, [cfgs[i].bits_per_block * k for i, k in want])):
+                powers[i][k] = g
+    return list(zip(curves, powers))
 
 
 def optimal_intervals(cfgs: Iterable[AfpConfig]) -> list[IntervalResult]:
-    """The :func:`optimal_interval` of every config, its searches run in lockstep.
+    """The :func:`optimal_interval` of every config, each equal to the one its config gets alone.
 
-    The searches scan K in windows [1, 16), [16, 128), ...  Before each
-    window, every live search names its budgets there, cut off where its
-    envelope falls to its best value so far, and each shape's are fetched
-    in one :func:`quantized_powers` batch: one nt x 2 pass per shape and
-    window.  Each result equals the one its config gets alone.
+    The searches run in lockstep, sharing one nt x 2 pass per shape and window of K.
     """
     cfgs = list(cfgs)
     return [
         best_interval(curve, cfg.k_max) if cfg.model.alpha < 1.0
-        else IntervalResult(cfg.k_max, avg_power(cfg, cfg.k_max), True)
-        for cfg, curve in zip(cfgs, _lockstep(cfgs, max))
+        else IntervalResult(cfg.k_max, curve[0], True)
+        for cfg, (curve, _) in zip(cfgs, _lockstep(cfgs, max))
     ]
 
 
@@ -693,10 +684,9 @@ def afp_beats_mfp(cfg: AfpConfig) -> AfpMfpComparison:
         # quantized power is strictly increasing in bits, so every K wins
         ks = tuple(range(2, cfg.k_max + 1))
         return AfpMfpComparison(ks, tuple(math.inf for _ in ks), math.inf)
-    curve = _lockstep([cfg], lambda curve: curve[0])[0]
+    ((curve, powers),) = _lockstep([cfg], lambda first, _: first)
     ks = intervals_beating_first(curve)
     iso, base = cfg.shape.nr, curve[0]
     large_budget = 1.0 / (1.0 - alpha * alpha)
-    gains = quantized_powers(cfg.shape, [cfg.bits_per_block * k for k in ks])
-    bounds = tuple(large_budget * (g - iso) / (base - iso) for g in gains)
+    bounds = tuple(large_budget * (powers[k] - iso) / (base - iso) for k in ks)
     return AfpMfpComparison(ks, bounds, large_budget)

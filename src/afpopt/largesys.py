@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from afpopt.channel import FadingModel, check_count
-from afpopt.finite import AfpConfig, IntervalResult, best_interval, intervals_beating_first, scan_interval
+from afpopt.finite import AfpConfig, IntervalResult, _search, best_interval, intervals_beating_first
 
 _LN2 = math.log(2.0)
 _EPS = 2.0**-52
@@ -135,22 +135,19 @@ def _mean_block_rate(g: float, k: int, cfg: LargeSystemConfig) -> float:
 
 
 def _rate_envelope(k: int, cfg: LargeSystemConfig) -> float:
-    # An upper bound on rate_difference(k), non-increasing in k for
-    # alpha < 1.  For nr_bar > 0 it is the rate difference with the power at
-    # its ceiling (1 + sqrt(nr_bar))^2: each block's term then falls with
-    # the block index, so their mean falls with k.  For nr_bar = 0 it is
-    # (k-1) log2(alpha), -inf at alpha = 0: the MISO form without its
-    # nonpositive quantization term.
+    # An upper bound on rate_difference(k), non-increasing in k.  At
+    # alpha = 1 it is inf, so a search runs to k_max.  For nr_bar > 0 it is
+    # the rate difference with the power at its ceiling (1 + sqrt(nr_bar))^2:
+    # each block's term then falls with the block index, so their mean falls
+    # with k.  For nr_bar = 0 it is (k-1) log2(alpha), -inf at alpha = 0: the
+    # MISO form without its nonpositive quantization term.
+    if cfg.alpha >= 1.0:
+        return math.inf
     if cfg.nr_bar > 0.0:
         return _mean_block_rate((1.0 + math.sqrt(cfg.nr_bar)) ** 2, k, cfg)
     if k == 1:
         return 0.0
     return -math.inf if cfg.alpha == 0.0 else (k - 1) * math.log2(cfg.alpha)
-
-
-def _rate_curve(cfg: LargeSystemConfig) -> tuple[float, ...]:
-    """The rate difference at every K in [1, k_max]."""
-    return scan_interval(lambda k: rate_difference(k, cfg), cfg.k_max)
 
 
 def optimal_interval(cfg: LargeSystemConfig) -> IntervalResult:
@@ -162,15 +159,16 @@ def optimal_interval(cfg: LargeSystemConfig) -> IntervalResult:
     nr_bar = 0.  K*, its value and the horizon flag are those of the full
     scan; ``curve`` ends where the scan stopped.  At alpha = 1 the rate
     difference grows with the pooled budget, so K* is k_max by rule, with
-    the whole curve.
+    the whole curve.  The scan is finite's interval search, drained.
     """
+    search = _search(cfg.k_max, lambda k: rate_difference(k, cfg), lambda k: _rate_envelope(k, cfg), max)
+    try:
+        while True:
+            next(search)  # a window of K, which needs no fetch here
+    except StopIteration as stop:
+        curve = stop.value
     if cfg.alpha >= 1.0:
-        curve = _rate_curve(cfg)
         return IntervalResult(cfg.k_max, curve[-1], True, curve)
-    curve = scan_interval(
-        lambda k: rate_difference(k, cfg), cfg.k_max,
-        lambda k, curve: _rate_envelope(k, cfg) <= max(curve),
-    )
     return best_interval(curve, cfg.k_max)
 
 
@@ -189,4 +187,4 @@ def miso_interval_approx(b_bar: float, alpha: float) -> float:
 
 def afp_beats_mfp(cfg: LargeSystemConfig) -> tuple[int, ...]:
     """All K in [2, k_max] whose rate difference beats per-block feedback."""
-    return intervals_beating_first(_rate_curve(cfg))
+    return intervals_beating_first(tuple(rate_difference(k, cfg) for k in range(1, cfg.k_max + 1)))

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -249,15 +250,15 @@ def _stale_block_powers(x: np.ndarray, alpha: float, num_blocks: int, noise: np.
     return out
 
 
-def _rvq_draws(eigs: np.ndarray, nt: int, budgets: list, u: np.ndarray) -> dict:
-    # each budget's best power, or the exception its draw raised: one batched
-    # draw, redone one budget at a time if it raises
+def _per_budget(fetch: Callable[[list], Sequence], budgets: list) -> dict:
+    # fetch's value for each budget, or the exception its budget raised: one
+    # batched call, redone one budget at a time if it raises
     try:
-        return dict(zip(budgets, rvq_best_power(eigs, nt, budgets, u)))
+        return dict(zip(budgets, fetch(budgets)))
     except Exception as exc:
         if len(budgets) == 1:
             return {budgets[0]: exc}
-        return {bits: _rvq_draws(eigs, nt, [bits], u)[bits] for bits in budgets}
+        return {bits: _per_budget(fetch, [bits])[bits] for bits in budgets}
 
 
 def _group_trials(
@@ -298,7 +299,8 @@ def _group_trials(
             h = complex_normal(gen, (count, nr, nt))
             if rvq:
                 budgets = list(dict.fromkeys(specs[i].budget_bits for i in live))
-                best = _rvq_draws(gram_eigenvalues(h), nt, budgets, 1.0 - gen.random(count))
+                eigs, u = gram_eigenvalues(h), 1.0 - gen.random(count)
+                best = _per_budget(lambda bits: rvq_best_power(eigs, nt, bits, u), budgets)
             else:
                 best = dict(zip(books, best_powers(h, list(books.values()))))
             noise = gen.standard_normal((max(stale, default=1) - 1, count, nr, 2))
@@ -431,20 +433,25 @@ def _has_analytic(spec: ExperimentSpec) -> bool:
 
 
 def _analytic_value(spec: ExperimentSpec) -> float | None:
-    shape = spec.shape
+    # the analytic column of a cell alone, from a batch of its one budget
     if not _has_analytic(spec):
         return None
-    # the closed form at the rounded budget the simulation quantizes with,
-    # not at the fractional B * K
-    (g,) = finite.quantized_powers(shape, [spec.budget_bits])
-    value = finite.interval_average_power(shape.nr, g, spec.model.alpha, spec.num_blocks)
+    (g,) = finite.quantized_powers(spec.shape, [spec.budget_bits])
+    return _closed_form(spec, g)
+
+
+def _closed_form(spec: ExperimentSpec, g: float) -> float:
+    # the cell's metric from the quantized power g at the rounded budget the
+    # simulation quantizes with, not at the fractional B * K
+    value = finite.interval_average_power(spec.shape.nr, g, spec.model.alpha, spec.num_blocks)
     if spec.metric == "normalized_power":
-        value /= perfect_feedback_mean(shape)
+        value /= perfect_feedback_mean(spec.shape)
     return value
 
 
-def _record(spec: ExperimentSpec, outcome: np.ndarray | Exception) -> SweepRecord:
-    # the row of one cell from its per-trial values, or from its failure
+def _record(spec: ExperimentSpec, outcome: np.ndarray | Exception, powers: dict) -> SweepRecord:
+    # the row of one cell from its per-trial values and its analytic column's
+    # powers[shape][budget] (a power, or the exception its fetch raised)
     try:
         if isinstance(outcome, Exception):
             raise outcome
@@ -452,7 +459,11 @@ def _record(spec: ExperimentSpec, outcome: np.ndarray | Exception) -> SweepRecor
         if spec.metric == "normalized_power":
             norm = perfect_feedback_mean(spec.shape)
             est = Estimate(est.mean / norm, est.stderr / norm, est.trials)
-        value, stderr, analytic, error = est.mean, est.stderr, _analytic_value(spec), None
+        g = powers[spec.shape][spec.budget_bits] if _has_analytic(spec) else None
+        if isinstance(g, Exception):
+            raise g
+        analytic = None if g is None else _closed_form(spec, g)
+        value, stderr, error = est.mean, est.stderr, None
     except Exception as exc:
         value = stderr = analytic = None
         error = f"{type(exc).__name__}: {exc}"
@@ -492,15 +503,13 @@ def sweep(specs: list[ExperimentSpec], rho_db: float = RHO_DB) -> list[SweepReco
     for members in groups.values():
         for i, outcome in zip(members, _group_trials([specs[i] for i in members], rho_db)):
             outcomes[i] = outcome
-    # the analytic column's powers: one batch per shape, whose cache each
-    # record then reads
+    # the analytic column's powers: one batch per shape, redone one budget
+    # at a time if it raises, so that a failure costs only its budget's cells
     budgets: dict[SystemShape, list[int | float]] = {}
     for spec, outcome in zip(specs, outcomes):
         if _has_analytic(spec) and not isinstance(outcome, Exception):
             budgets.setdefault(spec.shape, []).append(spec.budget_bits)
-    for shape, bits in budgets.items():
-        try:
-            finite.quantized_powers(shape, bits)
-        except Exception:  # each record meets the failure again and keeps it
-            pass
-    return [_record(spec, outcome) for spec, outcome in zip(specs, outcomes)]
+    powers = {
+        shape: _per_budget(partial(finite.quantized_powers, shape), bits) for shape, bits in budgets.items()
+    }
+    return [_record(spec, outcome, powers) for spec, outcome in zip(specs, outcomes)]

@@ -273,11 +273,27 @@ class TestQuadraturePasses:
         ("optimal-k --nt 5 --nr 2 --bits 1 --alpha 0.95", 2),
         ("optimal-k --nt 3 --nr 2 --bits 1e-9 --alpha 0.999", 3),  # the curve runs to K = 64
         ("afp-range --nt 4 --nr 2 --bits 1 --alpha 0.9", 2),
+        ("analytic --nt 3 --nr 2 --bits 0.05 --k-max 5000", 1),  # more budgets than the cache holds
     ])
     def test_command_takes_few_passes(self, args, most, ntx2_passes, tmp_path, capfd):
         code, _, _ = invoke(args.split() + ["--output", str(tmp_path / "t.csv")], capfd)
         assert code == 0
         assert 0 < len(ntx2_passes) <= most
+
+    def test_flagged_budgets_warn_once(self, ntx2_passes, tmp_path, capfd, monkeypatch):
+        # with these settings every budget of the table reaches the cap, so
+        # none is cached: the table reads its one pass, each budget warning once
+        monkeypatch.setattr(finite, "_NTX2_TOLERANCE", (1e-11, 1e-11))
+        monkeypatch.setattr(finite, "_MAX_SUBDIVISIONS", 4)
+        args = "analytic --nt 4 --nr 2 --bits 8 --k-max 3".split() + ["--output", str(tmp_path / "t.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = invoke(args, capfd)
+        assert code == 0
+        assert [len(sizes) for _, sizes in ntx2_passes] == [3]
+        assert [str(w.message).split(":")[0] for w in caught] == [
+            f"rvq_power_ntx2(4, {bits})" for bits in (8.0, 16.0, 24.0)
+        ]
 
 
 class TestTables:

@@ -726,15 +726,18 @@ class TestIntervalSearch:
         assert result.k_star == 64 and result.horizon_limited
 
     def test_scan_evaluates_no_extra_interval(self, monkeypatch):
-        # count through the module attribute, the way a tracer wraps it
+        # count the values the search evaluates, each from its window's batch
         calls = []
-        real = finite.avg_power
-        monkeypatch.setattr(finite, "avg_power", lambda cfg, k: calls.append(k) or real(cfg, k))
+        real = finite._search
+        monkeypatch.setattr(
+            finite, "_search",
+            lambda k_max, value, *rest: real(k_max, lambda k: calls.append(k) or value(k), *rest),
+        )
         cfg = AfpConfig(SystemShape(6, 2), 1.0, FadingModel(0.8))
         result = optimal_interval(cfg)
         # the envelope falls to the best value so far before K = 13
         assert calls == list(range(1, 13))
-        assert result.curve == tuple(real(cfg, k) for k in range(1, 13))
+        assert result.curve == tuple(avg_power(cfg, k) for k in range(1, 13))
         assert result.k_star == 5 and result.value == result.curve[4]
         calls.clear()
         cmp = afp_beats_mfp(cfg)
@@ -772,13 +775,27 @@ class TestIntervalSearch:
         assert mean_eigen_gap(3) == pytest.approx(3.75, rel=1e-12)
 
 
+def scan_interval(objective, k_max, stop=None):
+    """objective(K) for K = 1, 2, ..., k_max; ``stop(K, curve)`` true ends the scan before K.
+
+    It fetches nothing ahead: the plain scan that the windowed searches must
+    reproduce.
+    """
+    curve = [objective(1)]
+    for k in range(2, k_max + 1):
+        if stop is not None and stop(k, curve):
+            break
+        curve.append(objective(k))
+    return tuple(curve)
+
+
 def _plain_curve(cfg, incumbent):
     # scan_interval under the searches' envelope stop, with no prefetch:
     # every power is its budget's own quadrature
     def stop(k, curve):
         return finite._search_envelope(cfg, k) <= incumbent(curve)
 
-    return finite.scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop)
+    return scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop)
 
 
 def _plain_optimal_interval(cfg):

@@ -576,6 +576,27 @@ class TestSweep:
             finite._ntx2_cache.clear()
             assert record.analytic == simulate._analytic_value(spec)
 
+    def test_failing_analytic_budget_fails_only_its_cells(self, monkeypatch):
+        # the nt x 2 quadrature raises at 2 bits, so the analytic column's
+        # batch fails; redone one budget at a time, only the 2-bit cells
+        # (K = 3, 4 at B = 0.5) fail, and the others keep their rows alone
+        grid = [ExperimentSpec(SystemShape(3, 2), FadingModel(0.8), 0.5, k, trials=50, seed=73) for k in range(1, 8)]
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+        alone = [run_spec(spec) for spec in grid]
+        finite._ntx2_cache.clear()
+        real = finite._ntx2_shortfall
+
+        def failing_at_two_bits(nt, sizes):
+            if 4.0 in sizes:
+                raise FloatingPointError("no 2-bit power")
+            return real(nt, sizes)
+
+        monkeypatch.setattr(finite, "_ntx2_shortfall", failing_at_two_bits)
+        records = sweep(grid)
+        assert [r.num_blocks for r in records if r.error] == [3, 4]
+        assert {r.error for r in records if r.error} == {"FloatingPointError: no 2-bit power"}
+        assert [r for r in records if not r.error] == [a for a in alone if a.num_blocks not in (3, 4)]
+
     def test_partial_failure_reported_not_raised(self):
         good = spec_2x2(num_blocks=1, trials=50)
 
