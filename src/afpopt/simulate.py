@@ -68,7 +68,8 @@ _LN2 = math.log(2.0)
 
 def round_half_up(x: float) -> int | float:
     """Deterministic bit-budget rounding: .5 always rounds up; inf stays inf."""
-    return int(math.floor(x + 0.5)) if x < math.inf else x
+    # x - floor(x) is exact, where the sum in floor(x + 0.5) would round
+    return (f := math.floor(x)) + (x - f >= 0.5) if x < math.inf else x
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,9 @@ def _group_trials(
                 RandomStream(first.seed, CODEBOOK_STREAM),
             )
         stale = [specs[i].num_blocks for i in live if specs[i].model.alpha < 1.0]
-        for rows, gen in _trial_chunks(first.seed, first.trials) if live else ():
+        for rows, gen in _trial_chunks(first.seed, first.trials):
+            if not live:  # every cell has failed, so the rest would go unread
+                break
             count = rows.stop - rows.start
             h = complex_normal(gen, (count, nr, nt))
             if rvq:

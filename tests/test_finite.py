@@ -725,6 +725,16 @@ class TestIntervalSearch:
         result = optimal_interval(AfpConfig(SystemShape(2, 2), 1.0, FadingModel(1.0)))
         assert result.k_star == 64 and result.horizon_limited
 
+    def test_static_channel_fetches_k_max_alone(self, ntx2_passes):
+        # at alpha = 1 the search's range is K = k_max alone: one budget, no curve
+        cfg = AfpConfig(SystemShape(4, 2), 1.0, FadingModel(1.0))
+        result = optimal_interval(cfg)
+        assert ntx2_passes == [(4, [2.0**64])]
+        assert (result.k_star, result.horizon_limited, result.curve) == (64, True, ())
+        ntx2_passes.clear()
+        afp_beats_mfp(cfg)
+        assert ntx2_passes == []
+
     def test_scan_evaluates_no_extra_interval(self, monkeypatch):
         # count the values the search evaluates, each from its window's batch
         calls = []

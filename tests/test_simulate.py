@@ -60,6 +60,11 @@ class TestSpec:
         assert round_half_up(math.inf) == math.inf
         assert spec_2x2(bits_per_block=0.5, num_blocks=3).budget_bits == 2  # 1.5 -> 2
         assert spec_2x2(bits_per_block=15.25, num_blocks=2).budget_bits == 31
+        # floor(x + 0.5) rounds in the sum: these came out 1 and 2^52 + 2
+        below_half = math.nextafter(0.5, 0.0)
+        assert round_half_up(below_half) == 0
+        assert spec_2x2(bits_per_block=below_half, num_blocks=1).budget_bits == 0
+        assert round_half_up(2.0**52 + 1) == 2**52 + 1
 
     def test_budget_cap(self):
         # there is none: the draw costs the same at any budget
@@ -682,6 +687,31 @@ class TestSweep:
         monkeypatch.setattr(simulate, "rvq_best_power", counted)
         simulate._group_trials(self.shared_budget_group("avg_power"), -3.0)
         assert calls == [[1, 2, 3, 4]] * 2  # 2049 trials are two chunks
+
+    def test_group_stops_drawing_once_no_cell_is_live(self, monkeypatch):
+        # rho_db = nan fails an avg_rate cell in chunk 0 of its 6144 trials,
+        # so the group draws no more chunks; a surviving cell keeps all three
+        draws = []
+        monkeypatch.setattr(
+            simulate, "complex_normal", lambda gen, shape: draws.append(shape) or complex_normal(gen, shape)
+        )
+
+        def cell(metric):
+            return ExperimentSpec(SystemShape(2, 2), FadingModel(0.8), 1.0, 3, trials=6144, metric=metric)
+
+        (record,) = sweep([cell("avg_rate")], math.nan)
+        assert "rho_db must be finite" in record.error
+        assert len(draws) == 1
+        draws.clear()
+        records = sweep([cell("avg_rate"), cell("avg_power")], math.nan)
+        assert [r.error is None for r in records] == [False, True]
+        assert len(draws) == 3
+        draws.clear()
+        over_cap = ExperimentSpec(
+            SystemShape(2, 2), FadingModel(0.8), 11.0, 1, trials=50, codebook_kind="maximin", candidates=30
+        )
+        (record,) = sweep([over_cap])
+        assert "maximin cap" in record.error and draws == []
 
     def test_failing_budget_fails_only_its_cells(self, monkeypatch):
         # the Newton inversion raises on the rows of the 2-bit draw, so the
