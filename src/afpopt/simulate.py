@@ -165,16 +165,18 @@ def rvq_best_power(eigs: np.ndarray, nt: int, budgets: Sequence[float], u: np.nd
     order and ``u`` one uniform in (0, 1] per row; the result holds one row
     of draws per budget, (len(budgets), rows), every budget from the same
     uniforms.  The best power has the CDF F^N, so the draw solves
-    P(q > x) = 1 - u^(1/N), with the right side computed as
-    -expm1(log(u) 2^-bits).  Past about 1075 bits (or at an infinite
-    budget) 2^-bits is 0 and every draw is x = l1, the exact limit.  Above
-    the second-largest node the tail is the single term
-    (l1 - x)^(nt-1) / prod_j (l1 - l_j) and inverts in closed form (for
-    nt = 2 that covers every draw); below it safeguarded Newton steps on
-    that tail (:func:`_tail_and_density`) find x.  The budgets' rows are
-    stacked budget-major, so the closed form and the Newton steps run once
-    for all of them; every step is elementwise per row, so each budget gets
-    the bits it gets alone.
+    P(q > x) = t with t = 1 - u^(1/N), computed as -expm1(log(u) 2^-bits).
+    Above the second-largest node the tail is the single term
+    (l1 - x)^(nt-1) / prod_j (l1 - l_j) over the nt - 1 other nodes (padded
+    zeros included), so x = l1 - exp((log t + sum_j log(l1 - l_j)) / (nt-1)),
+    a sum of logs that overflows at no shape (for nt = 2 that covers every
+    draw); below it safeguarded Newton steps (:func:`_invert_tail`) find x.
+    Past about 1075 bits (or at an infinite budget) t underflows to 0 and
+    every draw is x = l1: the exact limit only while the relative deficit,
+    about 2^(-bits/(nt-1)), is below double resolution.  The budgets' rows
+    are stacked budget-major, so the closed form and the Newton steps run
+    once for all of them; every step is elementwise per row, so each budget
+    gets the bits it gets alone.
     """
     l1 = eigs[:, 0]
     if nt == 1:
@@ -183,13 +185,11 @@ def rvq_best_power(eigs: np.ndarray, nt: int, budgets: Sequence[float], u: np.nd
     nodes = np.zeros((l1.size, nt))
     nodes[:, nt - eigs.shape[1] :] = eigs[:, ::-1]
     second = nodes[:, -2]
-    # from about nt = 150 the product of nt - 1 gaps can overflow; such a
-    # row has no closed-form draw (it would be -inf or nan), so it goes to
-    # the inversion, as every row below the second node does
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = np.prod(l1[:, None] - nodes[:, :-1], axis=1)
-        x = l1 - (t * spread) ** (1.0 / (nt - 1))
-    low = np.isinf(spread) | ~(x > second)
+    # t = 0 gives log t = -inf and so x = l1
+    with np.errstate(divide="ignore"):
+        log_spread = (nt - eigs.shape[1]) * np.log(l1) + np.log(l1[:, None] - eigs[:, 1:]).sum(axis=1)
+        x = l1 - np.exp((np.log(t) + log_spread) / (nt - 1))
+    low = ~(x > second)
     if low.any():
         row = np.nonzero(low)[1]
         x[low] = _invert_tail(nodes[row], t[low], second[row], nt - eigs.shape[1])
@@ -199,7 +199,8 @@ def rvq_best_power(eigs: np.ndarray, nt: int, budgets: Sequence[float], u: np.nd
 def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray, zeros: int) -> np.ndarray:
     """Smallest x in [0, hi] with tail(x) <= t, per row; the tail is 1 at 0 and at most t at hi.
 
-    Newton steps on tail(x) - t, whose derivative is minus the density,
+    Newton steps on log(tail(x) / t), whose derivative is -density / tail
+    (in logs they hold where the tail spans many orders, as on wide shapes),
     start at hi inside the bracket [lo, hi] that every evaluation narrows;
     a step that would leave the bracket halves it instead.  A row stops once
     its Newton step or its bracket is within double resolution of the
@@ -215,7 +216,7 @@ def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray, zeros: int) -
             tail, density = _tail_and_density(x, nodes, zeros)
             above = tail > t
             lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-            step = (tail - t) / density
+            step = np.log(tail / t) * tail / density
             converged = np.abs(step) <= resolution
             newton = converged | ((x + step > lo) & (x + step < hi))
             x = np.where(newton, x + step, 0.5 * (lo + hi))

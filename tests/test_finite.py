@@ -112,6 +112,13 @@ class TestPower2xNr:
         assert mean_max_eigenvalue(2) == 3.5
         assert mean_max_eigenvalue(3) == 4.875
         assert mean_max_eigenvalue(4) == pytest.approx(6.1875, rel=1e-12)
+        # one expression at every budget, past 60 bits and past the overflow
+        # of 2^bits at 1024 alike
+        for nr in (2, 5, 250):
+            budgets = [59.0, 60.0, 61.0, 1023.0, 1024.0, 1e308, math.inf]
+            values = [rvq_power_2xnr(nr, bits) for bits in budgets]
+            assert values == sorted(values)
+            assert values[-1] == mean_max_eigenvalue(nr)
 
     def test_strictly_increasing_and_concave_in_bits(self):
         grid = np.arange(0.0, 10.5, 0.5)
@@ -123,6 +130,11 @@ class TestPower2xNr:
     def test_rejects_nr_below_two(self):
         with pytest.raises(ValueError):
             rvq_power_2xnr(1, 3)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_rejects_negative_and_nan_budgets(self, bad):
+        with pytest.raises(ValueError, match="^total_bits must be nonnegative$"):
+            rvq_power_2xnr(2, bad)
 
     def test_block_decay_examples(self):
         assert block_power_2xnr(2, 3, 0.8, 1) == pytest.approx(rvq_power_2xnr(2, 3), rel=1e-12)
@@ -320,8 +332,6 @@ def dblquad_rvq_power_ntx2(nt, total_bits, abs_tol=1e-9):
 def quadpack_rvq_power_ntx2(nt, total_bits, abs_tol, rel_tol, limit):
     """Independent oracle: the same one-dimensional s = l2/l1 form, by nested
     QUADPACK quads with scipy's incomplete beta for the tail branch."""
-    if total_bits >= 400.0:
-        return mean_max_eigenvalue(nt)
     n_entries = 2.0**total_bits
     p = nt - 1
     a, b = 1.0 / p, n_entries + 1.0
@@ -343,7 +353,10 @@ def quadpack_rvq_power_ntx2(nt, total_bits, abs_tol, rel_tol, limit):
                 return 1.0
             return math.exp(n_entries * math.log1p(-u))
 
-        return integrate.quad(head, 0.0, s, **tols)[0] + tail
+        # F^N on the head can be a sliver next to s that a plain quad over
+        # [0, s] never samples, so [0, s] is cut at s - 8^-k
+        cuts = [s - 8.0**-k for k in range(1, 14) if s > 8.0**-k]
+        return integrate.quad(head, 0.0, s, points=cuts, **tols)[0] + tail
 
     def weighted(s):
         log_w = (log_norm + (nt - 2) * math.log(s) + 2.0 * math.log1p(-s)
@@ -363,8 +376,8 @@ class TestPowerNtx2:
 
     @pytest.mark.parametrize("nt", [3, 4, 5, 6, 8, 12])
     def test_matches_quadpack_oracle(self, nt, monkeypatch):
-        # budgets from fractional bits to the saturation edge; at large
-        # budgets the tail mass sits within (gap/N)^(1/(nt-1)) of x = l1.
+        # budgets from fractional bits to 399; at large budgets the tail
+        # mass sits within (gap/N)^(1/(nt-1)) of x = l1.
         # Both sides at tight tolerances, in a cache of their own.
         monkeypatch.setattr(finite, "_ntx2_cache", {})
         monkeypatch.setattr(finite, "_NTX2_TOLERANCE", (1e-13, 1e-12))
@@ -373,6 +386,31 @@ class TestPowerNtx2:
             assert rvq_power_ntx2(nt, bits) == pytest.approx(
                 quadpack_rvq_power_ntx2(nt, bits, 1e-13, 1e-12, 1000), rel=1e-9
             ), bits
+
+    @pytest.mark.parametrize("nt, bits", [(20, 400.0), (60, 400.0), (60, 1000.0), (60, 1023.0)])
+    def test_matches_quadpack_oracle_at_large_budgets(self, nt, bits, monkeypatch):
+        # one quadrature below _LAW_BITS, the shortfall law past it, and no
+        # cut-off at 400 bits on either side.  The oracle forms gap^(nt-2)
+        # directly, which underflows near s = 1 on wide shapes (it reads
+        # 2e-3 high at 250x2), so the check stops at nt = 60.
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+        monkeypatch.setattr(finite, "_NTX2_TOLERANCE", (1e-13, 1e-12))
+        monkeypatch.setattr(finite, "_MAX_SUBDIVISIONS", 1000)
+        assert rvq_power_ntx2(nt, bits) == pytest.approx(
+            quadpack_rvq_power_ntx2(nt, bits, 1e-13, 1e-12, 1000), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("nt", [60, 250])
+    def test_continuous_at_400_bits(self, nt, monkeypatch):
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+        below, at = finite.rvq_powers_ntx2(nt, [399.99, 400.0])
+        assert below < at
+        assert (at - below) / at < 1e-4
+
+    def test_rejects_negative_and_nan_budgets(self):
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="^total_bits must be nonnegative$"):
+                finite.rvq_powers_ntx2(4, [1.0, bad])
 
     def test_subdivision_cap_warns_with_error_estimate(self, monkeypatch):
         monkeypatch.setattr(finite, "_ntx2_cache", {})
@@ -389,8 +427,11 @@ class TestPowerNtx2:
         for nt in (3, 4, 5):
             assert rvq_power_ntx2(nt, 0.0) == pytest.approx(2.0, abs=1e-6)
 
-    def test_saturates_at_mean_top_eigenvalue(self):
+    def test_saturates_at_mean_top_eigenvalue(self, monkeypatch):
         assert rvq_power_ntx2(3, 500.0) == mean_max_eigenvalue(3) == 4.875
+        monkeypatch.setattr(finite, "_ntx2_cache", {})
+        for nt in (3, 60, 250):
+            assert finite.rvq_powers_ntx2(nt, [math.inf]) == [mean_max_eigenvalue(nt)]
 
     def test_regression_values(self):
         # frozen from this quadrature, cross-validated against 1e6-trial
@@ -443,8 +484,8 @@ def _warned(call):
 
 
 class TestQuantizedPowers:
-    # zero, fractional, large, saturated (>= _BITS_SATURATION) and repeated budgets
-    BUDGETS = [0.0, 0.25, 1.0, 3.0, 12.0, 64.0, 400.0, 1.0]
+    # zero, fractional, large, past _LAW_BITS and repeated budgets
+    BUDGETS = [0.0, 0.25, 1.0, 3.0, 12.0, 64.0, 400.0, 1010.0, 1.0]
 
     @pytest.fixture(autouse=True)
     def own_cache(self, monkeypatch):
@@ -463,6 +504,11 @@ class TestQuantizedPowers:
             else:
                 with pytest.raises(ValueError, match="no closed-form path"):
                     finite.quantized_powers(shape, [])
+
+    @pytest.mark.parametrize("nt, nr", [(2, 2), (4, 2)])
+    def test_rejects_nan_budgets(self, nt, nr):
+        with pytest.raises(ValueError, match="^total_bits must be nonnegative$"):
+            finite.quantized_powers(SystemShape(nt, nr), [1.0, math.nan])
 
     @pytest.mark.parametrize("nt, nr", [(2, 3), (2, 250), (4, 2), (250, 2)])
     def test_equals_its_path_bit_for_bit(self, nt, nr):
@@ -488,7 +534,7 @@ class TestNtx2Batch:
         monkeypatch.setattr(finite, "_ntx2_cache", {})
 
     def test_batch_values_equal_each_budget_alone(self):
-        # fractional, zero, saturated (>= _BITS_SATURATION) and repeated budgets
+        # fractional, zero, past _LAW_BITS and repeated budgets
         budgets = [0.0, 0.25, 1.0, 1.0, 1.5, 3.0, 7.75, 12.0, 24.0, 64.0, 399.0, 400.0, 1e4, 0.25]
         for nt in range(3, 18):
             finite._ntx2_cache.clear()

@@ -352,6 +352,17 @@ class TestBestPowerDraw:
             slack = 2.0 * np.finfo(float).eps * top
             assert abs(sample.mean() - (top - g)) <= z_bound * se + slack, bits
 
+    def test_wide_shape_inversion_takes_few_tail_evaluations(self, monkeypatch):
+        # the Newton steps run on the log of the tail, which falls by many
+        # orders between 0 and the second node at 160x2
+        gen = RandomStream(44).generator()
+        eigs = gram_eigenvalues(complex_normal(gen, (TRIAL_CHUNK, 2, 160)))
+        u = 1.0 - gen.random(TRIAL_CHUNK)
+        calls, tail = [], simulate._tail_and_density
+        monkeypatch.setattr(simulate, "_tail_and_density", lambda *a: calls.append(1) or tail(*a))
+        rvq_best_power(eigs, 160, [64], u)
+        assert 0 < len(calls) <= 12
+
     def test_large_budget_closes_on_top_eigenvalue(self):
         eigs = np.array([[4.0, 1.0, 0.5]])
         gaps = 4.0 - rvq_best_power(eigs, 3, (10, 20, 30), np.array([0.5]))[:, 0]
@@ -447,6 +458,15 @@ class TestAgainstClosedForms:
         spec = spec_2x2(model=FadingModel(1.0), num_blocks=4, trials=20_000)
         est = simulate_avg_power(spec)
         assert abs(est.mean - finite.rvq_power_2xnr(2, 4.0)) < 3 * est.stderr
+
+    @pytest.mark.parametrize("nt, bits", [(160, 600.0), (250, 1000.0)])
+    def test_wide_shape_at_large_budget_matches_exact_power(self, nt, bits):
+        # the closed-form draw from logs: no product of nt - 1 gaps to
+        # overflow, and no row sent to an inversion below the second node
+        spec = ExperimentSpec(SystemShape(nt, 2), FadingModel(1.0), bits, 1, trials=4000, seed=3)
+        est = simulate_avg_power(spec)
+        (exact,) = finite.quantized_powers(SystemShape(nt, 2), [bits])
+        assert abs(est.mean - exact) < 4 * est.stderr
 
     def test_zero_bits_gives_isotropic_power(self):
         spec = spec_2x2(bits_per_block=0.2, num_blocks=1, trials=20_000)  # budget 0
