@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from afpopt import finite, largesys, simulate
-from afpopt.channel import FadingModel, RandomStream, SystemShape
-from afpopt.codebook import KINDS, maximin_codebook, save_codebook
+from afpopt.channel import FadingModel, SystemShape
+from afpopt.codebook import KINDS, save_codebook
 from afpopt.simulate import ExperimentSpec, SweepRecord
 
 CSV_HEADER = "nt,nr,alpha,bits_per_block,K,metric,value,stderr,analytic,source,seed"
@@ -204,26 +204,15 @@ def _cmd_afp_range(opts: dict) -> list[SweepRecord]:
 
 
 def _cmd_compare_codebooks(opts: dict) -> list[SweepRecord]:
-    cells = [(kind, k) for kind in KINDS for k in range(1, opts["k_max"] + 1)]
+    k_max = opts["k_max"]
+    cells = [(kind, k) for kind in KINDS for k in range(1, k_max + 1)]
     records = simulate.sweep([_spec(opts, *_channel(opts), k, kind, "normalized_power") for kind, k in cells])
-    best: dict[str, tuple[float, int]] = {}
-    for (kind, k), rec in zip(cells, records):
-        if rec.value is not None and (kind not in best or rec.value > best[kind][0]):
-            best[kind] = (rec.value, k)
-    for kind, (_, k) in best.items():
-        print(f"{kind} K*={k}")
+    for i, kind in enumerate(KINDS):  # each kind's curve over K = 1 .. k_max, a failed cell at -inf
+        curve = tuple(-math.inf if r.value is None else r.value for r in records[i * k_max : (i + 1) * k_max])
+        best = finite.best_interval(curve, k_max)
+        if best.value > -math.inf:  # no line for a kind whose every cell failed
+            print(f"{kind} K*={best.k_star}")
     return records
-
-
-def _save_maximin_codebook(opts: dict) -> None:
-    """Write the codebook the K = k_max maximin cell simulated, rebuilt from the same draws."""
-    spec = _spec(opts, *_channel(opts), opts["k_max"], "maximin", "normalized_power")
-    rng = RandomStream(spec.seed, simulate.CODEBOOK_STREAM)
-    codebook = maximin_codebook(spec.shape.nt, spec.budget_bits, spec.candidates, rng)
-    try:
-        save_codebook(codebook, opts["save_codebook"])
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {opts['save_codebook']}: {exc}") from exc
 
 
 def _finite_k(nt, nr, alpha, bits, k_max=finite.AfpConfig.k_max) -> finite.AfpConfig:
@@ -454,10 +443,16 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     print(f"wrote {len(records)} records to {path}", file=sys.stderr)
     if args.command == "compare-codebooks" and opts["save_codebook"]:
-        try:
-            _save_maximin_codebook(opts)
-        except (ValueError, RuntimeError) as exc:
-            print(f"afpopt {args.command}: codebook not saved: {exc}", file=sys.stderr)
+        cell, target = records[-1], opts["save_codebook"]  # the K = k_max maximin cell
+        reason = cell.error
+        if cell.codebook is not None:
+            try:
+                save_codebook(cell.codebook, target)
+                reason = None
+            except OSError as exc:
+                reason = f"cannot write {target}: {exc}"
+        if reason is not None:
+            print(f"afpopt {args.command}: codebook not saved: {reason}", file=sys.stderr)
             return 1
     return 1 if failed else 0
 

@@ -34,7 +34,7 @@ as it does alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
@@ -44,7 +44,7 @@ from afpopt import finite
 from afpopt.channel import (
     FadingModel, RandomStream, SystemShape, check_count, complex_normal, gram_eigenvalues,
 )
-from afpopt.codebook import KINDS, best_powers, check_maximin_bits, maximin_codebooks
+from afpopt.codebook import KINDS, Codebook, best_powers, check_maximin_bits, maximin_codebooks
 
 #: substream reserved for per-configuration codebook construction; chunk
 #: indices stay safely below this
@@ -171,9 +171,12 @@ def rvq_best_power(eigs: np.ndarray, nt: int, budgets: Sequence[float], u: np.nd
     zeros included), so x = l1 - exp((log t + sum_j log(l1 - l_j)) / (nt-1)),
     a sum of logs that overflows at no shape (for nt = 2 that covers every
     draw); below it safeguarded Newton steps (:func:`_invert_tail`) find x.
-    Past about 1075 bits (or at an infinite budget) t underflows to 0 and
-    every draw is x = l1: the exact limit only while the relative deficit,
-    about 2^(-bits/(nt-1)), is below double resolution.  The budgets' rows
+    Where t falls below the smallest normal double (past about 1022 bits),
+    it is 2^-bits |log u| to rounding, so log t is formed as
+    log(-log u) - bits ln 2 without t, and only an infinite budget draws
+    x = l1.  The Newton steps still take t itself, which underflows to 0
+    past about 1075 bits; such a row stops where its computed tail reaches
+    0, at or below the second node.  The budgets' rows
     are stacked budget-major, so the closed form and the Newton steps run
     once for all of them; every step is elementwise per row, so each budget
     gets the bits it gets alone.
@@ -181,14 +184,18 @@ def rvq_best_power(eigs: np.ndarray, nt: int, budgets: Sequence[float], u: np.nd
     l1 = eigs[:, 0]
     if nt == 1:
         return np.broadcast_to(l1, (len(budgets), l1.size))  # a unit phase cannot change the power
-    t = -np.expm1(np.log(u) * np.array([2.0**-bits for bits in budgets])[:, None])
+    log_u = np.log(u)
+    t = -np.expm1(log_u * np.array([2.0**-bits for bits in budgets])[:, None])
     nodes = np.zeros((l1.size, nt))
     nodes[:, nt - eigs.shape[1] :] = eigs[:, ::-1]
     second = nodes[:, -2]
-    # t = 0 gives log t = -inf and so x = l1
     with np.errstate(divide="ignore"):
+        # t below the normal range is 2^-bits |log u| to rounding, so its log
+        # is formed without t; log t = -inf gives x = l1
+        log_w = np.log(-log_u) - np.array(budgets, dtype=float)[:, None] * _LN2
+        log_t = np.where(t < np.finfo(float).tiny, log_w, np.log(t))
         log_spread = (nt - eigs.shape[1]) * np.log(l1) + np.log(l1[:, None] - eigs[:, 1:]).sum(axis=1)
-        x = l1 - np.exp((np.log(t) + log_spread) / (nt - 1))
+        x = l1 - np.exp((log_t + log_spread) / (nt - 1))
     low = ~(x > second)
     if low.any():
         row = np.nonzero(low)[1]
@@ -265,8 +272,8 @@ def _per_budget(fetch: Callable[[list], Sequence], budgets: list) -> dict:
 
 def _group_trials(
     specs: list[ExperimentSpec], rho_db: float, raw: bool = False
-) -> list[np.ndarray | Exception]:
-    """Per-trial metric values of each cell of a group that shares every draw.
+) -> tuple[list[np.ndarray | Exception], dict[int, Codebook]]:
+    """Per-trial metric values of each cell of a group that shares every draw, and its maximin codebooks.
 
     One draw pass serves the group (see the module docstring).  Per trial
     chunk one :func:`rvq_best_power` call draws every budget of the group
@@ -289,6 +296,7 @@ def _group_trials(
     # longest K first: the first cell of each budget and alpha runs the
     # recursion that the others take prefixes of
     live = sorted((i for i, error in enumerate(errors) if error is None), key=lambda i: -specs[i].num_blocks)
+    books: dict[int, Codebook] = {}
     try:
         if not rvq:
             books = maximin_codebooks(
@@ -325,12 +333,12 @@ def _group_trials(
     except Exception as exc:  # a shared draw failed, and so do its cells
         for i in live:
             errors[i] = exc
-    return [error if error is not None else out for out, error in zip(outputs, errors)]
+    return [error if error is not None else out for out, error in zip(outputs, errors)], books
 
 
 def _cell_trials(spec: ExperimentSpec, rho_db: float = math.nan, raw: bool = False) -> np.ndarray:
     # one cell as a group of one; its failure is raised
-    (outcome,) = _group_trials([spec], rho_db, raw)
+    (outcome,), _ = _group_trials([spec], rho_db, raw)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -413,7 +421,7 @@ def perfect_feedback_mean(shape: SystemShape) -> float:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point of experiment output."""
+    """One grid point of experiment output; a maximin cell keeps the codebook it simulated."""
 
     nt: int
     nr: int
@@ -427,6 +435,7 @@ class SweepRecord:
     source: str
     seed: int
     error: str | None = None
+    codebook: Codebook | None = field(default=None, compare=False, repr=False)
 
 
 def _has_analytic(spec: ExperimentSpec) -> bool:
@@ -453,9 +462,10 @@ def _closed_form(spec: ExperimentSpec, g: float) -> float:
     return value
 
 
-def _record(spec: ExperimentSpec, outcome: np.ndarray | Exception, powers: dict) -> SweepRecord:
-    # the row of one cell from its per-trial values and its analytic column's
-    # powers[shape][budget] (a power, or the exception its fetch raised)
+def _record(spec: ExperimentSpec, outcome: np.ndarray | Exception, powers: dict,
+            codebook: Codebook | None) -> SweepRecord:
+    # the row of one cell from its per-trial values, its analytic column's powers[shape][budget]
+    # (a power, or the exception its fetch raised) and the maximin codebook it simulated
     try:
         if isinstance(outcome, Exception):
             raise outcome
@@ -474,7 +484,7 @@ def _record(spec: ExperimentSpec, outcome: np.ndarray | Exception, powers: dict)
     return SweepRecord(
         spec.shape.nt, spec.shape.nr, spec.model.alpha, spec.bits_per_block,
         spec.num_blocks, spec.metric, value, stderr, analytic,
-        "simulation" if spec.codebook_kind == "rvq" else "simulation-maximin", spec.seed, error,
+        "simulation" if spec.codebook_kind == "rvq" else "simulation-maximin", spec.seed, error, codebook,
     )
 
 
@@ -504,9 +514,11 @@ def sweep(specs: list[ExperimentSpec], rho_db: float = RHO_DB) -> list[SweepReco
             key += (spec.candidates,)
         groups.setdefault(key, []).append(i)
     outcomes: list[np.ndarray | Exception | None] = [None] * len(specs)
+    codebooks: list[Codebook | None] = [None] * len(specs)
     for members in groups.values():
-        for i, outcome in zip(members, _group_trials([specs[i] for i in members], rho_db)):
-            outcomes[i] = outcome
+        group_outcomes, books = _group_trials([specs[i] for i in members], rho_db)
+        for i, outcome in zip(members, group_outcomes):
+            outcomes[i], codebooks[i] = outcome, books.get(specs[i].budget_bits)
     # the analytic column's powers: one batch per shape, redone one budget
     # at a time if it raises, so that a failure costs only its budget's cells
     budgets: dict[SystemShape, list[int | float]] = {}
@@ -516,4 +528,4 @@ def sweep(specs: list[ExperimentSpec], rho_db: float = RHO_DB) -> list[SweepReco
     powers = {
         shape: _per_budget(partial(finite.quantized_powers, shape), bits) for shape, bits in budgets.items()
     }
-    return [_record(spec, outcome, powers) for spec, outcome in zip(specs, outcomes)]
+    return [_record(spec, outcome, powers, book) for spec, outcome, book in zip(specs, outcomes, codebooks)]

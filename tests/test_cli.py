@@ -584,7 +584,7 @@ class TestFigurePresets:
 
 
 class TestCompareCodebooks:
-    def test_prints_both_optima_and_saves_codebook(self, tmp_path, capfd, monkeypatch):
+    def test_prints_both_optima_and_saves_codebook(self, tmp_path, capfd, monkeypatch, maximin_builds):
         monkeypatch.chdir(tmp_path)
         code, out, _ = invoke(
             ["compare-codebooks", "--nt", "2", "--nr", "2", "--bits", "1", "--alpha", "0.9",
@@ -601,6 +601,20 @@ class TestCompareCodebooks:
         cb = load_codebook(tmp_path / "cb.json")
         assert cb.kind == "maximin"
         assert cb.bits == 3
+        # the saved codebook is the sweep's own: one build serves both
+        assert maximin_builds == [[1, 2, 3]]
+
+    def test_unwritable_codebook_path_keeps_its_wording(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "missing" / "cb.json"
+        code, _, err = invoke(
+            ["compare-codebooks", "--nt", "2", "--nr", "2", "--bits", "1", "--k-max", "2",
+             "--trials", "20", "--candidates", "5", "--save-codebook", str(target)],
+            capfd,
+        )
+        assert code == 1
+        assert (tmp_path / "compare_codebooks.csv").exists()
+        assert f"afpopt compare-codebooks: codebook not saved: cannot write {target}: " in err
 
     def test_candidates_reach_the_simulated_codebook(self, tmp_path, capfd, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -642,7 +656,29 @@ class TestCompareCodebooks:
         assert len(rows) == 6
         assert not (tmp_path / "cb.json").exists()
         saves = [line for line in err.splitlines() if "codebook not saved" in line]
-        assert len(saves) == 1 and "maximin cap" in saves[0]
+        assert saves == [
+            "afpopt compare-codebooks: codebook not saved: ValueError: bits=12 exceeds the maximin cap (10)"
+        ]
+        # only the 12-bit maximin cell failed: its K* is the argmax of K = 1, 2
+        maximin = [float(row.split(",")[6]) for row in rows[3:5]]
+        assert out.splitlines()[1] == f"maximin K*={1 + maximin.index(max(maximin))}"
+
+    def test_every_maximin_cell_over_the_cap(self, tmp_path, capfd, monkeypatch, maximin_builds):
+        # no maximin K* line and no codebook built or saved; RVQ keeps its rows
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(
+            ["compare-codebooks", "--nt", "2", "--nr", "2", "--bits", "11", "--k-max", "2",
+             "--trials", "20", "--candidates", "2", "--save-codebook", "cb.json"],
+            capfd,
+        )
+        assert code == 1
+        rows = (tmp_path / "compare_codebooks.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[6] != "" for row in rows] == [True, True, False, False]
+        rvq = [float(row.split(",")[6]) for row in rows[:2]]
+        assert out == f"rvq K*={1 + rvq.index(max(rvq))}\n"
+        assert maximin_builds == [[]]  # the group's one call has no budget to build
+        assert "codebook not saved: ValueError: bits=22 exceeds the maximin cap (10)" in err
+        assert not (tmp_path / "cb.json").exists()
 
 
 _SCIPY_FREE_SCRIPT = """

@@ -329,6 +329,10 @@ def dblquad_rvq_power_ntx2(nt, total_bits, abs_tol=1e-9):
     return mean_max_eigenvalue(nt) - shortfall
 
 
+# log of the smallest normal double
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
 def quadpack_rvq_power_ntx2(nt, total_bits, abs_tol, rel_tol, limit):
     """Independent oracle: the same one-dimensional s = l2/l1 form, by nested
     QUADPACK quads with scipy's incomplete beta for the tail branch."""
@@ -341,9 +345,19 @@ def quadpack_rvq_power_ntx2(nt, total_bits, abs_tol, rel_tol, limit):
 
     def unit_shortfall(s):
         # int_0^1 F(x)^N dx at (l1, l2) = (1, s): exact incomplete-beta tail
-        # over [s, 1] plus a quadrature of the head over [0, s]
+        # over [s, 1] plus a quadrature of the head over [0, s].  The tail is
+        # gap^a / p int_0^x w^(a-1) (1 - w)^(b-1) dw with x = gap^(nt-2),
+        # formed in logs: below the normal range (1 - w)^(b-1) = e^(-b w) to
+        # double precision, which gives Gamma(a) P(a, b x) b^-a, and once b x
+        # underflows too the tail is gap^a x^a = gap
         gap = 1.0 - s
-        tail = gap**a / p * beta * special.betainc(a, b, gap ** (nt - 2))
+        log_x = (nt - 2) * math.log(gap)
+        if log_x >= _LOG_TINY:
+            tail = gap**a / p * beta * special.betainc(a, b, math.exp(log_x))
+        elif log_x + math.log(b) >= _LOG_TINY:
+            tail = gap**a / p * math.gamma(a) * special.gammainc(a, math.exp(log_x + math.log(b))) * b**-a
+        else:
+            tail = gap
 
         def head(y):
             u = ((1.0 - y) ** p - s * (1.0 - y / s) ** p) / gap  # 1 - F(y)
@@ -387,12 +401,14 @@ class TestPowerNtx2:
                 quadpack_rvq_power_ntx2(nt, bits, 1e-13, 1e-12, 1000), rel=1e-9
             ), bits
 
-    @pytest.mark.parametrize("nt, bits", [(20, 400.0), (60, 400.0), (60, 1000.0), (60, 1023.0)])
+    @pytest.mark.parametrize(
+        "nt, bits",
+        [(20, 400.0), (60, 400.0), (60, 1000.0), (60, 1023.0),
+         (250, 400.0), (250, 600.0), (250, 1000.0), (250, 1023.0)],
+    )
     def test_matches_quadpack_oracle_at_large_budgets(self, nt, bits, monkeypatch):
         # one quadrature below _LAW_BITS, the shortfall law past it, and no
-        # cut-off at 400 bits on either side.  The oracle forms gap^(nt-2)
-        # directly, which underflows near s = 1 on wide shapes (it reads
-        # 2e-3 high at 250x2), so the check stops at nt = 60.
+        # cut-off at 400 bits on either side
         monkeypatch.setattr(finite, "_ntx2_cache", {})
         monkeypatch.setattr(finite, "_NTX2_TOLERANCE", (1e-13, 1e-12))
         monkeypatch.setattr(finite, "_MAX_SUBDIVISIONS", 1000)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -82,8 +83,9 @@ class TestSpec:
 
     @pytest.mark.parametrize("bits,blocks", [(1e308, 2), (1e308, 1), (1000.0, 2)])
     def test_overflowing_budget_saturates(self, bits, blocks):
-        # past about 1075 bits every draw is the top eigenvalue, exactly; a
-        # B * K that overflows to inf stays inf and saturates the same way
+        # at 2000 bits or more a 2x2 draw's deficit, 2^-bits |log u| (l1 - l2),
+        # underflows, so every draw is the top eigenvalue, exactly; a B * K
+        # that overflows to inf stays inf and saturates the same way
         spec = spec_2x2(bits_per_block=bits, num_blocks=blocks, model=FadingModel(1.0), trials=50)
         assert spec.budget_bits == round_half_up(bits * blocks)
         top = gram_eigenvalues(complex_normal(RandomStream(spec.seed, 0), (50, 2, 2)))[:, 0]
@@ -459,10 +461,13 @@ class TestAgainstClosedForms:
         est = simulate_avg_power(spec)
         assert abs(est.mean - finite.rvq_power_2xnr(2, 4.0)) < 3 * est.stderr
 
-    @pytest.mark.parametrize("nt, bits", [(160, 600.0), (250, 1000.0)])
+    @pytest.mark.parametrize(
+        "nt, bits", [(160, 600.0), (250, 1000.0), (250, 1100.0), (250, 1500.0), (160, 1100.0)]
+    )
     def test_wide_shape_at_large_budget_matches_exact_power(self, nt, bits):
         # the closed-form draw from logs: no product of nt - 1 gaps to
-        # overflow, and no row sent to an inversion below the second node
+        # overflow, and no row sent to an inversion below the second node;
+        # past about 1022 bits log t is formed without t, which underflows
         spec = ExperimentSpec(SystemShape(nt, 2), FadingModel(1.0), bits, 1, trials=4000, seed=3)
         est = simulate_avg_power(spec)
         (exact,) = finite.quantized_powers(SystemShape(nt, 2), [bits])
@@ -642,6 +647,29 @@ class TestSweep:
             alone = run_spec(grid[i])
             assert (records[i].value, records[i].stderr) == (alone.value, alone.stderr)
 
+    def test_maximin_records_keep_the_codebooks_they_simulated(self, maximin_builds):
+        # one build serves the group; 1 x 1 and 0.5 x 2 share the 1-bit
+        # codebook, and RVQ and over-cap cells keep none
+        def maximin(bits, k):
+            return ExperimentSpec(
+                SystemShape(3, 2), FadingModel(0.8), bits, k,
+                trials=50, seed=1, codebook_kind="maximin", candidates=30,
+            )
+
+        grid = [spec_2x2(num_blocks=1, trials=50), maximin(1.0, 1), maximin(1.0, 2), maximin(11.0, 1),
+                maximin(0.5, 2)]
+        records = sweep(grid)
+        assert maximin_builds == [[1, 2]]
+        assert records[0].codebook is None and records[3].codebook is None
+        assert records[1].codebook is records[4].codebook
+        for i in (1, 2):
+            built = codebook.maximin_codebook(3, i, 30, RandomStream(1, simulate.CODEBOOK_STREAM))
+            assert records[i].codebook.bits == i
+            assert np.array_equal(records[i].codebook.entries, built.entries)
+        # records compare and print without their codebooks
+        bare = dataclasses.replace(records[1], codebook=None)
+        assert bare == records[1] and repr(bare) == repr(records[1])
+
     def test_grouped_cells_equal_their_runs_alone(self):
         # cells of one sweep share draws but keep the bits they get alone:
         # RVQ and maximin, every metric, alpha 0 / 0.8 / 1, zero and saturated
@@ -693,8 +721,8 @@ class TestSweep:
         # metric None is raw mode: each cell's (trials, K) block powers
         raw = metric is None
         group = self.shared_budget_group(metric or "avg_power")
-        for spec, got in zip(group, simulate._group_trials(group, -3.0, raw)):
-            (alone,) = simulate._group_trials([spec], -3.0, raw)
+        for spec, got in zip(group, simulate._group_trials(group, -3.0, raw)[0]):
+            (alone,), _ = simulate._group_trials([spec], -3.0, raw)
             assert np.array_equal(got, alone)
 
     def test_one_batched_draw_per_trial_chunk(self, monkeypatch):
@@ -738,7 +766,7 @@ class TestSweep:
         # batched draw fails; redone one budget at a time, only the 2-bit
         # cells carry the error and the others keep the values they get alone
         group = self.shared_budget_group("avg_power")
-        alone = [simulate._group_trials([spec], -3.0)[0] for spec in group]
+        alone = [simulate._group_trials([spec], -3.0)[0][0] for spec in group]
         draw, invert, two_bit_tails = simulate.rvq_best_power, simulate._invert_tail, []
 
         def noting_two_bit_tails(eigs, nt, budgets, u):
@@ -752,7 +780,7 @@ class TestSweep:
 
         monkeypatch.setattr(simulate, "rvq_best_power", noting_two_bit_tails)
         monkeypatch.setattr(simulate, "_invert_tail", failing_at_two_bits)
-        outcomes = simulate._group_trials(group, -3.0)
+        outcomes, _ = simulate._group_trials(group, -3.0)
         assert [spec.budget_bits for spec, o in zip(group, outcomes) if isinstance(o, Exception)] == [2, 2] * 3
         for outcome, want in zip(outcomes, alone):
             if not isinstance(outcome, Exception):
