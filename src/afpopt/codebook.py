@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from afpopt.channel import RandomStream, as_generator, check_count, complex_normal
+from afpopt.channel import _SQRT2, RandomStream, as_generator, check_count, complex_normal
 
 #: materialized codebooks are capped here; larger budgets must stream
 MATERIALIZE_CAP_BITS = 24
@@ -207,7 +207,7 @@ def _embed(x: np.ndarray, work: np.ndarray | None = None, unit: bool = True) -> 
     r = nt
     for i in range(nt - 1):  # sqrt2 Re and Im of x_i conj(x_j) for j > i
         w = nt - 1 - i
-        (a, b), u = np.multiply(planes[:, i], math.sqrt(2.0), out=ab), t[:w]
+        (a, b), u = np.multiply(planes[:, i], _SQRT2, out=ab), t[:w]
         re_part, im_part = f[r : r + w], f[r + w : r + 2 * w]
         np.add(np.multiply(re[i + 1 :], a, out=re_part), np.multiply(im[i + 1 :], b, out=u), out=re_part)
         np.subtract(np.multiply(re[i + 1 :], b, out=im_part), np.multiply(im[i + 1 :], a, out=u), out=im_part)

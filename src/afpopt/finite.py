@@ -138,6 +138,7 @@ _GK_KRONROD = np.array(_WGK[:7] + _WGK[::-1])
 _GK_GAUSS = np.zeros(15)
 _GK_GAUSS[1::2] = _WG + _WG[2::-1]
 _EPS = float(np.finfo(float).eps)
+_LN2 = math.log(2.0)
 
 # nodes per GK15 evaluation step, which bounds the temporaries of a batch
 # of budgets: the nt x 2 integrand reads its tail profile at 15 nodes per

@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 
 from afpopt.channel import FadingModel, check_count
-from afpopt.finite import AfpConfig, IntervalResult, _search, best_interval, intervals_beating_first
+from afpopt.finite import _EPS, _LN2, AfpConfig, IntervalResult, _search, best_interval, intervals_beating_first
 
-_LN2 = math.log(2.0)
-_EPS = 2.0**-52
 _ROOT_MAX_ITER = 100
 
 

@@ -45,6 +45,7 @@ from afpopt.channel import (
     FadingModel, RandomStream, SystemShape, check_count, complex_normal, gram_eigenvalues,
 )
 from afpopt.codebook import KINDS, Codebook, best_powers, check_maximin_bits, maximin_codebooks
+from afpopt.finite import _EPS, _LN2
 
 #: substream reserved for per-configuration codebook construction; chunk
 #: indices stay safely below this
@@ -61,9 +62,6 @@ METRICS = ("avg_power", "avg_rate", "rate_difference", "normalized_power")
 
 #: default background SNR of the rate metrics, in dB
 RHO_DB = 10.0
-
-
-_LN2 = math.log(2.0)
 
 
 def round_half_up(x: float) -> int | float:
@@ -174,12 +172,10 @@ def rvq_best_power(eigs: np.ndarray, nt: int, budgets: Sequence[float], u: np.nd
     Where t falls below the smallest normal double (past about 1022 bits),
     it is 2^-bits |log u| to rounding, so log t is formed as
     log(-log u) - bits ln 2 without t, and only an infinite budget draws
-    x = l1.  The Newton steps still take t itself, which underflows to 0
-    past about 1075 bits; such a row stops where its computed tail reaches
-    0, at or below the second node.  The budgets' rows
-    are stacked budget-major, so the closed form and the Newton steps run
-    once for all of them; every step is elementwise per row, so each budget
-    gets the bits it gets alone.
+    x = l1.  The Newton steps take the same log t.  The budgets' rows are
+    stacked budget-major, so the closed form and the Newton steps run once
+    for all of them; every step is elementwise per row, so each budget gets
+    the bits it gets alone.
     """
     l1 = eigs[:, 0]
     if nt == 1:
@@ -199,31 +195,48 @@ def rvq_best_power(eigs: np.ndarray, nt: int, budgets: Sequence[float], u: np.nd
     low = ~(x > second)
     if low.any():
         row = np.nonzero(low)[1]
-        x[low] = _invert_tail(nodes[row], t[low], second[row], nt - eigs.shape[1])
+        x[low] = _invert_tail(nodes[row], log_t[low], second[row], nt - eigs.shape[1])
     return x
 
 
-def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray, zeros: int) -> np.ndarray:
+def _rank2_log_tail(x: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the logs of _tail_and_density's tail and density for the nodes nt - 2
+    # padded zeros, l2 and l1, at 0 <= x <= l2.  As (. - x)_+^p vanishes near 0,
+    # its divided difference is that of h = (. - x)^p .^(2-nt) over {l2, l1}:
+    # h(l1) / (l1 - l2) times 1 - h(l2) / h(l1), a ratio whose log is a sum of
+    # log1p terms, so close nodes lose no digits.  The tail has p = nt - 1;
+    # the density is nt - 1 times the same with p = nt - 2
+    nt, l2, l1 = nodes.shape[1], nodes[:, -2], nodes[:, -1]
+    y, gap = l1 - x, l2 - l1
+    head, log_ratio = (nt - 2) * np.log(y / l1) - np.log(-gap), (nt - 2) * np.log1p(x * gap / (y * l2))
+    log_tail = np.log(y) + head + np.log(-np.expm1(np.log1p(gap / y) + log_ratio))
+    return log_tail, math.log(nt - 1) + head + np.log(-np.expm1(log_ratio))
+
+
+def _invert_tail(nodes: np.ndarray, log_t: np.ndarray, hi: np.ndarray, zeros: int) -> np.ndarray:
     """Smallest x in [0, hi] with tail(x) <= t, per row; the tail is 1 at 0 and at most t at hi.
 
-    Newton steps on log(tail(x) / t), whose derivative is -density / tail
-    (in logs they hold where the tail spans many orders, as on wide shapes),
-    start at hi inside the bracket [lo, hi] that every evaluation narrows;
-    a step that would leave the bracket halves it instead.  A row stops once
-    its Newton step or its bracket is within double resolution of the
-    starting bracket.  The first ``zeros`` nodes of every row are padded zeros.
+    Newton steps on log tail(x) - log t (the tail spans many orders, and t may
+    underflow), whose derivative is -density / tail, start at hi inside the
+    bracket [lo, hi] that every evaluation narrows; a step that would leave it
+    halves it instead.  A row stops once its step or bracket is within double
+    resolution of the start.  The first ``zeros`` nodes are padded zeros; two
+    more take :func:`_rank2_log_tail`, or Cox-de Boor if some row has them equal.
     """
     out = np.empty_like(hi)
     rows = np.arange(hi.size)
-    resolution = np.finfo(float).eps * hi
+    resolution = _EPS * hi
     lo, x = np.zeros_like(hi), hi.copy()
+    rank2 = zeros > 0 and nodes.shape[1] == zeros + 2 and np.all(nodes[:, -2] < nodes[:, -1])
     # a zero density, or one so small that the step overflows, halves instead
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ROOT_MAX_STEPS):
-            tail, density = _tail_and_density(x, nodes, zeros)
-            above = tail > t
+            log_tail, log_density = (
+                _rank2_log_tail(x, nodes) if rank2 else np.log(_tail_and_density(x, nodes, zeros))
+            )
+            above = log_tail > log_t
             lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-            step = np.log(tail / t) * tail / density
+            step = (log_tail - log_t) * np.exp(log_tail - log_density)
             converged = np.abs(step) <= resolution
             newton = converged | ((x + step > lo) & (x + step < hi))
             x = np.where(newton, x + step, 0.5 * (lo + hi))
@@ -232,8 +245,8 @@ def _invert_tail(nodes: np.ndarray, t: np.ndarray, hi: np.ndarray, zeros: int) -
             live = ~done
             if not live.any():
                 return out
-            rows, nodes, t, lo, hi, x, resolution = (
-                a[live] for a in (rows, nodes, t, lo, hi, x, resolution)
+            rows, nodes, log_t, lo, hi, x, resolution = (
+                a[live] for a in (rows, nodes, log_t, lo, hi, x, resolution)
             )
     out[rows] = x
     return out

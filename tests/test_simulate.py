@@ -3,8 +3,10 @@ import math
 import tracemalloc
 
 import literal_engine as literal
+import mpmath
 import numpy as np
 import pytest
+from rank2_oracle import rank2_power_cdf, rank2_power_pdf
 from scipy import stats
 
 from afpopt import finite, simulate
@@ -276,6 +278,7 @@ class TestBestPowerDraw:
         "eigs,nt,bits",
         [
             ((2.0, 2.0 - 1e-9), 3, 0),
+            ((2.0, 2.0), 3, 1),
             ((2.0, 2.0 - 1e-9), 4, 2),
             ((3.0, 3.0 - 1e-9, 1.0), 4, 1),
             ((2.0, 2.0 - 1e-9, 2.0 - 2e-9), 3, 2),
@@ -356,12 +359,13 @@ class TestBestPowerDraw:
 
     def test_wide_shape_inversion_takes_few_tail_evaluations(self, monkeypatch):
         # the Newton steps run on the log of the tail, which falls by many
-        # orders between 0 and the second node at 160x2
+        # orders between 0 and the second node at 160x2; a rank-2 shape
+        # evaluates the tail in its closed form
         gen = RandomStream(44).generator()
         eigs = gram_eigenvalues(complex_normal(gen, (TRIAL_CHUNK, 2, 160)))
         u = 1.0 - gen.random(TRIAL_CHUNK)
-        calls, tail = [], simulate._tail_and_density
-        monkeypatch.setattr(simulate, "_tail_and_density", lambda *a: calls.append(1) or tail(*a))
+        calls, tail = [], simulate._rank2_log_tail
+        monkeypatch.setattr(simulate, "_rank2_log_tail", lambda *a: calls.append(1) or tail(*a))
         rvq_best_power(eigs, 160, [64], u)
         assert 0 < len(calls) <= 12
 
@@ -369,6 +373,75 @@ class TestBestPowerDraw:
         eigs = np.array([[4.0, 1.0, 0.5]])
         gaps = 4.0 - rvq_best_power(eigs, 3, (10, 20, 30), np.array([0.5]))[:, 0]
         assert 0.0 < gaps[2] < gaps[1] < gaps[0] < 0.1
+
+
+def _mp_rank2_log_tail(x, l1, l2, nt):
+    # log P(v^H diag(l1, l2, 0, ...) v > x) and the log of its density, from
+    # rank2_oracle's piecewise CDF and density for x <= l2, in 50-digit
+    # arithmetic on the exact doubles
+    with mpmath.workdps(50):
+        x, l1, l2 = mpmath.mpf(x), mpmath.mpf(l1), mpmath.mpf(l2)
+        gap = l1 - l2
+        tail = (l1 * (1 - x / l1) ** (nt - 1) - l2 * (1 - x / l2) ** (nt - 1)) / gap
+        density = (nt - 1) * ((1 - x / l1) ** (nt - 2) - (1 - x / l2) ** (nt - 2)) / gap
+        return mpmath.log(tail), mpmath.log(density)
+
+
+def _rank2_nodes(l1, l2, nt):
+    # rows of nt - 2 padded zeros, l2 and l1, ascending
+    nodes = np.zeros((np.broadcast(l1, l2).size, nt))
+    nodes[:, -2], nodes[:, -1] = l2, l1
+    return nodes
+
+
+class TestRank2Tail:
+    @pytest.mark.parametrize("nt", [3, 4, 6, 12])
+    def test_matches_piecewise_oracle(self, nt):
+        gen = RandomStream(45, nt).generator()
+        eigs = gram_eigenvalues(complex_normal(gen, (40, 2, nt)))
+        x = gen.random(eigs.shape[0]) * eigs[:, 1]
+        log_tail, log_density = simulate._rank2_log_tail(x, _rank2_nodes(eigs[:, 0], eigs[:, 1], nt))
+        for row, (l1, l2) in enumerate(eigs):
+            tail = 1.0 - rank2_power_cdf(x[row], l1, l2, nt)
+            assert abs(math.exp(log_tail[row]) - tail) <= 1e-12 + 1e-10 * tail
+            density = rank2_power_pdf(x[row], l1, l2, nt)
+            assert math.exp(log_density[row]) == pytest.approx(density, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("nt", [3, 5, 64, 160, 250])
+    def test_close_nodes_against_50_digits(self, nt):
+        # relative gaps from 1e-3 down to 1e-15, with x from 0 up to l2:
+        # the log1p and expm1 keep the digits the divided difference would lose
+        l1, gaps = 2.5, 10.0 ** -np.arange(3, 16)
+        l2 = l1 * (1.0 - gaps)
+        fractions = np.array([0.0, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9, 1.0])
+        x = (l2[:, None] * fractions).ravel()
+        nodes = _rank2_nodes(l1, np.repeat(l2, fractions.size), nt)
+        with np.errstate(divide="ignore"):
+            log_tail, log_density = simulate._rank2_log_tail(x, nodes)
+        for row in range(x.size):
+            # to 1e-13 of each log, or of 1 where the log is smaller
+            want_tail, want_density = _mp_rank2_log_tail(x[row], l1, nodes[row, -2], nt)
+            assert abs(log_tail[row] - want_tail) <= 1e-13 * max(1, abs(want_tail)), row
+            if x[row] > 0.0:  # the density is 0 at x = 0, its log -inf
+                assert abs(log_density[row] - want_density) <= 1e-13 * max(1, abs(want_density)), row
+
+    def test_wide_rows_below_the_second_node_solve_their_tail(self, capsys):
+        # seed 3's first 250x2 chunk at 1100 and 1500 bits, where t underflows:
+        # every draw below l2 solves log tail(x) = log t, each side in 50 digits
+        gen = RandomStream(3, 0).generator()
+        eigs = gram_eigenvalues(complex_normal(gen, (TRIAL_CHUNK, 2, 250)))
+        u = 1.0 - gen.random(TRIAL_CHUNK)
+        budgets, below = (1100, 1500), 0
+        for bits, x in zip(budgets, rvq_best_power(eigs, 250, budgets, u)):
+            for row in np.flatnonzero(x < eigs[:, 1]):
+                with mpmath.workdps(50):
+                    log_t = mpmath.log(-mpmath.expm1(mpmath.log(u[row]) * mpmath.mpf(2) ** -bits))
+                log_tail, _ = _mp_rank2_log_tail(x[row], *eigs[row], 250)
+                assert abs(log_tail - log_t) <= 1e-9, (bits, row)
+                below += 1
+        with capsys.disabled():
+            print(f"\n250x2 at 1100 and 1500 bits: {below} of {2 * TRIAL_CHUNK} draws below l2")
+        assert below > 0
 
 
 def _complex_best_power(h, entries):
@@ -770,13 +843,13 @@ class TestSweep:
         draw, invert, two_bit_tails = simulate.rvq_best_power, simulate._invert_tail, []
 
         def noting_two_bit_tails(eigs, nt, budgets, u):
-            two_bit_tails.append(-np.expm1(np.log(u) * 0.25))
+            two_bit_tails.append(np.log(-np.expm1(np.log(u) * 0.25)))
             return draw(eigs, nt, budgets, u)
 
-        def failing_at_two_bits(nodes, t, hi, zeros):
-            if np.isin(t, two_bit_tails[-1]).any():
+        def failing_at_two_bits(nodes, log_t, hi, zeros):
+            if np.isin(log_t, two_bit_tails[-1]).any():
                 raise FloatingPointError("no 2-bit draw")
-            return invert(nodes, t, hi, zeros)
+            return invert(nodes, log_t, hi, zeros)
 
         monkeypatch.setattr(simulate, "rvq_best_power", noting_two_bit_tails)
         monkeypatch.setattr(simulate, "_invert_tail", failing_at_two_bits)
