@@ -21,8 +21,8 @@ result that does not depend on the others (:func:`rvq_powers_ntx2`), and a
 bounded cache keeps the values for later calls.  Every power, one or a
 batch, comes through :func:`quantized_powers` to the caller that fetched
 it: the interval searches run in lockstep (:func:`optimal_intervals`) and
-fetch each window of K together, cut off by an envelope that bounds every
-later interval, and the simulator and the CLI fetch their tables' budgets.
+fetch their budgets in one batch, sized by a closed-form floor on the
+power, and the simulator and the CLI fetch their tables' budgets.
 The perfect-feedback power E[l1] of any shape comes from Khatri's CDF of
 the largest Wishart eigenvalue, by the same quadrature.
 """
@@ -33,8 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -496,9 +495,9 @@ def quantized_powers(shape: SystemShape, budgets: Iterable[float]) -> list[float
     (:func:`rvq_power_2xnr`) at each budget, or one :func:`rvq_powers_ntx2`
     batch for an nt x 2 shape.  A shape that :func:`has_closed_form`
     rejects raises a ValueError.  Every batch of the package comes from
-    here to the caller that reads it: one per shape and window of the
-    lockstep searches (:func:`optimal_intervals`), one per shape of a
-    sweep's analytic column, and one for the ``analytic`` command's table.
+    here to the caller that reads it: one per shape of the lockstep
+    searches (:func:`optimal_intervals`), one per shape of a sweep's
+    analytic column, and one for the ``analytic`` command's table.
     """
     _check_closed_form(shape)
     if shape.nt == 2:
@@ -573,70 +572,74 @@ def _search_envelope(cfg: AfpConfig, num_blocks: int) -> float:
     )
 
 
-# the searches' windows of K: [1, 16), [16, 128), ...  An nt x 2 pass costs
-# about 1.6 ms plus 0.15-0.2 ms per budget (2-core VM), so budgets fetched
-# past a stop cost less than narrower windows' passes: first windows of 4, 8
-# and 16 took about 35, 32 and 29 ms on the analytic benchmark's searches
-_FIRST_WINDOW = 16
-_WINDOW_GROWTH = 8
+def _power_floor(shape: SystemShape, bits: float) -> float:
+    # a lower bound on the quantized power, which sizes the searches' fetches:
+    # 2 x nr, the power itself.  nt x 2, the power is concave in N = 2^bits
+    # (F^N is convex in N), 2 at N = 1 and 2 + 3 (nt-1) / (2 (2nt-1)) at N = 2,
+    # so at least their chord to N = 2 and that value past it, a millionth
+    # under; and at least the power of the entry nearest the top eigenvector,
+    # its overlap z the largest of N Beta(1, nt-1) draws and the rest spread
+    # over the other nt - 1 directions (Au-Yeung & Love 2007): 1 - E[z] =
+    # Gamma(1+a) Gamma(N+1) / Gamma(N+1+a), a = 1/(nt-1), below Wendel's bound
+    if shape.nt == 2:
+        return rvq_power_2xnr(shape.nr, bits)
+    nt, a, tiny = shape.nt, 1.0 / (shape.nt - 1), 2.0**-bits
+    miss = math.exp(math.lgamma(1.0 + a) - a * bits * _LN2
+                    + (1.0 - a) * math.log1p((1.0 + a) * tiny) - math.log1p(tiny))
+    top = mean_max_eigenvalue(nt)
+    pair = (2.0 ** min(bits, 1.0) - 1.0) * 1.5 * (nt - 1) / (2 * nt - 1) * (1.0 - 1e-6)
+    return max(2.0 + pair, top * (1.0 - miss) + (2 * nt - top) * miss / (nt - 1))
 
 
-def _search(ks: range, value: Callable[[int], float], envelope: Callable[[int], float],
-            incumbent: Callable[[float, float], float], curve: list[float]) -> Iterator[list[int]]:
-    """One interval search over the Ks of ``ks``, appending each value to ``curve``.
+def _scan(ks: range, value: Callable[[int], float], envelope: Callable[[int], float],
+          incumbent: Callable[[float, float], float]) -> list[float]:
+    """``value(K)`` for the Ks of ``ks`` in turn, up to where ``envelope(K)`` falls to the incumbent.
 
-    Before each window, from its first K to just below max(8 K, 16), it yields
-    the window's Ks as a list, then appends ``value(K)`` to ``curve`` for each,
-    up to where ``envelope(K)``, an upper bound on ``value(K)`` that does
-    not grow with K, falls to the incumbent: the fold of
-    ``incumbent(best, v)`` over the values so far (``max``: the best).
+    ``envelope(K)`` is an upper bound on ``value(K)`` that does not grow with
+    K; the incumbent is the fold of ``incumbent(best, v)`` over the values so
+    far (``max``: the best).
     """
-
-    def beatable(k: int) -> bool:
-        return not curve or envelope(k) > best
-
-    end = ks.start
-    for k in takewhile(beatable, ks):
-        if k == end:
-            end = max(k * _WINDOW_GROWTH, _FIRST_WINDOW)
-            yield list(takewhile(beatable, range(k, min(end, ks.stop))))
+    curve: list[float] = []
+    for k in ks:
+        if curve and not envelope(k) > best:
+            break
         v = value(k)
         best = incumbent(best, v) if curve else v
         curve.append(v)
+    return curve
 
 
 def _lockstep(cfgs: list[AfpConfig], incumbent: Callable[[float, float], float]) -> list[tuple[list, dict]]:
-    # every config's _search, a window at a time: each round fetches every
-    # live search's next window in one batch per shape, which the searches
-    # then read; returns each config's curve and powers by K.  At alpha = 1
-    # a search's range is K = k_max alone, so its curve is that one value.
-    curves: list[list[float]] = [[] for _ in cfgs]
-    powers: list[dict[int, float]] = [{} for _ in cfgs]
+    # every config's search in three steps: its scan on the power floors,
+    # which stops no earlier than the scan on the powers, sizes its budgets;
+    # one quantized_powers batch per shape fetches them; a scan on the batch
+    # gives its curve (a budget past the floors' reach is fetched alone).
+    # Returns each curve with its shape's powers by budget.  At alpha = 1 a
+    # search's range is K = k_max alone, so its curve is that one value.
+    def search(cfg: AfpConfig, power: Callable[[float], float]) -> tuple[range, list[float]]:
+        alpha = cfg.model.alpha
+        ks = range(cfg.k_max, cfg.k_max + 1) if alpha >= 1.0 else range(1, cfg.k_max + 1)
+        return ks, _scan(ks, lambda k: interval_average_power(cfg.shape.nr, power(cfg.bits_per_block * k), alpha, k),
+                         lambda k: _search_envelope(cfg, k), incumbent)
 
-    def start(cfg: AfpConfig, fetched: dict[int, float], curve: list[float]) -> Iterator[list[int]]:
-        ks = range(cfg.k_max, cfg.k_max + 1) if cfg.model.alpha >= 1.0 else range(1, cfg.k_max + 1)
-        return _search(ks, lambda k: interval_average_power(cfg.shape.nr, fetched[k], cfg.model.alpha, k),
-                       lambda k: _search_envelope(cfg, k), incumbent, curve)
+    wanted: dict[SystemShape, list[float]] = {}
+    for cfg in cfgs:
+        ks, floors = search(cfg, lambda bits: _power_floor(cfg.shape, bits))
+        wanted.setdefault(cfg.shape, []).extend(cfg.bits_per_block * k for k in ks[: len(floors)])
+    batches = {shape: dict(zip(budgets, quantized_powers(shape, budgets))) for shape, budgets in wanted.items()}
 
-    searches = {i: start(cfg, powers[i], curves[i]) for i, cfg in enumerate(cfgs)}
-    while searches:
-        wanted: dict[SystemShape, list[tuple[int, int]]] = {}
-        for i, live in list(searches.items()):
-            window = next(live, None)
-            if window is None:
-                del searches[i]
-            else:
-                wanted.setdefault(cfgs[i].shape, []).extend((i, k) for k in window)
-        for shape, want in wanted.items():
-            for (i, k), g in zip(want, quantized_powers(shape, [cfgs[i].bits_per_block * k for i, k in want])):
-                powers[i][k] = g
-    return list(zip(curves, powers))
+    def fetched(shape: SystemShape, bits: float) -> float:
+        if bits not in batches[shape]:
+            (batches[shape][bits],) = quantized_powers(shape, [bits])
+        return batches[shape][bits]
+
+    return [(search(cfg, lambda bits: fetched(cfg.shape, bits))[1], batches[cfg.shape]) for cfg in cfgs]
 
 
 def optimal_intervals(cfgs: Iterable[AfpConfig]) -> list[IntervalResult]:
     """The :func:`optimal_interval` of every config, each equal to the one its config gets alone.
 
-    The searches run in lockstep, sharing one nt x 2 pass per shape and window of K.
+    The searches run in lockstep, sharing one nt x 2 pass per shape.
     """
     cfgs = list(cfgs)
     return [
@@ -673,7 +676,7 @@ def afp_beats_mfp(cfg: AfpConfig) -> AfpMfpComparison:
 
     For alpha < 1 the scan stops once the envelope falls to the K = 1 value.
     It is the one-config case of the :func:`optimal_intervals` driver, with
-    the K = 1 value as the incumbent that cuts off each window's fetch.
+    the K = 1 value as the incumbent that cuts off the fetch and the scan.
     """
     alpha = cfg.model.alpha
     if alpha >= 1.0:
@@ -684,5 +687,5 @@ def afp_beats_mfp(cfg: AfpConfig) -> AfpMfpComparison:
     ks = intervals_beating_first(curve)
     iso, base = cfg.shape.nr, curve[0]
     large_budget = 1.0 / (1.0 - alpha * alpha)
-    bounds = tuple(large_budget * (powers[k] - iso) / (base - iso) for k in ks)
+    bounds = tuple(large_budget * (powers[cfg.bits_per_block * k] - iso) / (base - iso) for k in ks)
     return AfpMfpComparison(ks, bounds, large_budget)

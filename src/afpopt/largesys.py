@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from afpopt.channel import FadingModel, check_count
-from afpopt.finite import _EPS, _LN2, AfpConfig, IntervalResult, _search, best_interval, intervals_beating_first
+from afpopt.finite import _EPS, _LN2, AfpConfig, IntervalResult, _scan, best_interval, intervals_beating_first
 
 _ROOT_MAX_ITER = 100
 
@@ -157,12 +157,9 @@ def optimal_interval(cfg: LargeSystemConfig) -> IntervalResult:
     nr_bar = 0.  K*, its value and the horizon flag are those of the full
     scan; ``curve`` ends where the scan stopped.  At alpha = 1 the rate
     difference grows with the pooled budget, so K* is k_max by rule, with
-    the whole curve.  The scan is finite's interval search, drained.
+    the whole curve.  The scan is finite's plain interval scan.
     """
-    curve: list[float] = []
-    for _ in _search(range(1, cfg.k_max + 1), lambda k: rate_difference(k, cfg),
-                     lambda k: _rate_envelope(k, cfg), max, curve):
-        pass  # a window of K, which needs no fetch here
+    curve = _scan(range(1, cfg.k_max + 1), lambda k: rate_difference(k, cfg), lambda k: _rate_envelope(k, cfg), max)
     if cfg.alpha >= 1.0:
         return IntervalResult(cfg.k_max, curve[-1], True, tuple(curve))
     return best_interval(tuple(curve), cfg.k_max)

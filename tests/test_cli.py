@@ -267,12 +267,12 @@ class TestHeadlines:
 
 class TestQuadraturePasses:
     # nt x 2 quadrature passes of one cold command; the searches fetch their
-    # budgets in lockstep windows, one pass per shape and window
+    # budgets in lockstep, one pass per shape and search call
     @pytest.mark.parametrize("args,most", [
-        ("reproduce-figure --id fig7", 8),
-        ("optimal-k --nt 5 --nr 2 --bits 1 --alpha 0.95", 2),
-        ("optimal-k --nt 3 --nr 2 --bits 1e-9 --alpha 0.999", 3),  # the curve runs to K = 64
-        ("afp-range --nt 4 --nr 2 --bits 1 --alpha 0.9", 2),
+        ("reproduce-figure --id fig7", 4),  # one pass per nt x 2 shape
+        ("optimal-k --nt 5 --nr 2 --bits 1 --alpha 0.95", 1),
+        ("optimal-k --nt 3 --nr 2 --bits 1e-9 --alpha 0.999", 1),  # the curve runs to K = 64
+        ("afp-range --nt 4 --nr 2 --bits 1 --alpha 0.9", 1),
         ("analytic --nt 3 --nr 2 --bits 0.05 --k-max 5000", 1),  # more budgets than the cache holds
     ])
     def test_command_takes_few_passes(self, args, most, ntx2_passes, tmp_path, capfd):

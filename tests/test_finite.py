@@ -609,6 +609,31 @@ class TestNtx2Batch:
             assert info.maxsize == cap and info.currsize == cap
 
 
+class TestPowerFloor:
+    # the floor that sizes the searches' fetches
+    NTS = list(range(3, 13)) + [16, 24, 32, 64, 128, 250]
+    BUDGETS = ([i / 100 for i in range(1, 401)] + [4 + i / 2 for i in range(1, 133)]
+               + [100.0, 300.0, 1000.0, 1023.0, 1100.0, 5000.0])
+
+    def test_floor_bounds_the_ntx2_power(self, ntx2_passes):
+        for nt in self.NTS:
+            shape = SystemShape(nt, 2)
+            powers = finite.quantized_powers(shape, [0.0] + self.BUDGETS)
+            # at zero bits the floor is the isotropic power, which the
+            # quadrature gives to its tolerance
+            assert finite._power_floor(shape, 0.0) == 2.0
+            assert powers[0] == pytest.approx(2.0, rel=0.0, abs=1e-9)
+            for bits, power in zip(self.BUDGETS, powers[1:]):
+                assert finite._power_floor(shape, bits) <= power, (nt, bits)
+            # at one bit, two entries, the floor is the power held a millionth under
+            assert 0.0 < powers[1 + self.BUDGETS.index(1.0)] - finite._power_floor(shape, 1.0) < 1e-6, nt
+
+    def test_2xnr_floor_is_the_closed_form(self):
+        for nr in (2, 3, 5, 200):
+            for bits in (0.0, 0.5, 1.0, 7.25, 64.0, 2000.0):
+                assert finite._power_floor(SystemShape(2, nr), bits) == rvq_power_2xnr(nr, bits)
+
+
 def _khatri_orders(m, n):
     # Khatri's CDF of the largest root is F(x) = det[g(s_ij, x)] / det[Gamma(s_ij)]
     # with s_ij = n - m + i + j + 1 and g the lower incomplete gamma; for
@@ -798,23 +823,28 @@ class TestIntervalSearch:
         assert ntx2_passes == []
 
     def test_scan_evaluates_no_extra_interval(self, monkeypatch):
-        # count the values the search evaluates, each from its window's batch
-        calls = []
-        real = finite._search
-        monkeypatch.setattr(
-            finite, "_search",
-            lambda k_max, value, *rest: real(k_max, lambda k: calls.append(k) or value(k), *rest),
-        )
+        # count the values each scan evaluates: a search scans the power
+        # floors to size its fetch, then the fetched powers, last
+        scans = []
+        real = finite._scan
+
+        def counted(ks, value, *rest):
+            scans.append(calls := [])
+            return real(ks, lambda k: calls.append(k) or value(k), *rest)
+
+        monkeypatch.setattr(finite, "_scan", counted)
         cfg = AfpConfig(SystemShape(6, 2), 1.0, FadingModel(0.8))
         result = optimal_interval(cfg)
         # the envelope falls to the best value so far before K = 13
-        assert calls == list(range(1, 13))
+        floors, values = scans
+        assert values == list(range(1, 13)) and len(floors) >= len(values)
         assert result.curve == tuple(avg_power(cfg, k) for k in range(1, 13))
         assert result.k_star == 5 and result.value == result.curve[4]
-        calls.clear()
+        scans.clear()
         cmp = afp_beats_mfp(cfg)
         # the envelope falls to the K = 1 value before K = 28
-        assert calls == list(range(1, 28))
+        floors, values = scans
+        assert values == list(range(1, 28)) and len(floors) >= len(values)
         assert cmp.winning_k == tuple(range(2, 27))
 
     def test_curve_reductions(self):
@@ -850,7 +880,7 @@ class TestIntervalSearch:
 def scan_interval(objective, k_max, stop=None):
     """objective(K) for K = 1, 2, ..., k_max; ``stop(K, curve)`` true ends the scan before K.
 
-    It fetches nothing ahead: the plain scan that the windowed searches must
+    It fetches nothing ahead: the plain scan that the batched searches must
     reproduce.
     """
     curve = [objective(1)]
@@ -876,8 +906,24 @@ def _plain_optimal_interval(cfg):
     return best_interval(_plain_curve(cfg, max), cfg.k_max)
 
 
+def _plain_afp_beats_mfp(cfg):
+    # afp_beats_mfp from the plain scan, each power its budget's own quadrature
+    alpha = cfg.model.alpha
+    if alpha >= 1.0:
+        ks = tuple(range(2, cfg.k_max + 1))
+        return finite.AfpMfpComparison(ks, tuple(math.inf for _ in ks), math.inf)
+    curve = _plain_curve(cfg, lambda curve: curve[0])
+    ks = intervals_beating_first(curve)
+    iso, large_budget = cfg.shape.nr, 1.0 / (1.0 - alpha * alpha)
+    bounds = tuple(
+        large_budget * (finite.quantized_powers(cfg.shape, [cfg.bits_per_block * k])[0] - iso) / (curve[0] - iso)
+        for k in ks
+    )
+    return finite.AfpMfpComparison(ks, bounds, large_budget)
+
+
 class TestLockstepSearches:
-    # window edges: the first window is [1, 16), the next [16, 128)
+    # k_max from 1 to 64, so searches stop at the horizon and on the envelope
     SHAPES = [(nt, 2) for nt in range(3, 7)] + [(2, 2), (2, 4)]
     GRID = [
         AfpConfig(SystemShape(nt, nr), bits, FadingModel(alpha), k_max)
@@ -889,8 +935,8 @@ class TestLockstepSearches:
         # mixed shapes and a duplicated config, in one call
         cfgs = self.GRID + [self.GRID[100]]
         results = finite.optimal_intervals(cfgs)
-        # one pass per nt x 2 shape and window at most: K <= 64 spans two windows
-        assert len(ntx2_passes) <= 4 * 2
+        # one pass per nt x 2 shape
+        assert sorted(nt for nt, _ in ntx2_passes) == [3, 4, 5, 6]
         finite._ntx2_cache.clear()
         for cfg, got in zip(cfgs, results):
             want = _plain_optimal_interval(cfg)
@@ -901,18 +947,34 @@ class TestLockstepSearches:
 
     def test_afp_beats_mfp_equals_plain_scan(self, ntx2_passes):
         cfgs = [cfg for cfg in self.GRID if cfg.k_max in (1, 8, 64)]
-        got = [afp_beats_mfp(cfg) for cfg in cfgs]
+        got = []
+        for cfg in cfgs:
+            before = len(ntx2_passes)
+            got.append(afp_beats_mfp(cfg))
+            assert len(ntx2_passes) - before <= 1, cfg  # one pass per call at most
         finite._ntx2_cache.clear()
         for cfg, cmp in zip(cfgs, got):
-            if cfg.model.alpha >= 1.0:
-                assert cmp.winning_k == tuple(range(2, cfg.k_max + 1)), cfg
-                continue
-            curve = _plain_curve(cfg, lambda curve: curve[0])
-            ks = intervals_beating_first(curve)
-            iso, large_budget = cfg.shape.nr, 1.0 / (1.0 - cfg.model.alpha * cfg.model.alpha)
-            bounds = tuple(
-                large_budget * (finite.quantized_powers(cfg.shape, [cfg.bits_per_block * k])[0] - iso)
-                / (curve[0] - iso)
-                for k in ks
-            )
-            assert (cmp.winning_k, cmp.pointwise_bound) == (ks, bounds), cfg
+            assert cmp == _plain_afp_beats_mfp(cfg), cfg
+
+    def test_whole_bit_afp_search_fetches_what_it_reads(self, ntx2_passes, monkeypatch):
+        # at one bit per block the K = 1 floor is the K = 1 power to a
+        # millionth, so the scan on the floors ends where the scan on the
+        # powers does (each search's scans are the floors', then the powers')
+        lengths, real = [], finite._scan
+        monkeypatch.setattr(finite, "_scan", lambda *args: lengths.append(len(curve := real(*args))) or curve)
+        for nt, alpha in ((3, 0.95), (4, 0.9), (5, 0.8), (8, 0.5)):
+            afp_beats_mfp(AfpConfig(SystemShape(nt, 2), 1.0, FadingModel(alpha)))
+        assert [len(sizes) for _, sizes in ntx2_passes] == lengths[1::2] == [48, 34, 22, 17]
+
+    def test_floors_above_the_powers_fall_back_to_single_fetches(self, ntx2_passes, monkeypatch):
+        # floors at E[l1], above every power, stop each scan on the floors at
+        # K = 1: every later budget is fetched alone, to the same answers
+        monkeypatch.setattr(finite, "_power_floor", lambda shape, bits: mean_largest_eigenvalue(shape))
+        cfgs = [cfg for cfg in self.GRID if cfg.k_max in (1, 8, 64)]
+        results = finite.optimal_intervals(cfgs)
+        comparisons = [afp_beats_mfp(cfg) for cfg in cfgs]
+        assert len(ntx2_passes) > 4 and all(len(sizes) == 1 for _, sizes in ntx2_passes[4:])
+        finite._ntx2_cache.clear()
+        for cfg, got, cmp in zip(cfgs, results, comparisons):
+            assert got == _plain_optimal_interval(cfg), cfg
+            assert cmp == _plain_afp_beats_mfp(cfg), cfg
