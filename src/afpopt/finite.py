@@ -315,9 +315,10 @@ def _ntx2_shortfall(nt: int, sizes: list[float]) -> tuple[np.ndarray, np.ndarray
     return value, error, flagged | outer_flagged
 
 
-# a memo across calls, as later calls in one process reuse earlier budgets:
-# in the analytic benchmark's one-process pass (2-vCPU VM), optimal-k 5x2
-# took 0.5 ms with it and 4.5-6 ms with it cleared before each call
+# a memo across calls, read only by later commands in one process (a lone CLI
+# run never hits it).  Medians of 10 fresh-process pairs of the analytic
+# benchmark's pass, kept vs cleared before each command (2-vCPU VM): the pass
+# 21.7 vs 27.5 ms, optimal-k 5x2 1.9 vs 3.4, afp-range 4x2 3.1 vs 4.2, analytic 5x2 0.36 vs 3.0 ms
 _ntx2_cache: dict[tuple, float] = {}
 
 
@@ -343,7 +344,8 @@ def rvq_powers_ntx2(nt: int, budgets: Iterable[float]) -> list[float]:
     s, dropped where F^N is below exp(-50).  All three are adaptive 15-point
     Gauss-Kronrod quadratures held to ``_NTX2_TOLERANCE``, each round
     vectorised over its panels.  The power is strictly increasing in the bit
-    budget, equal to 2 at zero bits.
+    budget; at zero bits it is 2 only to rounding (1.9999999999999942 at
+    nt = 3, 2.0000000000000036 at nt = 4, 1.9999999999999911 at nt = 12).
 
     Past ``_LAW_BITS`` = 1000 bits the quadrature runs at N = 2^1000 and its
     shortfall is scaled by 2^(-(bits - 1000)/(nt - 1)), the N^(-1/(nt-1))
@@ -357,7 +359,8 @@ def rvq_powers_ntx2(nt: int, budgets: Iterable[float]) -> list[float]:
     its budget gets alone, bit for bit.  A budget whose quadrature reaches
     ``_MAX_SUBDIVISIONS`` warns on its own when it is fetched, even past
     where a search's scan stops, and is not cached; the others are, in a
-    cache of at most ``_NTX2_CACHE_SIZE`` values.
+    cache of at most ``_NTX2_CACHE_SIZE`` values keyed by the budget itself,
+    so no value depends on earlier calls.
     """
     if nt <= 2:
         raise ValueError("quadrature form requires nt > 2")
@@ -365,19 +368,15 @@ def rvq_powers_ntx2(nt: int, budgets: Iterable[float]) -> list[float]:
     if any(not bits >= 0 for bits in budgets):
         raise ValueError("total_bits must be nonnegative")
     top = mean_max_eigenvalue(nt)
-    keys = [(nt, round(bits, 9)) for bits in budgets]
     # read the cached values first: caching this batch's may evict them
-    values = {key: _ntx2_cache[key] for key in keys if key in _ntx2_cache}
-    todo: dict[tuple, float] = {}
-    for key, bits in zip(keys, budgets):
-        if key not in values:
-            todo.setdefault(key, bits)
+    values = {bits: _ntx2_cache[nt, bits] for bits in budgets if (nt, bits) in _ntx2_cache}
+    todo = [bits for bits in dict.fromkeys(budgets) if bits not in values]
     if todo:
         # log1p(-1) = -inf and the 0/0 of an exactly resolved panel are expected
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            shortfall, error, flagged = _ntx2_shortfall(nt, [2.0 ** min(b, _LAW_BITS) for b in todo.values()])
-        for (key, bits), short, err, flag in zip(todo.items(), shortfall, error, flagged):
-            values[key] = top - float(short) * 2.0 ** (-max(bits - _LAW_BITS, 0.0) / (nt - 1))
+            shortfall, error, flagged = _ntx2_shortfall(nt, [2.0 ** min(b, _LAW_BITS) for b in todo])
+        for bits, short, err, flag in zip(todo, shortfall, error, flagged):
+            values[bits] = top - float(short) * 2.0 ** (-max(bits - _LAW_BITS, 0.0) / (nt - 1))
             if flag:  # not cached, so a repeat call warns again
                 warnings.warn(
                     f"rvq_power_ntx2({nt}, {bits}): quadrature stopped short of its tolerance "
@@ -387,8 +386,8 @@ def rvq_powers_ntx2(nt: int, budgets: Iterable[float]) -> list[float]:
                 continue
             if len(_ntx2_cache) >= _NTX2_CACHE_SIZE:
                 del _ntx2_cache[next(iter(_ntx2_cache))]  # the oldest entry
-            _ntx2_cache[key] = values[key]
-    return [values[key] for key in keys]
+            _ntx2_cache[nt, bits] = values[bits]
+    return [values[bits] for bits in budgets]
 
 
 def rvq_power_ntx2(nt: int, total_bits: float) -> float:

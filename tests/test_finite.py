@@ -572,6 +572,16 @@ class TestNtx2Batch:
         assert max(steps) == 3
         assert [v.hex() for v in split] == [v.hex() for v in whole]
 
+    @pytest.mark.parametrize(
+        "before, budgets", [([], [1e-10, 3e-10]), ([1e-10], [3e-10]), ([1.0], [1.0000000001])]
+    )
+    def test_close_budgets_are_their_own(self, before, budgets):
+        # budgets less than 5e-10 apart, in one batch or after a cached one
+        alone = [_cold_ntx2(3, bits).hex() for bits in budgets]
+        finite._ntx2_cache.clear()
+        finite.rvq_powers_ntx2(3, before)
+        assert [v.hex() for v in finite.rvq_powers_ntx2(3, budgets)] == alone
+
     def test_flagged_budgets_warn_on_their_own_and_stay_uncached(self, monkeypatch):
         monkeypatch.setattr(finite, "_NTX2_TOLERANCE", (1e-11, 1e-11))
         monkeypatch.setattr(finite, "_MAX_SUBDIVISIONS", 4)
@@ -891,23 +901,37 @@ def scan_interval(objective, k_max, stop=None):
     return tuple(curve)
 
 
+@functools.cache
+def _cold_power(shape, bits):
+    # the quantized power from an empty nt x 2 memo, its budget's own
+    # quadrature at the default tolerances, cached here on the exact budget
+    finite._ntx2_cache.clear()
+    return finite.quantized_powers(shape, [bits])[0]
+
+
+def _cold_avg_power(cfg, k):
+    power = _cold_power(cfg.shape, cfg.bits_per_block * k)
+    return finite.interval_average_power(cfg.shape.nr, power, cfg.model.alpha, k)
+
+
 def _plain_curve(cfg, incumbent):
     # scan_interval under the searches' envelope stop, with no prefetch:
-    # every power is its budget's own quadrature
+    # every power is its budget's own quadrature, from an empty memo
     def stop(k, curve):
         return finite._search_envelope(cfg, k) <= incumbent(curve)
 
-    return scan_interval(lambda k: avg_power(cfg, k), cfg.k_max, stop)
+    return scan_interval(lambda k: _cold_avg_power(cfg, k), cfg.k_max, stop)
 
 
 def _plain_optimal_interval(cfg):
     if cfg.model.alpha >= 1.0:
-        return finite.IntervalResult(cfg.k_max, avg_power(cfg, cfg.k_max), True)
+        return finite.IntervalResult(cfg.k_max, _cold_avg_power(cfg, cfg.k_max), True)
     return best_interval(_plain_curve(cfg, max), cfg.k_max)
 
 
 def _plain_afp_beats_mfp(cfg):
-    # afp_beats_mfp from the plain scan, each power its budget's own quadrature
+    # afp_beats_mfp from the plain scan, each power its budget's own
+    # quadrature from an empty memo
     alpha = cfg.model.alpha
     if alpha >= 1.0:
         ks = tuple(range(2, cfg.k_max + 1))
@@ -916,8 +940,7 @@ def _plain_afp_beats_mfp(cfg):
     ks = intervals_beating_first(curve)
     iso, large_budget = cfg.shape.nr, 1.0 / (1.0 - alpha * alpha)
     bounds = tuple(
-        large_budget * (finite.quantized_powers(cfg.shape, [cfg.bits_per_block * k])[0] - iso) / (curve[0] - iso)
-        for k in ks
+        large_budget * (_cold_power(cfg.shape, cfg.bits_per_block * k) - iso) / (curve[0] - iso) for k in ks
     )
     return finite.AfpMfpComparison(ks, bounds, large_budget)
 
@@ -955,6 +978,14 @@ class TestLockstepSearches:
         finite._ntx2_cache.clear()
         for cfg, cmp in zip(cfgs, got):
             assert cmp == _plain_afp_beats_mfp(cfg), cfg
+
+    @pytest.mark.parametrize("bits", [1e-10, 3e-10])
+    def test_sub_nanobit_searches_equal_plain_scans(self, bits, ntx2_passes):
+        # every budget of the search's batch is less than 1e-8 from the others
+        cfg = AfpConfig(SystemShape(3, 2), bits, FadingModel(0.9), 20)
+        got, cmp = optimal_interval(cfg), afp_beats_mfp(cfg)
+        assert got == _plain_optimal_interval(cfg)
+        assert cmp == _plain_afp_beats_mfp(cfg)
 
     def test_whole_bit_afp_search_fetches_what_it_reads(self, ntx2_passes, monkeypatch):
         # at one bit per block the K = 1 floor is the K = 1 power to a

@@ -47,10 +47,12 @@ EXACT = {
     "optimal_k_2x2_a1_k8": "optimal-k --nt 2 --nr 2 --bits 1 --alpha 1 --k-max 8",
     "optimal_k_b1e308_k3": "optimal-k --bits 1e308 --k-max 3",
     "optimal_k_250x2_a0.8": "optimal-k --nt 250 --nr 2 --bits 1 --alpha 0.8",
+    "optimal_k_3x2_b1e-10": "optimal-k --nt 3 --nr 2 --bits 1e-10 --alpha 0.9 --k-max 20",
     "afp_range_2x2_a0.8": "afp-range --nt 2 --nr 2 --bits 1 --alpha 0.8",
     "afp_range_4x2_a0.9": "afp-range --nt 4 --nr 2 --bits 1 --alpha 0.9",
     "afp_range_6x2_b0.25": "afp-range --nt 6 --nr 2 --bits 0.25",
     "afp_range_2x2_a1_k3": "afp-range --nt 2 --nr 2 --bits 1 --alpha 1 --k-max 3",
+    "afp_range_3x2_b1e-10": "afp-range --nt 3 --nr 2 --bits 1e-10 --alpha 0.9 --k-max 20",
     "analytic_5x2_k10": "analytic --nt 5 --nr 2 --bits 1 --alpha 0.8 --k-max 10",
     "analytic_2x4": "analytic --nt 2 --nr 4",
     "analytic_2x250_k4": "analytic --nt 2 --nr 250 --bits 1 --k-max 4",
