@@ -398,23 +398,35 @@ def rvq_power_ntx2(nt: int, total_bits: float) -> float:
 # the Khatri integral stops where 1 - F drops below this; its remaining tail
 # is far below the rounding of E[l1] >= 1
 _KHATRI_TAIL = 1e-20
+# a power of two, so scaling by it is exact; one Laguerre step grows |L_k|
+# by at most about the largest node, 4 count, so its square stays far from
+# overflow
+_LAGUERRE_BOUND = 2.0**256
 
 
 def _laguerre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre rule for int_0^inf f(u) e^-u du, exact to degree 2 count - 1.
+    """Gauss-Laguerre rule for int_0^inf f(u) e^-u du, exact to degree 2 count - 1: nodes and log weights.
 
     The nodes are the eigenvalues of the Jacobi matrix; the weights are the
     Christoffel numbers 1 / sum_k L_k(u)^2.  (The squared eigenvector
     components give the same weights only while they stay well above
-    rounding, which fails from about 30 nodes on.)
+    rounding, which fails from about 30 nodes on.)  Where L_k passes
+    _LAGUERRE_BOUND, from about 200 nodes on, the recurrence at that node is
+    scaled down by it, exactly, and the weight's log takes the scale back;
+    rules that never reach the bound keep every bit.
     """
     k = np.arange(1.0, count)
     nodes = np.linalg.eigvalsh(np.diag(2.0 * np.arange(count) + 1.0) - np.diag(k, 1) - np.diag(k, -1))
     prev, cur, total = np.zeros(count), np.ones(count), np.ones(count)
+    scalings = np.zeros(count)
     for j in range(count - 1):
         prev, cur = cur, ((2 * j + 1 - nodes) * cur - j * prev) / (j + 1)
         total += cur * cur
-    return nodes, 1.0 / total
+        big = np.abs(cur) > _LAGUERRE_BOUND
+        scale = np.where(big, 1.0 / _LAGUERRE_BOUND, 1.0)
+        prev, cur, total = prev * scale, cur * scale, total * (scale * scale)
+        scalings += big
+    return nodes, np.log(1.0 / total) - scalings * (2.0 * math.log(_LAGUERRE_BOUND))
 
 
 @lru_cache(maxsize=_EIGENVALUE_CACHE_SIZE)
@@ -442,8 +454,8 @@ def mean_largest_eigenvalue(shape: SystemShape) -> float:
     if m == 2:
         return mean_max_eigenvalue(n)
     a = n - m
-    nodes, weights = _laguerre_rule(m + a // 2)
-    log_head = 0.5 * np.log(weights) - 0.5 * math.lgamma(a + 1)  # log(sqrt(w) p_0)
+    nodes, log_weights = _laguerre_rule(m + a // 2)
+    log_head = 0.5 * log_weights - 0.5 * math.lgamma(a + 1)  # log(sqrt(w) p_0)
     coupling = np.sqrt(np.arange(m) * (np.arange(m) + a))  # recurrence's sqrt(k (k + a))
 
     def tail(x, _owner):

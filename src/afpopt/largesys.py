@@ -18,26 +18,41 @@ from afpopt.finite import _EPS, _LN2, AfpConfig, IntervalResult, _scan, best_int
 _ROOT_MAX_ITER = 100
 
 
+def _psi(u: float) -> float:
+    """((1 + u) log1p(u) - u) / u^2 for u > 0, in (0, 1/2], with neither cancellation nor overflow.
+
+    Below u = 0.1, where the closed form cancels, 16 terms of its series reach rounding.
+    """
+    if u < 0.1:
+        return sum((-u) ** k / ((k + 1) * (k + 2)) for k in range(16))
+    return ((1.0 + 1.0 / u) * math.log1p(u) - 1.0) / u
+
+
 def bits_threshold(nr_bar: float) -> float:
-    """Normalized bit budget where the asymptotic power law changes branch."""
+    """Normalized bit budget where the asymptotic power law changes branch.
+
+    (s - nr_bar log1p(1/s)) / ln 2 with s = sqrt(nr_bar), summed as
+    s (1 - psi(1/s)) / ((1 + s) ln 2) to full precision for every finite nr_bar > 0.
+    """
     if nr_bar <= 0:
         raise ValueError("threshold is defined for nr_bar > 0; use the MISO form")
     s = math.sqrt(nr_bar)
-    return (nr_bar * math.log(s / (1.0 + s)) + s) / _LN2
+    return s * (1.0 - _psi(1.0 / s)) / ((1.0 + s) * _LN2)
 
 
 def asymptotic_power(x: float, nr_bar: float) -> float:
-    """Limit of the per-antenna selected power at normalized budget x.
+    """Limit of the per-antenna selected power at normalized budget x, for every finite nr_bar >= 0.
 
-    nr_bar = 0 gives the closed MISO form 1 - 2^-x.  For nr_bar > 0 and
-    x below the branch threshold, the value is the root g >= nr_bar of
-
-        g^nr_bar exp(-g) = 2^-x (nr_bar / e)^nr_bar,
-
-    found by safeguarded Newton steps on the decreasing branch (quantization
-    can only improve on the isotropic power nr_bar); past the threshold a
-    closed form applies.  Continuous and non-decreasing in x, saturating
-    at (1 + sqrt(nr_bar))^2.
+    nr_bar = 0 gives the closed MISO form 1 - 2^-x.  For nr_bar > 0 and x
+    below the branch threshold, the value is nr_bar + d at the root d > 0 of
+    h(d) = nr_bar log1p(d / nr_bar) - d + x ln 2, the fixed point
+    g^nr_bar exp(-g) = 2^-x (nr_bar / e)^nr_bar at g = nr_bar + d.  h is
+    concave and decreasing, and h(s) = (x - threshold) ln 2 < 0 at
+    s = sqrt(nr_bar), so Newton steps from d = s fall monotonically onto
+    the root; each, d <- d psi(d / nr_bar) + x ln 2 (1 + nr_bar / d), sums
+    positive terms.  Past the threshold g = (1 + s)^2 - (1 + s) 2^(threshold - x);
+    the branches meet at nr_bar + s.  Continuous and non-decreasing in x,
+    saturating at (1 + s)^2.
     """
     if x < 0:
         raise ValueError("normalized bits must be nonnegative")
@@ -48,41 +63,14 @@ def asymptotic_power(x: float, nr_bar: float) -> float:
     if x == 0.0:
         return nr_bar
     s = math.sqrt(nr_bar)
-    edge = (1.0 + s) ** 2
-    if x >= bits_threshold(nr_bar):
-        log_term = (
-            0.5 * nr_bar * math.log(nr_bar)
-            - (nr_bar - 1.0) * math.log(1.0 + s)
-            + s
-            - x * _LN2
-        )
-        return edge - math.exp(log_term)
-    x_nats = x * _LN2
-
-    def h(d: float) -> float:
-        # nr_bar log g - g + x ln 2 - nr_bar (log nr_bar - 1) at g = nr_bar + d,
-        # written in d so that the root keeps full precision as x -> 0
-        return nr_bar * math.log1p(d / nr_bar) - d + x_nats
-
-    if h(0.0) <= 0.0:  # root pinned to the bracket edge (x ~ 0)
-        return nr_bar
-    # h is concave and decreasing in d > 0, so Newton steps from the right
-    # end of the bracket [0, edge - nr_bar] fall monotonically onto the
-    # root; a step that leaves the bracket is replaced by bisection
-    lo, hi = 0.0, edge - nr_bar
-    d = hi
+    threshold = bits_threshold(nr_bar)
+    if x >= threshold:  # the closed form, written so that it cannot cancel
+        return (1.0 + s) * (s - math.expm1((threshold - x) * _LN2))
+    d = s
     for _ in range(_ROOT_MAX_ITER):
-        hd = h(d)
-        if hd > 0.0:
-            lo = d
-        else:
-            hi = d
-        step = hd * (nr_bar + d) / d  # -h / h', with h'(d) = -d / (nr_bar + d)
-        if abs(step) <= _EPS * (nr_bar + d):
+        d, last = d * _psi(d / nr_bar) + x * _LN2 * (1.0 + nr_bar / d), d
+        if last - d <= _EPS * (nr_bar + d):
             break
-        d += step
-        if not lo < d < hi:
-            d = 0.5 * (lo + hi)
     return nr_bar + d
 
 

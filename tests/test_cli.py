@@ -240,6 +240,13 @@ class TestHeadlines:
         assert code == 0
         assert out.strip() == "K*=3"
 
+    @pytest.mark.parametrize("nr_bar", ["1e20", "1e200"])
+    def test_large_system_at_huge_antenna_ratio(self, nr_bar, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = invoke(["large-system", "--nr-bar", nr_bar, "--b-bar", "1", "--alpha", "0.9"], capfd)
+        assert code == 0
+        assert out.startswith("K*=") and out.count("\n") == 1
+
     def test_large_system_writes_the_search_curve(self, tmp_path, capfd, monkeypatch):
         # the table is the curve the search scanned: one rate_difference call per K
         from afpopt import largesys

@@ -772,6 +772,26 @@ class TestMeanLargestEigenvalue:
         est = perfect_feedback_power(SystemShape(n, n), 20_000, 900 + n)
         assert abs(est.mean - mean_largest_eigenvalue(SystemShape(n, n))) < 4 * est.stderr
 
+    # past about 200 nodes the Laguerre recurrence is rescaled; 3 x 800 and
+    # 5 x 1000 need 401 and 502 nodes
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m,n", [(3, 450), (3, 800), (5, 1000)])
+    def test_monte_carlo_agreement_past_the_rescale(self, m, n):
+        from afpopt.simulate import perfect_feedback_power
+
+        est = perfect_feedback_power(SystemShape(m, n), 2_000, 17)
+        assert abs(est.mean - mean_largest_eigenvalue(SystemShape(m, n))) < 4 * est.stderr
+
+    @pytest.mark.parametrize("count", [30, 150, 351, 502])
+    def test_laguerre_rule_moments(self, count):
+        # sum_i w_i u_i^k = k! for k <= 2 count - 1, compared in logs
+        nodes, log_weights = finite._laguerre_rule(count)
+        for k in (0, 1, count, 2 * count - 1):
+            terms = log_weights + k * np.log(nodes)
+            top = terms.max()
+            log_moment = top + math.log(np.exp(terms - top).sum())
+            assert log_moment == pytest.approx(math.lgamma(k + 1), abs=1e-11), k
+
     def test_below_the_spectrum_edge_and_increasing(self):
         # l1 dominates every column's squared norm and, by interlacing, the
         # top eigenvalue of any two columns, so E[l1] > max(n, E_rank2(n));

@@ -2,6 +2,7 @@ import itertools
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
@@ -30,6 +31,27 @@ def brentq_asymptotic_power(x: float, nr_bar: float) -> float:
         0.0, 2.0 * s + 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500,
     )
     return nr_bar + d
+
+
+def mpmath_power_law(x: float, nr_bar: float) -> tuple[float, float]:
+    """Oracle at 50 digits: (threshold, power), the threshold and the upper
+    branch from their defining formulas (s - nr_bar log1p(1/s)) / ln 2 and
+    (1 + s)^2 - (1 + s) 2^(threshold - x), the lower branch nr_bar + d at
+    the root of nr_bar log1p(d / nr_bar) - d + x ln 2 by bisection on [0, s]."""
+    with mpmath.workdps(50):
+        v, x = mpmath.mpf(nr_bar), mpmath.mpf(x)
+        s, ln2 = mpmath.sqrt(v), mpmath.log(2)
+        threshold = (s - v * mpmath.log1p(1 / s)) / ln2
+        if x >= threshold:
+            return float(threshold), float((1 + s) ** 2 - (1 + s) * 2 ** (threshold - x))
+        lo, hi = mpmath.mpf(0), s
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            if v * mpmath.log1p(mid / v) - mid + x * ln2 > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(threshold), float(v + lo)
 
 
 def fixed_point_residual(g: float, x: float, nr_bar: float) -> float:
@@ -96,6 +118,28 @@ class TestAsymptoticPower:
     def test_saturation(self):
         assert asymptotic_power(300.0, 1.0) == pytest.approx(4.0, abs=1e-9)
         assert asymptotic_power(300.0, 4.0) == pytest.approx(9.0, abs=1e-9)
+
+    @pytest.mark.parametrize("nr_bar", [1e-20, 0.25, 1.0, 4.0, 1e4, 1e8, 1e12, 1e16, 1e20])
+    def test_matches_mpmath_oracle_across_ratios(self, nr_bar):
+        threshold = mpmath_power_law(0.0, nr_bar)[0]
+        assert bits_threshold(nr_bar) == pytest.approx(threshold, rel=1e-13, abs=0.0)
+        for x in threshold * np.array([1e-6, 0.1, 0.5, 0.99, 1.01, 2.0, 50.0]):
+            g = asymptotic_power(float(x), nr_bar)
+            assert g == pytest.approx(mpmath_power_law(float(x), nr_bar)[1], rel=1e-13, abs=0.0), x
+
+    def test_every_finite_ratio_and_budget(self):
+        # no exception; g finite, nr_bar <= g <= (1 + sqrt(nr_bar))^2 and
+        # non-decreasing in x, each to 4 ulp
+        grid = np.geomspace(1e-300, 1e300, 61).tolist()
+        for nr_bar in [0.0, 5e-324, 0.25, 0.5, 1.0, 2.0, 4.0, 1.7e308, *grid]:
+            edge = (1.0 + math.sqrt(nr_bar)) ** 2
+            prev = nr_bar
+            for x in [0.0, *grid]:
+                g = asymptotic_power(x, nr_bar)
+                assert math.isfinite(g), (nr_bar, x)
+                assert nr_bar - 4 * math.ulp(nr_bar) <= g <= edge + 4 * math.ulp(edge), (nr_bar, x, g)
+                assert g >= prev - 4 * math.ulp(prev), (nr_bar, x, g, prev)
+                prev = g
 
     def test_matches_brentq_oracle_to_4_ulp(self):
         for nr_bar in [1e-6, 1e-3, 0.01, *np.linspace(0.1, 4.0, 40)]:
