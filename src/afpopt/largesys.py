@@ -10,7 +10,7 @@ R - log2(rho * nt), which makes the feedback-interval trade-off finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from afpopt.channel import FadingModel, check_count
 from afpopt.finite import _EPS, _LN2, AfpConfig, IntervalResult, _scan, best_interval, intervals_beating_first
@@ -43,35 +43,37 @@ def bits_threshold(nr_bar: float) -> float:
 def asymptotic_power(x: float, nr_bar: float) -> float:
     """Limit of the per-antenna selected power at normalized budget x, for every finite nr_bar >= 0.
 
-    nr_bar = 0 gives the closed MISO form 1 - 2^-x.  For nr_bar > 0 and x
-    below the branch threshold, the value is nr_bar + d at the root d > 0 of
-    h(d) = nr_bar log1p(d / nr_bar) - d + x ln 2, the fixed point
-    g^nr_bar exp(-g) = 2^-x (nr_bar / e)^nr_bar at g = nr_bar + d.  h is
-    concave and decreasing, and h(s) = (x - threshold) ln 2 < 0 at
-    s = sqrt(nr_bar), so Newton steps from d = s fall monotonically onto
-    the root; each, d <- d psi(d / nr_bar) + x ln 2 (1 + nr_bar / d), sums
-    positive terms.  Past the threshold g = (1 + s)^2 - (1 + s) 2^(threshold - x);
-    the branches meet at nr_bar + s.  Continuous and non-decreasing in x,
-    saturating at (1 + s)^2.
+    1 - 2^-x at nr_bar = 0, else nr_bar + :func:`_excess`; non-decreasing in x, up to (1 + sqrt(nr_bar))^2.
     """
     if x < 0:
         raise ValueError("normalized bits must be nonnegative")
     if nr_bar < 0:
         raise ValueError("nr_bar must be nonnegative")
-    if nr_bar == 0.0:
-        return 1.0 - 2.0 ** (-x)
-    if x == 0.0:
-        return nr_bar
+    return 1.0 - 2.0 ** (-x) if nr_bar == 0.0 else nr_bar + _excess(x, nr_bar)
+
+
+def _excess(x: float, nr_bar: float) -> float:
+    """The power's excess d = g - nr_bar, to full relative precision; -expm1(-x ln 2) at nr_bar = 0.
+
+    Below the branch threshold d is the root of h(d) = nr_bar log1p(d / nr_bar) - d + c, c = x ln 2
+    (the fixed point g^nr_bar exp(-g) = 2^-x (nr_bar / e)^nr_bar), concave and decreasing.  h < 0 at
+    s = sqrt(nr_bar) and, as log1p(u) <= u (2 + u) / (2 (1 + u)), at c + sqrt(c^2 + 2 c nr_bar); Newton
+    steps from the smaller, d <- d psi(d / nr_bar) + c (1 + nr_bar / d), sums of positive terms, fall
+    monotonically onto the root.  Past the threshold d = s - (1 + s) expm1((threshold - x) ln 2), s at it.
+    """
+    if nr_bar == 0.0 or x == 0.0:
+        return -math.expm1(-x * _LN2)
     s = math.sqrt(nr_bar)
     threshold = bits_threshold(nr_bar)
-    if x >= threshold:  # the closed form, written so that it cannot cancel
-        return (1.0 + s) * (s - math.expm1((threshold - x) * _LN2))
-    d = s
+    if x >= threshold:  # the closed form, a sum of nonnegative terms
+        return s - (1.0 + s) * math.expm1((threshold - x) * _LN2)
+    c = x * _LN2
+    d = min(s, c + math.sqrt(2.0 * c) * math.sqrt(nr_bar + 0.5 * c))
     for _ in range(_ROOT_MAX_ITER):
-        d, last = d * _psi(d / nr_bar) + x * _LN2 * (1.0 + nr_bar / d), d
-        if last - d <= _EPS * (nr_bar + d):
+        d, last = d * _psi(d / nr_bar) + c * (1.0 + nr_bar / d), d
+        if last - d <= _EPS * d:
             break
-    return nr_bar + d
+    return d
 
 
 @dataclass(frozen=True)
@@ -93,64 +95,57 @@ class LargeSystemConfig:
 
 
 def rate_difference(num_blocks: int, cfg: LargeSystemConfig) -> float:
-    """Asymptotic rate difference averaged over a feedback interval.
+    """Asymptotic rate difference averaged over a feedback interval: log2(nr_bar) plus the searches' gain.
 
-    For nr_bar > 0: mean over blocks of log2(nr_bar + a^(2k-2) (g - nr_bar))
-    with g the asymptotic power at budget b_bar * K.  For nr_bar = 0 the
-    MISO form (K-1) log2(alpha) + log2(1 - 2^-(b_bar K)) applies; it is
-    -inf when alpha = 0 and K > 1 (a stale beamformer earns nothing).
+    The mean over blocks of log2(nr_bar + alpha^(2k-2) d), d the power's excess over nr_bar at budget
+    b_bar K; at nr_bar = 0, (K-1) log2(alpha) + log2(1 - 2^-(b_bar K)), -inf at alpha = 0 past K = 1.
     """
     check_count("num_blocks", num_blocks)
-    k = num_blocks
-    if cfg.nr_bar == 0.0:
-        gain = math.log2(-math.expm1(-cfg.b_bar * k * _LN2))
-        if k == 1:
-            return gain
-        if cfg.alpha == 0.0:
-            return -math.inf
-        return (k - 1) * math.log2(cfg.alpha) + gain
-    return _mean_block_rate(asymptotic_power(cfg.b_bar * k, cfg.nr_bar), k, cfg)
+    gain = _gain(num_blocks, _excess(cfg.b_bar * num_blocks, cfg.nr_bar), cfg)
+    return gain + (math.log2(cfg.nr_bar) if cfg.nr_bar > 0.0 else 0.0)
 
 
-def _mean_block_rate(g: float, k: int, cfg: LargeSystemConfig) -> float:
-    # mean over blocks 1..k of log2(nr_bar + a^(2i-2) (g - nr_bar)), nr_bar > 0
-    total = 0.0
-    for i in range(1, k + 1):
-        total += math.log2(cfg.nr_bar + cfg.alpha ** (2 * i - 2) * (g - cfg.nr_bar))
-    return total / k
+def _gain(k: int, d: float, cfg: LargeSystemConfig) -> float:
+    # the part of the rate difference that K moves, at excess power d: the mean over blocks of
+    # log2(1 + alpha^(2i-2) d / nr_bar), from logs only where d / nr_bar overflows (subnormal
+    # nr_bar); at nr_bar = 0, (K-1) log2(alpha) + log2(d)
+    nr_bar, alpha = cfg.nr_bar, cfg.alpha
+    if nr_bar == 0.0:
+        stale = 0.0 if k == 1 else (k - 1) * math.log2(alpha) if alpha > 0.0 else -math.inf
+        return stale + math.log2(d)
+    r, total = d / nr_bar, 0.0
+    for i in range(k):
+        t = alpha ** (2 * i)
+        total += math.log1p(t * r) if r < math.inf else math.log(nr_bar + t * d) - math.log(nr_bar)
+    return total / (k * _LN2)
 
 
-def _rate_envelope(k: int, cfg: LargeSystemConfig) -> float:
-    # An upper bound on rate_difference(k), non-increasing in k.  At
-    # alpha = 1 it is inf, so a search runs to k_max.  For nr_bar > 0 it is
-    # the rate difference with the power at its ceiling (1 + sqrt(nr_bar))^2:
-    # each block's term then falls with the block index, so their mean falls
-    # with k.  For nr_bar = 0 it is (k-1) log2(alpha), -inf at alpha = 0: the
-    # MISO form without its nonpositive quantization term.
-    if cfg.alpha >= 1.0:
-        return math.inf
-    if cfg.nr_bar > 0.0:
-        return _mean_block_rate((1.0 + math.sqrt(cfg.nr_bar)) ** 2, k, cfg)
-    if k == 1:
-        return 0.0
-    return -math.inf if cfg.alpha == 0.0 else (k - 1) * math.log2(cfg.alpha)
+def _envelope(k: int, cfg: LargeSystemConfig) -> float:
+    # an upper bound on the gain, non-increasing in K (each block's term falls with its index): the
+    # gain at the ceiling excess 1 + 2 sqrt(nr_bar), summed as the closed form's at x = inf so that
+    # no rounded excess exceeds it.  It is inf at alpha = 1, so a search runs to k_max.
+    s = math.sqrt(cfg.nr_bar)
+    return math.inf if cfg.alpha >= 1.0 else _gain(k, s + (1.0 + s), cfg)
+
+
+def _scan_gains(cfg: LargeSystemConfig, incumbent) -> list[float]:
+    return _scan(range(1, cfg.k_max + 1), lambda k: _gain(k, _excess(cfg.b_bar * k, cfg.nr_bar), cfg),
+                 lambda k: _envelope(k, cfg), incumbent)
 
 
 def optimal_interval(cfg: LargeSystemConfig) -> IntervalResult:
     """Argmax of the rate difference over K in [1, k_max]; smallest K wins ties.
 
-    For alpha < 1 the scan stops once an upper bound on the rate
-    difference, non-increasing in K, can no longer beat the best value so
-    far: the rate with the power at its ceiling, or (K-1) log2(alpha) for
-    nr_bar = 0.  K*, its value and the horizon flag are those of the full
-    scan; ``curve`` ends where the scan stopped.  At alpha = 1 the rate
-    difference grows with the pooled budget, so K* is k_max by rule, with
-    the whole curve.  The scan is finite's plain interval scan.
+    The scan compares the gains, which log2(nr_bar) would round away at large nr_bar, and for
+    alpha < 1 stops once their envelope can no longer beat the best so far.  K*, its value and the
+    horizon flag are those of the full scan; ``curve`` holds :func:`rate_difference` up to where the
+    scan stopped.  At alpha = 1 the rate grows with the pooled budget, so K* is k_max by rule.
     """
-    curve = _scan(range(1, cfg.k_max + 1), lambda k: rate_difference(k, cfg), lambda k: _rate_envelope(k, cfg), max)
-    if cfg.alpha >= 1.0:
-        return IntervalResult(cfg.k_max, curve[-1], True, tuple(curve))
-    return best_interval(tuple(curve), cfg.k_max)
+    gains = _scan_gains(cfg, max)
+    offset = math.log2(cfg.nr_bar) if cfg.nr_bar > 0.0 else 0.0
+    curve = tuple(gain + offset for gain in gains)
+    best = IntervalResult(cfg.k_max, 0.0, True) if cfg.alpha >= 1.0 else best_interval(tuple(gains), cfg.k_max)
+    return replace(best, value=curve[best.k_star - 1], curve=curve)
 
 
 def miso_interval_approx(b_bar: float, alpha: float) -> float:
@@ -167,5 +162,6 @@ def miso_interval_approx(b_bar: float, alpha: float) -> float:
 
 
 def afp_beats_mfp(cfg: LargeSystemConfig) -> tuple[int, ...]:
-    """All K in [2, k_max] whose rate difference beats per-block feedback."""
-    return intervals_beating_first(tuple(rate_difference(k, cfg) for k in range(1, cfg.k_max + 1)))
+    """All K in [2, k_max] whose rate difference beats per-block feedback; the scan of the gains
+    stops where their envelope falls to the K = 1 gain."""
+    return intervals_beating_first(tuple(_scan_gains(cfg, lambda first, _: first)))

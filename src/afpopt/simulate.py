@@ -454,7 +454,7 @@ class SweepRecord:
 def _has_analytic(spec: ExperimentSpec) -> bool:
     return (
         finite.has_closed_form(spec.shape) and spec.codebook_kind == "rvq"
-        and spec.bits_per_block > 0 and spec.metric in ("avg_power", "normalized_power")
+        and spec.metric in ("avg_power", "normalized_power")
     )
 
 

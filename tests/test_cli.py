@@ -32,6 +32,19 @@ class TestParsing:
         assert len(err.strip().splitlines()) == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["optimal-k", "--bits", "0"], "argument --bits: expected a positive value, got 0"),
+        (["large-system", "--nr-bar", "-1"], "argument --nr-bar: expected a nonnegative value, got -1"),
+    ])
+    def test_out_of_domain_values_exit_2(self, argv, message, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 2
+        out, err = capfd.readouterr()
+        assert out == "" and err.strip().splitlines()[-1].endswith(message)
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "argv,flag",
@@ -240,27 +253,28 @@ class TestHeadlines:
         assert code == 0
         assert out.strip() == "K*=3"
 
-    @pytest.mark.parametrize("nr_bar", ["1e20", "1e200"])
+    @pytest.mark.parametrize("nr_bar", ["1e20", "1e32", "1e200"])
     def test_large_system_at_huge_antenna_ratio(self, nr_bar, tmp_path, capfd, monkeypatch):
+        # K* of the large system is 3 at b_bar 1 and alpha 0.9 for every nr_bar from 1e8 up
         monkeypatch.chdir(tmp_path)
         code, out, _ = invoke(["large-system", "--nr-bar", nr_bar, "--b-bar", "1", "--alpha", "0.9"], capfd)
         assert code == 0
-        assert out.startswith("K*=") and out.count("\n") == 1
+        assert out == "K*=3\n"
 
     def test_large_system_writes_the_search_curve(self, tmp_path, capfd, monkeypatch):
-        # the table is the curve the search scanned: one rate_difference call per K
+        # the table is the curve the search scanned and the rest: one excess power per K
         from afpopt import largesys
 
-        calls = []
-        real = largesys.rate_difference
-        monkeypatch.setattr(largesys, "rate_difference", lambda k, cfg: calls.append(k) or real(k, cfg))
+        budgets = []
+        real = largesys._excess
+        monkeypatch.setattr(largesys, "_excess", lambda x, nr_bar: budgets.append(x) or real(x, nr_bar))
         monkeypatch.chdir(tmp_path)
         code, out, _ = invoke(
             ["large-system", "--nr-bar", "1", "--b-bar", "0.5", "--alpha", "0.9", "--output", "t.csv"],
             capfd,
         )
         assert code == 0 and out.strip() == "K*=4"
-        assert calls == list(range(1, 65))
+        assert budgets == [0.5 * k for k in range(1, 65)]
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 65
 
     def test_afp_range_prints_window(self, tmp_path, capfd, monkeypatch):
@@ -270,6 +284,14 @@ class TestHeadlines:
         )
         assert code == 0
         assert out.strip() == "K in [2,8]"
+        # no winning K: the one row carries the large-budget bound 1 / (1 - alpha^2)
+        code, out, _ = invoke(
+            ["afp-range", "--nt", "2", "--nr", "2", "--bits", "1", "--alpha", "0.2"], capfd
+        )
+        assert code == 0
+        assert out.strip() == "K in []"
+        (row,) = (tmp_path / "afp_range.csv").read_text().splitlines()[1:]
+        assert row.split(",")[4:7] == ["1", "afp_minus_mfp_bound", "1.04166666667"]
 
 
 class TestQuadraturePasses:
@@ -390,6 +412,16 @@ class TestTables:
         assert code == 1
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        ("optimal-k --nt 3 --nr 3", "afpopt optimal-k: no closed-form path for a 3x3 channel"),
+        ("analytic --nt 3 --nr 3", "afpopt analytic: no closed-form path for a 3x3 channel"),
+        ("simulate --k-min 5 --k-max 2", "afpopt simulate: empty K range [5, 2]"),
+    ])
+    def test_library_error_fails_with_code_1_and_no_table(self, argv, message, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert invoke(argv.split(), capfd) == (1, "", message + "\n")
+        assert not list(tmp_path.iterdir())
+
 
 class TestCellFailures:
     def test_over_cap_cell_keeps_its_row(self, tmp_path, capfd, monkeypatch):
@@ -506,6 +538,14 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as e:
             run(["optimal-k", "--config", str(bad)])
         assert e.value.code == 2
+        # valid JSON, but not an object of options
+        bad.write_text("[1, 2]")
+        capfd.readouterr()
+        with pytest.raises(SystemExit) as e:
+            run(["optimal-k", "--config", str(bad)])
+        assert e.value.code == 2
+        assert capfd.readouterr().err.strip().endswith(f"bad config file {bad}: expected a JSON object")
+        assert not (tmp_path / "optimal_k.csv").exists()
 
 
 class TestRepeatedRuns:

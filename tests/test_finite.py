@@ -752,6 +752,19 @@ class TestMeanLargestEigenvalue:
             got = mean_largest_eigenvalue(shape)
             assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact, (m, n, got)
 
+    def test_short_of_tolerance_warns_once(self, monkeypatch):
+        # four panels leave the 3x3 quadrature short of its tolerance; the
+        # lru_cache would keep the flagged value, so it is cleared after
+        mean_largest_eigenvalue.cache_clear()
+        monkeypatch.setattr(finite, "_MAX_SUBDIVISIONS", 4)
+        try:
+            value, messages = _warned(lambda: mean_largest_eigenvalue(SystemShape(3, 3)))
+        finally:
+            mean_largest_eigenvalue.cache_clear()
+        assert len(messages) == 1
+        assert messages[0].startswith("mean_largest_eigenvalue(3x3): quadrature stopped short of its tolerance")
+        assert value == pytest.approx(6.52083328, rel=0.0, abs=5e-9) and 313 / 48 - value > 4e-8
+
     # (3, 60) needs 31 Laguerre nodes, where eigenvector-based weights fail
     @pytest.mark.parametrize("m,n", [(3, 30), (3, 60), (4, 17), (5, 5), (5, 20), (6, 6), (6, 30)])
     def test_matches_quadrature_of_khatri_determinant(self, m, n):

@@ -8,7 +8,7 @@ import pytest
 from scipy import optimize
 
 from afpopt import largesys
-from afpopt.finite import best_interval
+from afpopt.finite import best_interval, intervals_beating_first
 from afpopt.largesys import (
     LargeSystemConfig,
     afp_beats_mfp,
@@ -52,6 +52,39 @@ def mpmath_power_law(x: float, nr_bar: float) -> tuple[float, float]:
             else:
                 hi = mid
         return float(threshold), float(v + lo)
+
+
+def mpmath_excess(x: float, nr_bar: float) -> mpmath.mpf:
+    """Oracle at 420 digits: the power's excess over nr_bar, from the closed form past the
+    threshold and below it by Newton's method on nr_bar log1p(d / nr_bar) - d + x ln 2 from the
+    upper bound c + sqrt(c^2 + 2 c nr_bar), c = x ln 2.  Both cancel by up to the digits of
+    nr_bar / d: at 80 digits the threshold is already wrong at nr_bar = 1e200."""
+    with mpmath.workdps(420):
+        v, x = mpmath.mpf(nr_bar), mpmath.mpf(x)
+        s, ln2 = mpmath.sqrt(v), mpmath.log(2)
+        threshold, c = (s - v * mpmath.log1p(1 / s)) / ln2, x * ln2
+        if x >= threshold:
+            return (1 + s) ** 2 - (1 + s) * 2 ** (threshold - x) - v
+        d = c + mpmath.sqrt(c * c + 2 * c * v)
+        for _ in range(400):
+            step = (v * mpmath.log1p(d / v) - d + c) * (v + d) / d
+            d += step
+            if abs(step) < d * mpmath.mpf(10) ** -60:  # quadratic: the error is now ~1e-120
+                return d
+        raise AssertionError("no convergence")
+
+
+def mpmath_gain(k: int, cfg: LargeSystemConfig) -> float:
+    """Oracle: the mean over blocks of log2(1 + alpha^(2i-2) d / nr_bar) at 420 digits."""
+    d = mpmath_excess(cfg.b_bar * k, cfg.nr_bar)
+    with mpmath.workdps(420):
+        a2, v = mpmath.mpf(cfg.alpha) ** 2, mpmath.mpf(cfg.nr_bar)
+        return float(sum(mpmath.log1p(a2**i * d / v) for i in range(k)) / (k * mpmath.log(2)))
+
+
+def gain(k: int, cfg: LargeSystemConfig) -> float:
+    """The part of the rate difference that K moves, as the searches form it."""
+    return largesys._gain(k, largesys._excess(cfg.b_bar * k, cfg.nr_bar), cfg)
 
 
 def fixed_point_residual(g: float, x: float, nr_bar: float) -> float:
@@ -202,22 +235,23 @@ class TestOptimalInterval:
         assert result.value == result.curve[-1] and len(result.curve) == 64
 
     def test_scan_evaluates_each_interval_once(self, monkeypatch):
-        # count through the module attribute, the way a tracer wraps it
-        calls = []
-        real = largesys.rate_difference
-        monkeypatch.setattr(largesys, "rate_difference", lambda k, cfg: calls.append(k) or real(k, cfg))
+        # count the power's excess through the module attribute, the way a tracer wraps it
+        budgets = []
+        real = largesys._excess
+        monkeypatch.setattr(largesys, "_excess", lambda x, nr_bar: budgets.append(x) or real(x, nr_bar))
         cfg = LargeSystemConfig(1.0, 0.5, 0.9)
         result = optimal_interval(cfg)
-        # the envelope falls to the best value (at K = 4) before K = 7
-        assert calls == list(range(1, 7))
-        assert result.curve == tuple(real(k, cfg) for k in range(1, 7))
+        # the envelope falls to the best gain (at K = 4) before K = 7
+        assert budgets == [0.5 * k for k in range(1, 7)]
+        assert result.curve == tuple(rate_difference(k, cfg) for k in range(1, 7))
         assert result.k_star == 4 and result.value == max(result.curve)
-        assert largesys._rate_envelope(7, cfg) <= result.value < largesys._rate_envelope(6, cfg)
-        calls.clear()
-        # afp_beats_mfp still scans every K
-        full = tuple(real(k, cfg) for k in range(1, 65))
-        assert afp_beats_mfp(cfg) == tuple(k for k in range(2, 65) if full[k - 1] > full[0])
-        assert calls == list(range(1, 65))
+        best = gain(4, cfg)
+        assert largesys._envelope(7, cfg) <= best < largesys._envelope(6, cfg)
+        # afp_beats_mfp stops at the envelope too, and its window is the full scan's
+        full = tuple(rate_difference(k, cfg) for k in range(1, 65))
+        budgets.clear()
+        assert afp_beats_mfp(cfg) == tuple(k for k in range(2, 65) if full[k - 1] > full[0]) == tuple(range(2, 12))
+        assert budgets == [0.5 * k for k in range(1, 12)]
 
     def test_envelope_stop_keeps_the_full_scan_answer(self):
         grid = itertools.product(
@@ -226,16 +260,17 @@ class TestOptimalInterval:
         )
         for nr_bar, b_bar, alpha in grid:
             cfg = LargeSystemConfig(nr_bar, b_bar, alpha, k_max=200)
+            gains = tuple(gain(k, cfg) for k in range(1, 201))
             full = tuple(rate_difference(k, cfg) for k in range(1, 201))
-            for k, rate in enumerate(full, 1):
-                assert largesys._rate_envelope(k, cfg) >= rate, (cfg, k)
+            for k, value in enumerate(gains, 1):
+                assert largesys._envelope(k, cfg) >= value, (cfg, k)
             for k_max in (1, 2, 64, 200):
-                got = optimal_interval(replace(cfg, k_max=k_max))
-                want = best_interval(full[:k_max], k_max)
-                assert (got.k_star, got.value, got.horizon_limited) == (
-                    want.k_star, want.value, want.horizon_limited
-                ), (cfg, k_max)
+                short = replace(cfg, k_max=k_max)
+                got, want = optimal_interval(short), best_interval(gains[:k_max], k_max)
+                assert (got.k_star, got.horizon_limited) == (want.k_star, want.horizon_limited), short
+                assert got.value == full[got.k_star - 1]
                 assert got.curve == full[: len(got.curve)]
+                assert afp_beats_mfp(short) == intervals_beating_first(gains[:k_max]), short
 
     def test_interval_shrinks_with_budget(self):
         k_half = optimal_interval(LargeSystemConfig(1.0, 0.5, 0.8)).k_star
@@ -259,6 +294,38 @@ class TestConfig:
         # the power saturates at the edge (1 + sqrt(nr_bar))^2 = 4
         assert rate_difference(2, cfg) == pytest.approx((2.0 + math.log2(1.0 + 0.81 * 3.0)) / 2.0)
         assert optimal_interval(cfg).k_star == 1
+
+
+class TestEveryAntennaRatio:
+    # the searches compare the gain, not the rate: past nr_bar ~ 1e28, adding log2(nr_bar)
+    # rounds away what K moves
+    @pytest.mark.parametrize("nr_bar", [1e32, 1e200, 1.7e308])
+    def test_searches_hold_at_huge_ratios(self, nr_bar):
+        cfg = LargeSystemConfig(nr_bar, 1.0, 0.9)
+        assert optimal_interval(cfg).k_star == 3
+        assert afp_beats_mfp(cfg) == (2, 3, 4, 5, 6)
+
+    @pytest.mark.parametrize("nr_bar", [1e8, 1e32, 1e200, 1.7e308])
+    @pytest.mark.parametrize("b_bar", [0.05, 1.0])  # the root up to K = 10, and the closed form
+    def test_gains_match_a_420_digit_sum(self, nr_bar, b_bar):
+        cfg = LargeSystemConfig(nr_bar, b_bar, 0.9)
+        for k in range(1, 11):
+            assert gain(k, cfg) == pytest.approx(mpmath_gain(k, cfg), rel=1e-14, abs=0.0), k
+
+    @pytest.mark.parametrize("nr_bar", [1e-20, 0.25, 1.0, 1e4, 1e32, 1e200, 1.7e308])
+    def test_excess_matches_the_420_digit_root(self, nr_bar):
+        # down to budgets where the root is 1e-150 of sqrt(nr_bar)
+        threshold = bits_threshold(nr_bar)
+        for x in threshold * np.array([1e-300, 1e-30, 1e-6, 0.1, 0.5, 0.99, 1.01, 2.0, 50.0]):
+            ref = float(mpmath_excess(float(x), nr_bar))
+            assert largesys._excess(float(x), nr_bar) == pytest.approx(ref, rel=1e-14, abs=0.0), x
+
+    def test_subnormal_ratio_keeps_finite_rates(self):
+        # d / nr_bar overflows, so the gain is formed from logs
+        cfg = LargeSystemConfig(5e-324, 1.0, 0.9)
+        rates = [rate_difference(k, cfg) for k in (1, 2, 5)]
+        assert rates == pytest.approx([-1.0, -0.567040593, -0.653816063], rel=0.0, abs=1e-9)
+        assert optimal_interval(cfg).curve[:2] == tuple(rates[:2])
 
 
 def miso_interval_small_budget(alpha: float) -> float:

@@ -443,6 +443,21 @@ class TestRank2Tail:
             print(f"\n250x2 at 1100 and 1500 bits: {below} of {2 * TRIAL_CHUNK} draws below l2")
         assert below > 0
 
+    def test_step_cap_keeps_draws_in_range(self, monkeypatch):
+        # one Newton step leaves the rows below l2 short of their roots, but
+        # inside [0, l1]; the closed-form rows above l2 do not move
+        gen = RandomStream(3, 0).generator()
+        eigs = gram_eigenvalues(complex_normal(gen, (TRIAL_CHUNK, 4, 4)))
+        u = 1.0 - gen.random(TRIAL_CHUNK)
+        (solved,) = rvq_best_power(eigs, 4, [1.0], u)
+        monkeypatch.setattr(simulate, "_ROOT_MAX_STEPS", 1)
+        (capped,) = rvq_best_power(eigs, 4, [1.0], u)
+        low = ~(solved > eigs[:, 1])
+        assert low.sum() == 858
+        assert np.all(np.isfinite(capped)) and np.all((0.0 <= capped) & (capped <= eigs[:, 0]))
+        assert np.array_equal(capped[~low], solved[~low])
+        assert not np.array_equal(capped[low], solved[low])
+
 
 def _complex_best_power(h, entries):
     # the oracle of codebook.best_powers: max_i ||H c_i||^2 from the complex
@@ -859,6 +874,34 @@ class TestSweep:
             if not isinstance(outcome, Exception):
                 assert np.array_equal(outcome, want)
         assert all(isinstance(o, FloatingPointError) for o in outcomes if isinstance(o, Exception))
+
+    def test_failed_shared_draw_fails_only_its_group(self, monkeypatch):
+        # the 3x2 group's channel draw raises: its cells keep their rows with
+        # the error, and the 2x2 group is the clean sweep's
+        grid = [
+            ExperimentSpec(SystemShape(nt, 2), FadingModel(0.9), 1.0, k, trials=300, seed=5)
+            for nt in (2, 3) for k in (1, 2)
+        ]
+        clean = sweep(grid)
+
+        def failing_for_nt_3(gen, shape):
+            if shape[2] == 3:
+                raise FloatingPointError("no 3x2 draw")
+            return complex_normal(gen, shape)
+
+        monkeypatch.setattr(simulate, "complex_normal", failing_for_nt_3)
+        records = sweep(grid)
+        assert records[:2] == clean[:2]
+        assert [(r.nt, r.num_blocks) for r in records[2:]] == [(3, 1), (3, 2)]
+        for r in records[2:]:
+            assert (r.value, r.stderr, r.analytic, r.error) == (None, None, None, "FloatingPointError: no 3x2 draw")
+
+    def test_zero_bit_cell_gets_the_isotropic_power(self):
+        # a budget of 0 bits is one random entry: the analytic column is nr
+        (record,) = sweep([spec_2x2(bits_per_block=0.0, num_blocks=1, trials=50)])
+        assert record.error is None and record.analytic == pytest.approx(2.0, abs=1e-12)
+        fractional = spec_2x2(bits_per_block=0.2, num_blocks=2, trials=50)  # 0.4 rounds to 0 bits too
+        assert fractional.budget_bits == 0 and sweep([fractional])[0].analytic == record.analytic
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
