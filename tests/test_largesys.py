@@ -82,9 +82,17 @@ def mpmath_gain(k: int, cfg: LargeSystemConfig) -> float:
         return float(sum(mpmath.log1p(a2**i * d / v) for i in range(k)) / (k * mpmath.log(2)))
 
 
+def mpmath_rate(k: int, cfg: LargeSystemConfig) -> float:
+    """Oracle: the mean over blocks of log2(nr_bar + alpha^(2i-2) d) at 420 digits."""
+    d = mpmath_excess(cfg.b_bar * k, cfg.nr_bar)
+    with mpmath.workdps(420):
+        a2, v = mpmath.mpf(cfg.alpha) ** 2, mpmath.mpf(cfg.nr_bar)
+        return float(sum(mpmath.log(v + a2**i * d) for i in range(k)) / (k * mpmath.log(2)))
+
+
 def gain(k: int, cfg: LargeSystemConfig) -> float:
     """The part of the rate difference that K moves, as the searches form it."""
-    return largesys._gain(k, largesys._excess(cfg.b_bar * k, cfg.nr_bar), cfg)
+    return largesys._gain_and_rate(k, largesys._excess(cfg.b_bar * k, cfg.nr_bar), cfg)[0]
 
 
 def fixed_point_residual(g: float, x: float, nr_bar: float) -> float:
@@ -167,7 +175,7 @@ class TestAsymptoticPower:
         for nr_bar in [0.0, 5e-324, 0.25, 0.5, 1.0, 2.0, 4.0, 1.7e308, *grid]:
             edge = (1.0 + math.sqrt(nr_bar)) ** 2
             prev = nr_bar
-            for x in [0.0, *grid]:
+            for x in [0.0, 5e-324, *grid]:
                 g = asymptotic_power(x, nr_bar)
                 assert math.isfinite(g), (nr_bar, x)
                 assert nr_bar - 4 * math.ulp(nr_bar) <= g <= edge + 4 * math.ulp(edge), (nr_bar, x, g)
@@ -321,11 +329,21 @@ class TestEveryAntennaRatio:
             assert largesys._excess(float(x), nr_bar) == pytest.approx(ref, rel=1e-14, abs=0.0), x
 
     def test_subnormal_ratio_keeps_finite_rates(self):
-        # d / nr_bar overflows, so the gain is formed from logs
+        # d / nr_bar overflows; the rate is the mean of the blocks' logs, which the gain plus
+        # log2(nr_bar) ~ -1074 would hold only to 1e-13
         cfg = LargeSystemConfig(5e-324, 1.0, 0.9)
         rates = [rate_difference(k, cfg) for k in (1, 2, 5)]
-        assert rates == pytest.approx([-1.0, -0.567040593, -0.653816063], rel=0.0, abs=1e-9)
+        assert rates == pytest.approx([-1.0, -0.5670405927238937, -0.6538160633933245], rel=1e-15, abs=0.0)
+        assert rates == pytest.approx([mpmath_rate(k, cfg) for k in (1, 2, 5)], rel=1e-15, abs=0.0)
         assert optimal_interval(cfg).curve[:2] == tuple(rates[:2])
+
+    @pytest.mark.parametrize("nr_bar", [5e-324, 1e-300, 1e-20, 0.25, 1.0, 4.0, 1e8, 1e200])
+    @pytest.mark.parametrize("b_bar", [0.05, 1.0])
+    def test_rates_match_a_420_digit_sum(self, nr_bar, b_bar):
+        # to 1e-15, absolute or relative, where nr_bar is below the excess and where it is above
+        cfg = LargeSystemConfig(nr_bar, b_bar, 0.9)
+        for k in range(1, 11):
+            assert rate_difference(k, cfg) == pytest.approx(mpmath_rate(k, cfg), rel=1e-15, abs=1e-15), k
 
 
 def miso_interval_small_budget(alpha: float) -> float:
